@@ -105,6 +105,8 @@ let micro_tests () =
   let open Bechamel in
   let payload = String.init 256 (fun i -> Char.chr (i land 0xff)) in
   let key = String.make 32 'k' in
+  let hmac_key = Splitbft_crypto.Hmac.prepare key in
+  let aead_key = Splitbft_crypto.Aead.prepare key in
   let nonce = String.make 12 'n' in
   let request =
     { Splitbft_types.Message.client = 7; timestamp = 42L; payload = String.make 10 'x';
@@ -124,6 +126,8 @@ let micro_tests () =
         (Staged.stage (fun () -> ignore (Splitbft_crypto.Sha256.digest payload)));
       Test.make ~name:"hmac-256B"
         (Staged.stage (fun () -> ignore (Splitbft_crypto.Hmac.mac ~key payload)));
+      Test.make ~name:"hmac-256B-prepared"
+        (Staged.stage (fun () -> ignore (Splitbft_crypto.Hmac.mac_with hmac_key [ payload ])));
       Test.make ~name:"chacha20-256B"
         (Staged.stage (fun () ->
              ignore (Splitbft_crypto.Chacha20.encrypt ~key ~nonce payload)));
@@ -131,6 +135,12 @@ let micro_tests () =
         (Staged.stage (fun () ->
              let ct = Splitbft_crypto.Aead.encrypt ~key ~nonce ~aad:"a" payload in
              match Splitbft_crypto.Aead.decrypt ~key ~nonce ~aad:"a" ct with
+             | Ok _ -> ()
+             | Error e -> failwith e));
+      Test.make ~name:"aead-seal-open-256B-prepared"
+        (Staged.stage (fun () ->
+             let ct = Splitbft_crypto.Aead.encrypt_with aead_key ~nonce ~aad:"a" payload in
+             match Splitbft_crypto.Aead.decrypt_with aead_key ~nonce ~aad:"a" ct with
              | Ok _ -> ()
              | Error e -> failwith e));
       Test.make ~name:"codec-request-roundtrip"

@@ -5,15 +5,18 @@
    --json` run, prints the comparison report, and exits non-zero on any
    regression — including a baselined point or metric the current run no
    longer produces, which is a hard failure, never a silent pass.
-   Improvements always pass (the baseline is a floor, not a pin);
-   refreshing the floor after a deliberate win means committing the new
-   JSON as the baseline.
+   Improvements always pass (the baseline is a floor, not a pin).  The
+   gate reads only the [schema] and [artifacts] members, so those are all
+   the baseline commits: refreshing the floor after a deliberate win
+   means copying them from the new JSON, without its [metrics]
+   snapshot.
 
      bench_check --baseline BENCH_BASELINE.json --current out.json [--tolerance 0.10]
                  [--only ARTIFACT]...
 
    [--only] restricts the sweep to the named artifacts, for jobs that
-   deliberately measure a subset (CI's storage job gates only storage);
+   deliberately measure a subset (CI's perf job gates hotpath, lanes and
+   openloop; its storage job gates only storage);
    it is an explicit narrowing, not a silent skip. *)
 
 module Json = Splitbft_obs.Json

@@ -389,7 +389,7 @@ let on_session_ack t (sa : Message.session_ack) =
   | Pbft | Minbft -> ()
   | Splitbft { ready_quorum } ->
     let auth_ok =
-      Hmac.verify ~key:t.session.Session.auth
+      Hmac.verify_with t.session.Session.auth_key
         ~msg:(Message.session_ack_auth_bytes sa)
         ~tag:sa.sa_auth
     in

@@ -159,7 +159,7 @@ let decode_recovery_image s =
             let c = R.varint r in
             let auth = R.bytes r in
             let enc = R.bytes r in
-            (c, { Session.auth; enc }))
+            (c, Session.make ~auth ~enc))
       in
       { ri_counter; ri_view; ri_last_executed; ri_snapshot; ri_executed; ri_sessions })
     s
@@ -442,8 +442,9 @@ let transfer_aad = "splitbft-state-transfer"
 
 let transfer_key =
   lazy
-    (Kdf.derive ~ikm:"splitbft-exec-state-transfer"
-       ~info:(Measurement.to_raw Enclave_identity.execution) ~length:32 ())
+    (Aead.prepare
+       (Kdf.derive ~ikm:"splitbft-exec-state-transfer"
+          ~info:(Measurement.to_raw Enclave_identity.execution) ~length:32 ()))
 
 let transfer_nonce ~replier ~stable =
   String.sub (Sha256.digest (Printf.sprintf "st-nonce:%d:%d" replier stable)) 0 Aead.nonce_size
@@ -459,7 +460,7 @@ let on_state_request env st (sr : Message.state_request) =
           let c = Enclave.cost_model env in
           Enclave.charge_crypto env
             (c.seal_per_byte_us *. float_of_int (String.length snap));
-          Aead.encrypt ~key:(Lazy.force transfer_key)
+          Aead.encrypt_with (Lazy.force transfer_key)
             ~nonce:(transfer_nonce ~replier:st.cfg.id ~stable)
             ~aad:transfer_aad snap
         | None -> ""
@@ -535,7 +536,7 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
        in
        if proof_ok then
          match
-           Aead.decrypt ~key:(Lazy.force transfer_key)
+           Aead.decrypt_with (Lazy.force transfer_key)
              ~nonce:(transfer_nonce ~replier:sr.st_replier ~stable:sr.st_stable)
              ~aad:transfer_aad sr.st_snapshot
          with
@@ -800,7 +801,7 @@ let on_session_key env st (sk : Message.session_key) =
         let sa =
           { sa with
             sa_auth =
-              Hmac.mac ~key:keys.Session.auth (Message.session_ack_auth_bytes sa) }
+              Hmac.mac_with keys.Session.auth_key [ Message.session_ack_auth_bytes sa ] }
         in
         Enclave.emit env
           (Wire.encode_output

@@ -57,7 +57,7 @@ type state = {
   preprepares : Message.preprepare Log.t;
   prepares : (Ids.seqno, Message.prepare) Votes.t;
   assigned : Client_table.t;  (* client timestamps already given a seqno *)
-  sessions : string Sessions.t;  (* client auth keys *)
+  sessions : (string * Hmac.key) Sessions.t;  (* client auth keys, raw and prepared *)
   viewchanges : (Ids.view, Message.viewchange) Votes.t;
   ckpt : Ckpt.t;
   mutable instance_nonce : string;
@@ -116,8 +116,8 @@ let charge_client_auth env st count =
 let request_ok st (r : Message.request) =
   match Sessions.find st.sessions r.client with
   | None -> false
-  | Some auth_key ->
-    Hmac.verify ~key:auth_key ~msg:(Message.request_auth_bytes r) ~tag:r.auth
+  | Some (_, auth_key) ->
+    Hmac.verify_with auth_key ~msg:(Message.request_auth_bytes r) ~tag:r.auth
 
 let sign_pp env pp =
   { pp with Message.pp_sig = Common.sign_with env (Message.preprepare_signing_bytes pp) }
@@ -324,7 +324,7 @@ let encode_recovery_image ~counter st =
       W.varint w st.next_seq;
       W.varint w (Ckpt.last_stable st.ckpt);
       W.list w
-        (fun w (c, auth) ->
+        (fun w (c, (auth, _)) ->
           W.varint w c;
           W.bytes w auth)
         (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions []))
@@ -391,7 +391,7 @@ let on_recover env st blob_opt =
              re-derives as the smallest lane-congruent seqno at or above
              it, exactly as the single-lane path resumes from next_seq. *)
           realign_lanes st (next_seq - 1);
-          List.iter (fun (c, auth) -> Sessions.set st.sessions c auth) sessions;
+          List.iter (fun (c, auth) -> Sessions.set st.sessions c (auth, Hmac.prepare auth)) sessions;
           Ckpt.force_stable st.ckpt last_stable;
           Log.advance_low_mark st.preprepares last_stable
         end))
@@ -549,7 +549,7 @@ let on_session_key env st (sk : Message.session_key) =
     | Ok provision -> (
       match Session.decode_provision provision with
       | Error _ -> ()
-      | Ok keys -> Sessions.set st.sessions sk.sk_client keys.Session.auth)
+      | Ok keys -> Sessions.set st.sessions sk.sk_client (keys.Session.auth, keys.Session.auth_key))
   end
 
 let handle env st ~byz (input : Wire.input) =

@@ -1,23 +1,26 @@
 let block_size = Sha256.block_size
 
-let normalize_key key =
+(* The SHA-256 states after absorbing [k0 xor ipad] and [k0 xor opad]. *)
+type key = { inner : Sha256.midstate; outer : Sha256.midstate }
+
+let pad_state k0 c =
+  let ctx = Sha256.init () in
+  Sha256.update ctx (String.map (fun ch -> Char.chr (Char.code ch lxor c)) k0);
+  Sha256.midstate ctx
+
+let prepare key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let padded = Bytes.make block_size '\x00' in
-  Bytes.blit_string key 0 padded 0 (String.length key);
-  Bytes.unsafe_to_string padded
+  let k0 = key ^ String.make (block_size - String.length key) '\x00' in
+  { inner = pad_state k0 0x36; outer = pad_state k0 0x5c }
 
-let xor_with s c =
-  String.map (fun ch -> Char.chr (Char.code ch lxor c)) s
-
-let mac_parts ~key parts =
-  let k0 = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.update inner (xor_with k0 0x36);
+let mac_with key parts =
+  let inner = Sha256.resume key.inner in
   List.iter (Sha256.update inner) parts;
-  let inner_digest = Sha256.finalize inner in
-  Sha256.digest_parts [ xor_with k0 0x5c; inner_digest ]
+  let outer = Sha256.resume key.outer in
+  Sha256.update outer (Sha256.finalize inner);
+  Sha256.finalize outer
 
-let mac ~key msg = mac_parts ~key [ msg ]
+let mac ~key msg = mac_with (prepare key) [ msg ]
 
 let equal_constant_time a b =
   if String.length a <> String.length b then false
@@ -29,4 +32,5 @@ let equal_constant_time a b =
     !acc = 0
   end
 
-let verify ~key ~msg ~tag = equal_constant_time (mac ~key msg) tag
+let verify_with key ~msg ~tag = equal_constant_time (mac_with key [ msg ]) tag
+let verify ~key ~msg ~tag = verify_with (prepare key) ~msg ~tag

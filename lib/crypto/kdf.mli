@@ -11,4 +11,5 @@ val expand : prk:string -> info:string -> length:int -> string
 (** Output keying material of [length] bytes ([length <= 255 * 32]). *)
 
 val derive : ?salt:string -> ikm:string -> info:string -> length:int -> unit -> string
-(** [extract] followed by [expand]; [salt] defaults to all zeros. *)
+(** [extract] followed by [expand]; [salt] defaults to all zeros, a key
+    {!Hmac.prepare}d once for the whole process. *)

@@ -18,50 +18,68 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+     0x1f83d9ab; 0x5be0cd19 |]
+
 type ctx = {
   h : int array; (* 8 state words *)
   buf : Bytes.t; (* partial block *)
   mutable buf_len : int;
-  mutable total : int64; (* total message bytes *)
-  w : int array; (* message schedule scratch *)
+  mutable total : int; (* total message bytes *)
 }
 
-let init () =
-  { h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+(* The 8 state words big-endian, then the byte count as 8 bytes: a flat
+   string is the most compact immutable form for keys held per session. *)
+type midstate = string
+
+let word_be s p = (String.get_uint16_be s p lsl 16) lor String.get_uint16_be s (p + 2)
+
+let init () = { h = Array.copy iv; buf = Bytes.create block_size; buf_len = 0; total = 0 }
+
+let midstate ctx =
+  if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: partial block pending";
+  let m = Bytes.create 40 in
+  Array.iteri (fun i v -> Bytes.set_int32_be m (4 * i) (Int32.of_int v)) ctx.h;
+  Bytes.set_int64_be m 32 (Int64.of_int ctx.total);
+  Bytes.unsafe_to_string m
+
+let resume m =
+  { h = Array.init 8 (fun i -> word_be m (4 * i));
     buf = Bytes.create block_size;
     buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0 }
+    total = Int64.to_int (String.get_int64_be m 32) }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Message-schedule scratch shared by every context: [compress] runs to
+   completion without yielding, and the library is used from one domain. *)
+let w = Array.make 64 0
 
-let compress ctx block off =
-  let w = ctx.w in
+(* [x] (32 bits) doubled into the upper half, so a 32-bit rotate right by
+   [n] is [(dbl x lsr n) land mask] for every [n] in 1..31; the bit lost to
+   the 63-bit int is never one of those read. *)
+let dbl x = x lor (x lsl 32)
+
+let compress h (block : string) off =
   for i = 0 to 15 do
-    let p = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block p) lsl 24)
-      lor (Char.code (Bytes.get block (p + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (p + 2)) lsl 8)
-      lor Char.code (Bytes.get block (p + 3))
+    Array.unsafe_set w i (word_be block (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let d15 = dbl w15 and d2 = dbl w2 in
+    let s0 = ((d15 lsr 7) lxor (d15 lsr 18)) land mask lxor (w15 lsr 3) in
+    let s1 = ((d2 lsr 17) lxor (d2 lsr 19)) land mask lxor (w2 lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
-  let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let de = dbl !e and da = dbl !a in
+    let s1 = ((de lsr 6) lxor (de lsr 11) lxor (de lsr 25)) land mask in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((da lsr 2) lxor (da lsr 13) lxor (da lsr 22)) land mask in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -69,7 +87,7 @@ let compress ctx block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -80,9 +98,12 @@ let compress ctx block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+(* The buffer is only read while [compress] runs, never retained. *)
+let compress_buf ctx = compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0
+
 let update ctx s =
   let n = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int n);
+  ctx.total <- ctx.total + n;
   let pos = ref 0 in
   (* Fill a pending partial block first. *)
   if ctx.buf_len > 0 then begin
@@ -91,45 +112,37 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = block_size then begin
-      compress ctx ctx.buf 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
+  (* Whole blocks are compressed straight from the input. *)
   while n - !pos >= block_size do
-    Bytes.blit_string s !pos ctx.buf 0 block_size;
-    compress ctx ctx.buf 0;
+    compress ctx.h s !pos;
     pos := !pos + block_size
   done;
   if !pos < n then begin
-    Bytes.blit_string s !pos ctx.buf 0 (n - !pos);
-    ctx.buf_len <- n - !pos
+    Bytes.blit_string s !pos ctx.buf ctx.buf_len (n - !pos);
+    ctx.buf_len <- ctx.buf_len + (n - !pos)
   end
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
+  (* Padding: 0x80, zeros, 64-bit big-endian bit length. *)
   Bytes.set ctx.buf ctx.buf_len '\x80';
   ctx.buf_len <- ctx.buf_len + 1;
   if ctx.buf_len > block_size - 8 then begin
     Bytes.fill ctx.buf ctx.buf_len (block_size - ctx.buf_len) '\x00';
-    compress ctx ctx.buf 0;
+    compress_buf ctx;
     ctx.buf_len <- 0
   end;
   Bytes.fill ctx.buf ctx.buf_len (block_size - 8 - ctx.buf_len) '\x00';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set ctx.buf
-      (block_size - 8 + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bit_len shift) land 0xff))
-  done;
-  compress ctx ctx.buf 0;
+  Bytes.set_int64_be ctx.buf (block_size - 8) (Int64.shift_left (Int64.of_int ctx.total) 3);
+  compress_buf ctx;
   let out = Bytes.create digest_size in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_uint16_be out (4 * i) (v lsr 16);
+    Bytes.set_uint16_be out ((4 * i) + 2) (v land 0xffff)
   done;
   Bytes.unsafe_to_string out
 

@@ -13,6 +13,18 @@ val update : ctx -> string -> unit
 val finalize : ctx -> string
 (** 32-byte digest.  The context must not be used afterwards. *)
 
+type midstate
+(** An immutable snapshot of a context that has absorbed whole blocks only:
+    the chaining value and the byte count. *)
+
+val midstate : ctx -> midstate
+(** Snapshot of the context.
+    @raise Invalid_argument if a partial block is pending. *)
+
+val resume : midstate -> ctx
+(** A fresh context continuing from the snapshot; the snapshot is not
+    changed, so it can be resumed any number of times. *)
+
 val digest : string -> string
 (** One-shot hash. *)
 

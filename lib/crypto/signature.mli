@@ -19,7 +19,10 @@ type public = string
 (** 32-byte public key. *)
 
 type secret
-(** Abstract secret key; cannot be read back out, only used to sign. *)
+(** Abstract secret key; cannot be read back out, only used to sign.  It
+    holds the {!Hmac.prepare}d signing key, prepared once at key generation;
+    the registry holds the same prepared key for verification.  Signatures
+    are byte-identical to an HMAC under the raw key. *)
 
 type keypair = { public : public; secret : secret }
 

@@ -14,6 +14,7 @@ module Addr = Splitbft_types.Addr
 module Keys = Splitbft_types.Keys
 module Message = Splitbft_types.Message
 module Hmac = Splitbft_crypto.Hmac
+module Aead = Splitbft_crypto.Aead
 module State_machine = Splitbft_app.State_machine
 module Quorum = Splitbft_consensus.Quorum
 module Votes = Splitbft_consensus.Votes
@@ -99,7 +100,7 @@ type t = {
      itself survives crashes: it is trusted hardware with its own
      persistence, and its counter keeps growing monotonically. *)
   platform : Platform.t;
-  seal_key : string;
+  seal_key : Aead.key;
   initial_snapshot : string;
   mutable persist_log : (string * string) list;  (* sealed blobs, newest first *)
   snapshots : (int64, string) Hashtbl.t;  (* own snapshot at own checkpoint counters *)
@@ -936,7 +937,7 @@ let create engine net cfg ~app =
         byz = Honest;
         executed_total = 0;
         platform;
-        seal_key = Platform.sealing_key platform measurement;
+        seal_key = Aead.prepare (Platform.sealing_key platform measurement);
         initial_snapshot = app.State_machine.snapshot ();
         persist_log = [];
         snapshots = Hashtbl.create 8;

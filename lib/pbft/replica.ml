@@ -16,6 +16,7 @@ module Addr = Splitbft_types.Addr
 module Keys = Splitbft_types.Keys
 module Signature = Splitbft_crypto.Signature
 module Hmac = Splitbft_crypto.Hmac
+module Aead = Splitbft_crypto.Aead
 module State_machine = Splitbft_app.State_machine
 module Log = Splitbft_consensus.Log
 module Quorum = Splitbft_consensus.Quorum
@@ -131,7 +132,7 @@ type t = {
   mutable executed_total : int;
   (* crash-recovery (sealed checkpoints + state transfer) *)
   platform : Platform.t;
-  seal_key : string;
+  seal_key : Aead.key;
   initial_snapshot : string;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshot at checkpoint seqs *)
   sync_votes : (Ids.seqno, string * Message.request list) Votes.t;
@@ -1132,7 +1133,7 @@ let create engine net cfg ~app =
         byz = Honest;
         executed_total = 0;
         platform;
-        seal_key = Platform.sealing_key platform measurement;
+        seal_key = Aead.prepare (Platform.sealing_key platform measurement);
         initial_snapshot = app.State_machine.snapshot ();
         snapshots = Hashtbl.create 4;
         sync_votes = Votes.create ~size:32 ();

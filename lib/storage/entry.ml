@@ -29,18 +29,19 @@ let ledger_aad = "splitbft-ledger-entry"
 
 let ledger_key =
   lazy
-    (Kdf.derive ~ikm:"splitbft-ledger-feed"
-       ~info:(Measurement.to_raw Enclave_identity.execution) ~length:32 ())
+    (Aead.prepare
+       (Kdf.derive ~ikm:"splitbft-ledger-feed"
+          ~info:(Measurement.to_raw Enclave_identity.execution) ~length:32 ()))
 
 let nonce_of ~tag seq =
   String.sub (Sha256.digest (Printf.sprintf "%s:%d" tag seq)) 0 Aead.nonce_size
 
 let seal_ops ~seq blob =
-  Aead.encrypt ~key:(Lazy.force ledger_key) ~nonce:(nonce_of ~tag:"ledger-nonce" seq)
+  Aead.encrypt_with (Lazy.force ledger_key) ~nonce:(nonce_of ~tag:"ledger-nonce" seq)
     ~aad:ledger_aad blob
 
 let open_ops ~seq blob =
-  Aead.decrypt ~key:(Lazy.force ledger_key) ~nonce:(nonce_of ~tag:"ledger-nonce" seq)
+  Aead.decrypt_with (Lazy.force ledger_key) ~nonce:(nonce_of ~tag:"ledger-nonce" seq)
     ~aad:ledger_aad blob
 
 (* ----- content digest and hash chain ----- *)
@@ -93,8 +94,9 @@ let read_aad = "splitbft-follower-read"
 
 let read_key =
   lazy
-    (Kdf.derive ~ikm:"splitbft-follower-read"
-       ~info:(Measurement.to_raw Enclave_identity.execution) ~length:32 ())
+    (Aead.prepare
+       (Kdf.derive ~ikm:"splitbft-follower-read"
+          ~info:(Measurement.to_raw Enclave_identity.execution) ~length:32 ()))
 
 let read_nonce ~dir ~client ~ts =
   String.sub
@@ -102,17 +104,17 @@ let read_nonce ~dir ~client ~ts =
     0 Aead.nonce_size
 
 let seal_read_op ~client ~ts op =
-  Aead.encrypt ~key:(Lazy.force read_key) ~nonce:(read_nonce ~dir:"op" ~client ~ts)
+  Aead.encrypt_with (Lazy.force read_key) ~nonce:(read_nonce ~dir:"op" ~client ~ts)
     ~aad:read_aad op
 
 let open_read_op ~client ~ts blob =
-  Aead.decrypt ~key:(Lazy.force read_key) ~nonce:(read_nonce ~dir:"op" ~client ~ts)
+  Aead.decrypt_with (Lazy.force read_key) ~nonce:(read_nonce ~dir:"op" ~client ~ts)
     ~aad:read_aad blob
 
 let seal_read_result ~client ~ts result =
-  Aead.encrypt ~key:(Lazy.force read_key) ~nonce:(read_nonce ~dir:"res" ~client ~ts)
+  Aead.encrypt_with (Lazy.force read_key) ~nonce:(read_nonce ~dir:"res" ~client ~ts)
     ~aad:read_aad result
 
 let open_read_result ~client ~ts blob =
-  Aead.decrypt ~key:(Lazy.force read_key) ~nonce:(read_nonce ~dir:"res" ~client ~ts)
+  Aead.decrypt_with (Lazy.force read_key) ~nonce:(read_nonce ~dir:"res" ~client ~ts)
     ~aad:read_aad blob

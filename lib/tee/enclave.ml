@@ -47,7 +47,7 @@ and t = {
   platform : Platform.t;
   meas : Measurement.t;
   cost_model : Cost_model.t;
-  sealing_key : string;
+  sealing_key : Splitbft_crypto.Aead.key;
   mutable env : env option; (* None until first ecall builds it *)
   mutable handler : handler option;
   mutable program : program;
@@ -99,7 +99,7 @@ let create ?(verify_cache_capacity = 0) ?(workers = 1) platform ~name ~measureme
       platform;
       meas = measurement;
       cost_model;
-      sealing_key = Platform.sealing_key platform measurement;
+      sealing_key = Splitbft_crypto.Aead.prepare (Platform.sealing_key platform measurement);
       env = None;
       handler = None;
       program;

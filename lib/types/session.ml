@@ -4,10 +4,14 @@ module Aead = Splitbft_crypto.Aead
 module Hmac = Splitbft_crypto.Hmac
 module Kdf = Splitbft_crypto.Kdf
 
-type keys = { auth : string; enc : string }
+type keys = { auth : string; enc : string; auth_key : Hmac.key; enc_key : Aead.key }
 
+let make ~auth ~enc = { auth; enc; auth_key = Hmac.prepare auth; enc_key = Aead.prepare enc }
+
+(* [enc] is drawn first: the order the simulation's client streams pin. *)
 let generate rng =
-  { auth = Splitbft_util.Rng.bytes rng 32; enc = Splitbft_util.Rng.bytes rng 32 }
+  let enc = Splitbft_util.Rng.bytes rng 32 in
+  make ~auth:(Splitbft_util.Rng.bytes rng 32) ~enc
 
 let encode_for_execution k =
   W.to_string
@@ -28,7 +32,7 @@ let decode_provision s =
     (fun r ->
       let auth = R.bytes r in
       let enc = R.bytes r in
-      { auth; enc })
+      make ~auth ~enc)
     s
 
 (* Deterministic nonces: unique per (direction, client, timestamp[, replica])
@@ -45,36 +49,36 @@ let result_nonce ~client ~timestamp ~replica =
 let op_aad ~client ~timestamp = Printf.sprintf "op-aad:%d:%Ld" client timestamp
 
 let encrypt_op k ~client ~timestamp op =
-  Aead.encrypt ~key:k.enc ~nonce:(op_nonce ~client ~timestamp)
+  Aead.encrypt_with k.enc_key ~nonce:(op_nonce ~client ~timestamp)
     ~aad:(op_aad ~client ~timestamp) op
 
 let decrypt_op k ~client ~timestamp payload =
-  Aead.decrypt ~key:k.enc ~nonce:(op_nonce ~client ~timestamp)
+  Aead.decrypt_with k.enc_key ~nonce:(op_nonce ~client ~timestamp)
     ~aad:(op_aad ~client ~timestamp) payload
 
 let authenticate_request k (r : Message.request) =
-  { r with Message.auth = Hmac.mac ~key:k.auth (Message.request_auth_bytes r) }
+  { r with Message.auth = Hmac.mac_with k.auth_key [ Message.request_auth_bytes r ] }
 
 let request_auth_ok k (r : Message.request) =
-  Hmac.verify ~key:k.auth ~msg:(Message.request_auth_bytes r) ~tag:r.auth
+  Hmac.verify_with k.auth_key ~msg:(Message.request_auth_bytes r) ~tag:r.auth
 
 let result_aad ~client ~timestamp ~replica =
   Printf.sprintf "res-aad:%d:%Ld:%d" client timestamp replica
 
 let encrypt_result k ~client ~timestamp ~replica result =
-  Aead.encrypt ~key:k.enc
+  Aead.encrypt_with k.enc_key
     ~nonce:(result_nonce ~client ~timestamp ~replica)
     ~aad:(result_aad ~client ~timestamp ~replica)
     result
 
 let decrypt_result k ~client ~timestamp ~replica payload =
-  Aead.decrypt ~key:k.enc
+  Aead.decrypt_with k.enc_key
     ~nonce:(result_nonce ~client ~timestamp ~replica)
     ~aad:(result_aad ~client ~timestamp ~replica)
     payload
 
 let authenticate_reply k (rp : Message.reply) =
-  { rp with Message.r_auth = Hmac.mac ~key:k.auth (Message.reply_auth_bytes rp) }
+  { rp with Message.r_auth = Hmac.mac_with k.auth_key [ Message.reply_auth_bytes rp ] }
 
 let reply_auth_ok k (rp : Message.reply) =
-  Hmac.verify ~key:k.auth ~msg:(Message.reply_auth_bytes rp) ~tag:rp.r_auth
+  Hmac.verify_with k.auth_key ~msg:(Message.reply_auth_bytes rp) ~tag:rp.r_auth

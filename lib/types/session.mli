@@ -9,7 +9,17 @@
     client library and the Execution compartment, so nonce derivations
     cannot drift. *)
 
-type keys = { auth : string; enc : string }
+type keys = private {
+  auth : string;
+  enc : string;
+  auth_key : Splitbft_crypto.Hmac.key;  (** [auth], prepared *)
+  enc_key : Splitbft_crypto.Aead.key;  (** [enc], prepared *)
+}
+(** The raw secrets are kept because provisioning and recovery images
+    serialise them; every MAC and AEAD operation uses the prepared forms. *)
+
+val make : auth:string -> enc:string -> keys
+(** Prepares both keys once. *)
 
 val generate : Splitbft_util.Rng.t -> keys
 

@@ -205,6 +205,78 @@ let test_signature_wrong_length () =
   checkb "short sig" false
     (Signature.verify ~public:kp.Signature.public ~msg:"m" ~signature:"short")
 
+(* ----- prepared keys: differential against the one-shot paths ----- *)
+
+(* RFC 2104 written out over one-shot digests: the reference the prepared
+   pad states must reproduce. *)
+let reference_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let k0 = key ^ String.make (64 - String.length key) '\x00' in
+  let pad c = String.map (fun ch -> Char.chr (Char.code ch lxor c)) k0 in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+(* A message and a random split of it into parts (empty parts included). *)
+let split_gen =
+  QCheck.Gen.(
+    string_size (int_bound 300) >>= fun msg ->
+    list_size (int_bound 6) (int_bound (String.length msg)) >|= fun cuts ->
+    let cuts = List.sort_uniq compare (0 :: String.length msg :: cuts) in
+    let rec parts = function
+      | a :: (b :: _ as rest) -> String.sub msg a (b - a) :: parts rest
+      | _ -> []
+    in
+    (msg, parts cuts))
+
+let prop_hmac_prepared_parts =
+  QCheck.Test.make ~name:"hmac prepared parts = one-shot" ~count:300
+    QCheck.(
+      pair
+        (make Gen.(int_range 0 200 >>= fun n -> string_size (return n)))
+        (make ~print:(fun (m, ps) -> Printf.sprintf "%S in %d parts" m (List.length ps)) split_gen))
+    (fun (key, (msg, parts)) ->
+      let tag = Hmac.mac_with (Hmac.prepare key) parts in
+      String.equal tag (Hmac.mac ~key msg) && String.equal tag (reference_hmac ~key msg))
+
+let test_hmac_prepared_reuse () =
+  let key = Hmac.prepare "long-lived session key" in
+  let tags = List.init 1000 (fun _ -> Hmac.mac_with key [ "request"; " bytes" ]) in
+  let expected = reference_hmac ~key:"long-lived session key" "request bytes" in
+  checkb "1000 identical tags" true (List.for_all (String.equal expected) tags);
+  checkb "verify_with" true (Hmac.verify_with key ~msg:"request bytes" ~tag:expected)
+
+let test_sha256_every_split () =
+  let data = String.init 130 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let expected = Sha256.digest data in
+  for cut = 0 to 130 do
+    let ctx = Sha256.init () in
+    Sha256.update ctx (String.sub data 0 cut);
+    Sha256.update ctx (String.sub data cut (130 - cut));
+    check (Printf.sprintf "split at %d" cut) (Hex.encode expected) (Hex.encode (Sha256.finalize ctx))
+  done
+
+let prop_aead_prepared =
+  QCheck.Test.make ~name:"aead prepared = string key" ~count:200
+    QCheck.(triple (string_of_size (Gen.return 32)) string string)
+    (fun (key, pt, aad) ->
+      let prepared = Aead.prepare key in
+      let ct = Aead.encrypt_with prepared ~nonce:aead_nonce ~aad pt in
+      String.equal ct (Aead.encrypt ~key ~nonce:aead_nonce ~aad pt)
+      && Aead.decrypt ~key ~nonce:aead_nonce ~aad ct = Ok pt
+      && Aead.decrypt_with prepared ~nonce:aead_nonce ~aad ct = Ok pt)
+
+let prop_box_sealing_roundtrip =
+  let box = Box.derive ~seed:"prop-recipient" in
+  let seal_key = Aead.prepare (String.make 32 's') in
+  let rng = Rng.create 5L in
+  QCheck.Test.make ~name:"box and sealing roundtrip" ~count:100
+    QCheck.(pair string string)
+    (fun (pt, aad) ->
+      let module Sealing = Splitbft_tee.Sealing in
+      (match Box.encrypt ~public:box.Box.public ~rng pt with
+      | Ok ct -> Box.decrypt box.Box.secret ct = Ok pt
+      | Error _ -> false)
+      && Sealing.unseal ~key:seal_key ~aad (Sealing.seal ~key:seal_key ~rng ~aad pt) = Ok pt)
+
 (* ----- box ----- *)
 
 let test_box_roundtrip () =
@@ -257,4 +329,9 @@ let suites =
         Alcotest.test_case "signature length" `Quick test_signature_wrong_length;
         Alcotest.test_case "box roundtrip" `Quick test_box_roundtrip;
         Alcotest.test_case "box wrong recipient" `Quick test_box_wrong_recipient;
-        Alcotest.test_case "box unknown" `Quick test_box_unknown_public ] ) ]
+        Alcotest.test_case "box unknown" `Quick test_box_unknown_public;
+        QCheck_alcotest.to_alcotest prop_hmac_prepared_parts;
+        Alcotest.test_case "hmac prepared reuse" `Quick test_hmac_prepared_reuse;
+        Alcotest.test_case "sha256 every split" `Quick test_sha256_every_split;
+        QCheck_alcotest.to_alcotest prop_aead_prepared;
+        QCheck_alcotest.to_alcotest prop_box_sealing_roundtrip ] ) ]

@@ -54,13 +54,13 @@ let test_sealing_key_binding () =
 
 let test_sealing_roundtrip () =
   let rng = Rng.create 9L in
-  let key = String.make 32 's' in
+  let key = Splitbft_crypto.Aead.prepare (String.make 32 's') in
   let blob = Sealing.seal ~key ~rng "state" in
   (match Sealing.unseal ~key blob with
   | Ok pt -> Alcotest.(check string) "roundtrip" "state" pt
   | Error e -> Alcotest.fail e);
   checkb "wrong key fails" true
-    (Result.is_error (Sealing.unseal ~key:(String.make 32 'x') blob));
+    (Result.is_error (Sealing.unseal ~key:(Splitbft_crypto.Aead.prepare (String.make 32 'x')) blob));
   checkb "short blob fails" true (Result.is_error (Sealing.unseal ~key "tiny"))
 
 (* ----- attestation ----- *)
