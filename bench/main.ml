@@ -108,6 +108,8 @@ let micro_tests () =
   let hmac_key = Splitbft_crypto.Hmac.prepare key in
   let aead_key = Splitbft_crypto.Aead.prepare key in
   let nonce = String.make 12 'n' in
+  let session = Splitbft_types.Session.make ~auth:key ~enc:key in
+  let op = String.make 10 'o' in
   let request =
     { Splitbft_types.Message.client = 7; timestamp = 42L; payload = String.make 10 'x';
       auth = String.make 32 'a' }
@@ -141,6 +143,12 @@ let micro_tests () =
         (Staged.stage (fun () ->
              let ct = Splitbft_crypto.Aead.encrypt_with aead_key ~nonce ~aad:"a" payload in
              match Splitbft_crypto.Aead.decrypt_with aead_key ~nonce ~aad:"a" ct with
+             | Ok _ -> ()
+             | Error e -> failwith e));
+      Test.make ~name:"session-op-seal-open-10B"
+        (Staged.stage (fun () ->
+             let ct = Splitbft_types.Session.encrypt_op session ~client:7 ~timestamp:42L op in
+             match Splitbft_types.Session.decrypt_op session ~client:7 ~timestamp:42L ct with
              | Ok _ -> ()
              | Error e -> failwith e));
       Test.make ~name:"codec-request-roundtrip"

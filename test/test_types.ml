@@ -349,6 +349,71 @@ let test_session_provision_forms () =
   | Ok k -> checki "prep gets no enc key" 0 (String.length k.Session.enc)
   | Error e -> Alcotest.fail e
 
+(* Pins the session wire format for fixed keys: a change to the nonce or
+   AAD construction must show up here, not as a silent mismatch between a
+   client and an Execution enclave built from different revisions.  The
+   expected bytes were computed independently (RFC 5869 HKDF, RFC 8439
+   ChaCha20 with initial counter 1, HMAC-SHA256 tag over aad || nonce ||
+   ciphertext) from the nonce layout documented in [Session]. *)
+let test_session_known_answer () =
+  let k = Session.make ~auth:(String.make 32 'a') ~enc:(String.make 32 'e') in
+  Alcotest.(check string) "op ciphertext" "34c073035740a267d1a746de44905cf420ee535261e9021826"
+    (Splitbft_util.Hex.encode (Session.encrypt_op k ~client:3 ~timestamp:9L "operation"));
+  Alcotest.(check string) "result ciphertext" "931aea7bfd263dd7435643d5fc731c26a90b26"
+    (Splitbft_util.Hex.encode
+       (Session.encrypt_result k ~client:3 ~timestamp:9L ~replica:2 "out"))
+
+(* A zero plaintext encrypts to the ChaCha20 keystream of (key, nonce), so
+   the first 32 ciphertext bytes observe the nonce.  Distinct (direction,
+   replica, timestamp) triples must give distinct keystreams under one
+   key; an op is the triple (op, 0, timestamp). *)
+let session_keystream (is_result, replica, timestamp) =
+  let zeros = String.make 32 '\000' in
+  let ct =
+    if is_result then Session.encrypt_result session_keys ~client:0 ~timestamp ~replica zeros
+    else Session.encrypt_op session_keys ~client:0 ~timestamp zeros
+  in
+  String.sub ct 0 32
+
+let prop_session_nonces_distinct =
+  let gen_triple =
+    QCheck.Gen.(
+      triple bool
+        (oneof [ 0 -- 3; 0 -- ((1 lsl 24) - 1) ])
+        (oneof [ map Int64.of_int (0 -- 3); ui64 ]))
+  in
+  QCheck.Test.make ~name:"session nonces distinct per (direction, replica, timestamp)"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple bool int Int64.to_string))
+       QCheck.Gen.(list_size (2 -- 8) gen_triple))
+    (fun triples ->
+      let canonical =
+        List.map (fun (r, replica, ts) -> (r, (if r then replica else 0), ts)) triples
+      in
+      List.length (List.sort_uniq compare canonical)
+      = List.length (List.sort_uniq String.compare (List.map session_keystream triples)))
+
+let test_session_replica_range () =
+  let ct = Session.encrypt_result session_keys ~client:3 ~timestamp:9L ~replica:2 "out" in
+  List.iter
+    (fun replica ->
+      match Session.decrypt_result session_keys ~client:3 ~timestamp:9L ~replica ct with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "replica %d accepted" replica
+      | exception e -> Alcotest.failf "replica %d raised %s" replica (Printexc.to_string e))
+    [ -1; 1 lsl 24; max_int ];
+  checkb "encrypt rejects out-of-range replica" true
+    (match
+       Session.encrypt_result session_keys ~client:3 ~timestamp:9L ~replica:(1 lsl 24) "out"
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let top = (1 lsl 24) - 1 in
+  let ct = Session.encrypt_result session_keys ~client:3 ~timestamp:9L ~replica:top "out" in
+  checkb "largest replica id roundtrips" true
+    (Session.decrypt_result session_keys ~client:3 ~timestamp:9L ~replica:top ct = Ok "out")
+
 (* ----- authenticators / addresses ----- *)
 
 let test_authenticator () =
@@ -407,6 +472,9 @@ let suites =
         Alcotest.test_case "session request auth" `Quick test_session_request_auth;
         Alcotest.test_case "session result" `Quick test_session_result_roundtrip;
         Alcotest.test_case "session provisions" `Quick test_session_provision_forms;
+        Alcotest.test_case "session known answer" `Quick test_session_known_answer;
+        QCheck_alcotest.to_alcotest prop_session_nonces_distinct;
+        Alcotest.test_case "session replica range" `Quick test_session_replica_range;
         Alcotest.test_case "authenticator" `Quick test_authenticator;
         Alcotest.test_case "addresses" `Quick test_addresses;
         Alcotest.test_case "quorum arithmetic" `Quick test_quorum_arithmetic ] ) ]
