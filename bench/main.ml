@@ -123,6 +123,19 @@ let micro_tests () =
     done;
     Splitbft_sim.Engine.run engine
   in
+  (* A deep queue, as on the saturated workload (~110k live events at
+     peak): 100k pushes with seeded random delays, then the drain. *)
+  let live_delays =
+    let rng = Splitbft_util.Rng.create 11L in
+    Array.init 100_000 (fun _ -> Splitbft_util.Rng.float rng 1e6)
+  in
+  let sim_live_events () =
+    let engine = Splitbft_sim.Engine.create ~seed:7L () in
+    Array.iter
+      (fun delay -> ignore (Splitbft_sim.Engine.schedule engine ~delay ~label:"e" ignore))
+      live_delays;
+    Splitbft_sim.Engine.run engine
+  in
   Test.make_grouped ~name:"substrates" ~fmt:"%s %s"
     [ Test.make ~name:"sha256-256B"
         (Staged.stage (fun () -> ignore (Splitbft_crypto.Sha256.digest payload)));
@@ -156,7 +169,8 @@ let micro_tests () =
              match Splitbft_types.Message.decode_request encoded_request with
              | Ok _ -> ()
              | Error e -> failwith e));
-      Test.make ~name:"sim-100-events" (Staged.stage sim_events) ]
+      Test.make ~name:"sim-100-events" (Staged.stage sim_events);
+      Test.make ~name:"sim-100k-live-events" (Staged.stage sim_live_events) ]
 
 let run_micro () =
   let open Bechamel in

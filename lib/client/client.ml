@@ -13,6 +13,7 @@ module Signature = Splitbft_crypto.Signature
 module Box = Splitbft_crypto.Box
 module Hmac = Splitbft_crypto.Hmac
 module Stats = Splitbft_util.Stats
+module Ts_tbl = Splitbft_util.Htbl.Int64
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 
@@ -72,7 +73,7 @@ type t = {
   mutable phase : phase;
   mutable on_ready : unit -> unit;
   mutable next_ts : int64;
-  inflight : (int64, pending) Hashtbl.t;
+  inflight : pending Ts_tbl.t;
   mutable queue : (string * (latency_us:float -> result:string -> unit)) list;
       (* waiting for a window slot, newest first *)
   mutable completed : int;
@@ -82,7 +83,7 @@ type t = {
      completions, so a corrupt replica's vote is flagged even when it
      arrives after the honest f+1 quorum already answered the request.
      Bounded FIFO; empty unless a flight recorder is attached. *)
-  recent : (int64, string) Hashtbl.t;
+  recent : string Ts_tbl.t;
   recent_order : int64 Queue.t;
   (* SplitBFT session state *)
   session : Session.keys;
@@ -109,12 +110,12 @@ let create engine net cfg =
       phase = (match cfg.protocol with Splitbft _ -> Handshaking | Pbft | Minbft -> Ready);
       on_ready = (fun () -> ());
       next_ts = 0L;
-      inflight = Hashtbl.create 64;
+      inflight = Ts_tbl.create 64;
       queue = [];
       completed = 0;
       lat = Stats.create ();
       stopped = false;
-      recent = Hashtbl.create 64;
+      recent = Ts_tbl.create 64;
       recent_order = Queue.create ();
       session = Session.generate rng;
       exec_acks = [];
@@ -225,9 +226,9 @@ let dispatch t ~op ~on_result =
     p.ctx <- ctx;
     p.root <- root
   | _ -> ());
-  Hashtbl.replace t.inflight ts p;
+  Ts_tbl.replace t.inflight ts p;
   let resend () =
-    if (not t.stopped) && Hashtbl.mem t.inflight ts then begin
+    if (not t.stopped) && Ts_tbl.mem t.inflight ts then begin
       p.retransmits <- p.retransmits + 1;
       (* A retransmission marks the request slow: promote it to an
          always-sampled trace (back-dated to the first send) if head
@@ -258,7 +259,7 @@ let dispatch t ~op ~on_result =
 let rec pump t =
   if
     t.phase = Ready && (not t.stopped)
-    && Hashtbl.length t.inflight < t.cfg.window
+    && Ts_tbl.length t.inflight < t.cfg.window
   then begin
     match List.rev t.queue with
     | [] -> ()
@@ -286,15 +287,15 @@ let divergence_evidence t ~replica ~ts =
     ~detail:(Printf.sprintf "vote-divergence replica=%d client=%d ts=%Ld" replica t.cfg.id ts)
 
 let remember_result t ~ts ~result =
-  Hashtbl.replace t.recent ts result;
+  Ts_tbl.replace t.recent ts result;
   Queue.push ts t.recent_order;
-  if Queue.length t.recent_order > 512 then Hashtbl.remove t.recent (Queue.pop t.recent_order)
+  if Queue.length t.recent_order > 512 then Ts_tbl.remove t.recent (Queue.pop t.recent_order)
 
 let on_reply t (rp : Message.reply) =
-  match Hashtbl.find_opt t.inflight rp.timestamp with
+  match Ts_tbl.find_opt t.inflight rp.timestamp with
   | None ->
     if Option.is_some (Engine.flight t.engine) then (
-      match Hashtbl.find_opt t.recent rp.timestamp with
+      match Ts_tbl.find_opt t.recent rp.timestamp with
       | None -> ()
       | Some winner -> (
         match validate_reply t rp with
@@ -311,7 +312,7 @@ let on_reply t (rp : Message.reply) =
           List.length (List.filter (fun (_, r) -> String.equal r result) p.votes)
         in
         if matching >= t.cfg.reply_quorum then begin
-          Hashtbl.remove t.inflight rp.timestamp;
+          Ts_tbl.remove t.inflight rp.timestamp;
           Timer.stop p.retry;
           if Option.is_some (Engine.flight t.engine) then begin
             List.iter
@@ -428,10 +429,10 @@ let start t ~on_ready =
 
 let stop t =
   t.stopped <- true;
-  Hashtbl.iter (fun _ p -> Timer.stop p.retry) t.inflight
+  Ts_tbl.iter (fun _ p -> Timer.stop p.retry) t.inflight
 
 let id t = t.cfg.id
 let is_ready t = t.phase = Ready
 let completed t = t.completed
-let outstanding t = Hashtbl.length t.inflight
+let outstanding t = Ts_tbl.length t.inflight
 let latencies t = t.lat

@@ -11,6 +11,7 @@ module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module W = Splitbft_codec.Writer
 module Lru = Splitbft_util.Lru
+module Req_tbl = Splitbft_util.Htbl.Int_int64
 module Feed = Splitbft_storage.Feed
 module Ledger = Splitbft_storage.Ledger
 module Ledger_entry = Splitbft_storage.Entry
@@ -41,9 +42,9 @@ type t = {
   c_lane_ecalls : Registry.counter array;  (* per-lane; empty when lanes = 1 *)
   mutable view : Ids.view;  (* belief, liveness-only *)
   pending : Message.request Queue.t;  (* batch queue, FIFO *)
-  queued : (Ids.client_id * int64, unit) Hashtbl.t;  (* membership of [pending] *)
+  queued : unit Req_tbl.t;  (* membership of [pending] *)
   batch_timer : Timer.t;
-  awaiting : (Ids.client_id * int64, unit) Hashtbl.t;
+  awaiting : unit Req_tbl.t;
   suspect_timer : Timer.t;
   mutable suspect_delay_us : float;
       (* current suspicion delay.  The first suspicion of a view fires
@@ -74,7 +75,7 @@ type t = {
   mutable recovering : bool;
   mutable recovery_started_at : float;
   mutable recovered_count : int;
-  req_ctx : (Ids.client_id * int64, Trace_ctx.t) Hashtbl.t;
+  req_ctx : Trace_ctx.t Req_tbl.t;
       (* trace context of each queued/awaited request, so the context can
          ride the In_batch ecall even though batching decouples it from
          the arrival that carried it *)
@@ -84,7 +85,7 @@ type t = {
       (* plain reply encodings by client request, so a retransmission of an
          answered request is served from here — what any untrusted relay
          could do, since replies are end-to-end authenticated *)
-  inflight : (Ids.client_id * int64, float) Hashtbl.t;
+  inflight : float Req_tbl.t;
       (* batched but not yet replied, keyed to the batching time: a
          retransmission of one of these would re-order the request, so it
          is dropped — but only while the entry is younger than
@@ -107,7 +108,7 @@ type t = {
   c_retx_replayed : Registry.counter;
 }
 
-let retx_key client ts = Printf.sprintf "%d:%Ld" client ts
+let retx_key client ts = String.concat ":" [ string_of_int client; Int64.to_string ts ]
 
 let primary t = Ids.primary_of_view ~n:t.cfg.n t.view
 let is_primary t = primary t = t.cfg.id
@@ -422,9 +423,9 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
       (* Batches in flight under the deposed primary may never commit;
          drop the suppression state so retransmissions reach the new
          primary's queue. *)
-      Hashtbl.reset t.inflight;
+      Req_tbl.reset t.inflight;
       (* Give the new primary a full timeout before suspecting it too. *)
-      if Hashtbl.length t.awaiting > 0 then Timer.restart t.suspect_timer;
+      if Req_tbl.length t.awaiting > 0 then Timer.restart t.suspect_timer;
       flush_batch t
     end
   | Wire.Out_alert msg ->
@@ -445,9 +446,9 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
 (* ----- client requests, batching, suspicion ----- *)
 
 and request_replied t (rp : Message.reply) =
-  Hashtbl.remove t.awaiting (rp.client, rp.timestamp);
-  Hashtbl.remove t.req_ctx (rp.client, rp.timestamp);
-  Hashtbl.remove t.inflight (rp.client, rp.timestamp);
+  Req_tbl.remove t.awaiting (rp.client, rp.timestamp);
+  Req_tbl.remove t.req_ctx (rp.client, rp.timestamp);
+  Req_tbl.remove t.inflight (rp.client, rp.timestamp);
   if Config.hotpath t.cfg then
     (* Plain encoding, not the traced one: a replay must not carry the
        original request's (long-finished) trace context. *)
@@ -459,7 +460,7 @@ and request_replied t (rp : Message.reply) =
      suspicion backoff down to the base timeout. *)
   t.suspect_delay_us <- t.cfg.suspect_timeout_us;
   Timer.set_delay t.suspect_timer t.cfg.suspect_timeout_us;
-  if Hashtbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
+  if Req_tbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
   else Timer.restart t.suspect_timer
 
 and flush_batch t =
@@ -471,7 +472,7 @@ and flush_batch t =
       if i = 0 then List.rev acc
       else begin
         let r = Queue.pop t.pending in
-        Hashtbl.remove t.queued (r.Message.client, r.Message.timestamp);
+        Req_tbl.remove t.queued (r.Message.client, r.Message.timestamp);
         grab (i - 1) (r :: acc)
       end
     in
@@ -480,7 +481,7 @@ and flush_batch t =
       let now = Engine.now t.engine in
       List.iter
         (fun (r : Message.request) ->
-          Hashtbl.replace t.inflight (r.client, r.timestamp) now)
+          Req_tbl.replace t.inflight (r.client, r.timestamp) now)
         batch
     end;
     Registry.incr t.c_batches;
@@ -490,7 +491,7 @@ and flush_batch t =
     let ctx =
       List.find_map
         (fun (r : Message.request) ->
-          Hashtbl.find_opt t.req_ctx (r.client, r.timestamp))
+          Req_tbl.find_opt t.req_ctx (r.client, r.timestamp))
         batch
     in
     ecall t ?ctx ~body:batch Ids.Preparation (Wire.In_batch batch);
@@ -515,15 +516,15 @@ let on_request t ?ctx (r : Message.request) =
   in
   if not replayed then begin
     (match ctx with
-    | Some c -> Hashtbl.replace t.req_ctx key c
+    | Some c -> Req_tbl.replace t.req_ctx key c
     | None -> ());
-    Hashtbl.replace t.awaiting key ();
+    Req_tbl.replace t.awaiting key ();
     Timer.start t.suspect_timer;
     if is_primary t then begin
       let suppressed =
         Config.hotpath t.cfg
         &&
-        match Hashtbl.find_opt t.inflight key with
+        match Req_tbl.find_opt t.inflight key with
         | None -> false
         | Some since when Engine.now t.engine -. since < t.cfg.inflight_ttl_us ->
           true
@@ -533,15 +534,15 @@ let on_request t ?ctx (r : Message.request) =
              presumed lost.  Evict so the retry below is re-driven
              (previously such entries suppressed retransmits forever when
              no view change wiped the table). *)
-          Hashtbl.remove t.inflight key;
+          Req_tbl.remove t.inflight key;
           false
       in
       if suppressed then
         (* Batched and awaiting a reply: re-queueing would only re-order
            it.  The suspicion timer above still guards liveness. *)
         Registry.incr t.c_retx_suppressed
-      else if not (Hashtbl.mem t.queued key) then begin
-        Hashtbl.replace t.queued key ();
+      else if not (Req_tbl.mem t.queued key) then begin
+        Req_tbl.replace t.queued key ();
         Queue.push r t.pending;
         if Queue.length t.pending >= t.cfg.batch_size then flush_batch t
         else Timer.start t.batch_timer
@@ -649,14 +650,14 @@ let create engine net (cfg : Config.t) ~enclave_of =
         c_lane_ecalls;
         view = 0;
         pending = Queue.create ();
-        queued = Hashtbl.create 64;
+        queued = Req_tbl.create 64;
         batch_timer =
           Timer.create engine
             ~cls:(Engine.Choice { host = Addr.replica cfg.id; lane = -1 })
             ~label:(Printf.sprintf "broker%d-batch" cfg.id)
             ~delay:cfg.batch_timeout_us
             ~callback:(fun () -> flush_batch (Lazy.force t));
-        awaiting = Hashtbl.create 64;
+        awaiting = Req_tbl.create 64;
         suspect_delay_us = cfg.suspect_timeout_us;
         suspect_timer =
           Timer.create engine
@@ -666,7 +667,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
             ~callback:
               (fun () ->
               let t = Lazy.force t in
-              if Hashtbl.length t.awaiting > 0 then begin
+              if Req_tbl.length t.awaiting > 0 then begin
                 Registry.incr t.c_suspect_firings;
                 flight t ~kind:"suspect" ~detail:(string_of_int t.view);
                 (* View changes are always-sampled: give the suspicion a
@@ -716,10 +717,10 @@ let create engine net (cfg : Config.t) ~enclave_of =
         recovering = false;
         recovery_started_at = 0.0;
         recovered_count = 0;
-        req_ctx = Hashtbl.create 64;
+        req_ctx = Req_tbl.create 64;
         scratch = W.create ~initial_size:1024 ();
         replied = Lru.create ~capacity:(if Config.hotpath cfg then 4096 else 0);
-        inflight = Hashtbl.create 64;
+        inflight = Req_tbl.create 64;
         recovery_ctx = None;
         recovery_span = -1;
         ecall_counter_of = (fun c -> List.assoc c ecall_counters);
@@ -768,10 +769,10 @@ let crash t =
   Timer.set_delay t.suspect_timer t.cfg.suspect_timeout_us;
   Timer.stop t.recovery_timer;
   Queue.clear t.pending;
-  Hashtbl.reset t.queued;
-  Hashtbl.reset t.awaiting;
-  Hashtbl.reset t.req_ctx;
-  Hashtbl.reset t.inflight;
+  Req_tbl.reset t.queued;
+  Req_tbl.reset t.awaiting;
+  Req_tbl.reset t.req_ctx;
+  Req_tbl.reset t.inflight;
   (* The reply cache does not survive the crash either: replies minted by
      a pre-restart enclave incarnation may be under retired session keys,
      and replaying those forever would mute this replica for the client. *)

@@ -1,5 +1,8 @@
 (** ChaCha20 stream cipher (RFC 8439), implemented from scratch and
-    validated against the RFC test vectors.
+    validated against the RFC test vectors.  The 20 rounds keep the 16
+    working words in registers (the arguments of a local recursive
+    function) rather than in an array; the test suite checks the output
+    against an array-based reference.
 
     Provides the confidentiality layer for client requests/replies and for
     enclave sealing (see {!Aead}). *)

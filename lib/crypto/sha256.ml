@@ -1,5 +1,8 @@
 (* FIPS 180-4 SHA-256.  Words are held in OCaml ints and masked to 32 bits;
-   on a 64-bit platform this avoids boxed Int32 arithmetic. *)
+   on a 64-bit platform this avoids boxed Int32 arithmetic.  Blocks are
+   compressed by the x86-64 SHA extensions when the CPU has them
+   (sha256_stubs.c), and by the OCaml kernel below otherwise; both give the
+   same bytes. *)
 
 let digest_size = 32
 let block_size = 64
@@ -59,7 +62,7 @@ let w = Array.make 64 0
    the 63-bit int is never one of those read. *)
 let dbl x = x lor (x lsl 32)
 
-let compress h (block : string) off =
+let compress_ocaml h (block : string) off =
   for i = 0 to 15 do
     Array.unsafe_set w i (word_be block (off + (4 * i)))
   done;
@@ -97,6 +100,17 @@ let compress h (block : string) off =
   h.(5) <- (h.(5) + !f) land mask;
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
+
+(* No bounds check: [h] has 8 words and every caller below passes
+   [off + 64 <= String.length block]. *)
+external compress_hw : int array -> string -> int -> unit = "splitbft_sha256_compress"
+[@@noalloc]
+
+external hw_available : unit -> bool = "splitbft_sha256_hw_available" [@@noalloc]
+
+(* Chosen once, from the platform. *)
+let use_hw = hw_available ()
+let compress h block off = if use_hw then compress_hw h block off else compress_ocaml h block off
 
 (* The buffer is only read while [compress] runs, never retained. *)
 let compress_buf ctx = compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0
@@ -157,3 +171,9 @@ let digest_parts parts =
   finalize ctx
 
 let hex s = Splitbft_util.Hex.encode (digest s)
+
+module Private = struct
+  let hw_available = use_hw
+  let compress_ocaml = compress_ocaml
+  let compress_hw = compress_hw
+end

@@ -4,7 +4,13 @@
     equal times fire in scheduling order (a monotonically increasing
     sequence number breaks ties), so a run is a pure function of the seed
     and the scheduled actions — the property every experiment and
-    regression test in this repository relies on. *)
+    regression test in this repository relies on.
+
+    The queue is a binary min-heap on exactly (time, sequence number),
+    held in parallel arrays (times, sequence numbers, events).  A fired or
+    popped event leaves no reference behind in the arrays, so its action
+    and whatever that captured can be collected at once; a cancelled event
+    stays queued, dead, until it reaches the top. *)
 
 type t
 
@@ -75,7 +81,9 @@ val seed : t -> int64
 
 val schedule :
   ?cls:event_class -> ?fp:string -> t -> delay:float -> label:string -> (unit -> unit) -> handle
-(** Schedules [action] to run [delay] µs from now ([delay >= 0]).  [label]
+(** Schedules [action] to run [delay] µs from now.  Raises
+    [Invalid_argument] unless [delay >= 0] (a NaN delay is rejected too: it
+    has no place in the time order).  [label]
     appears in traces and error reports.  [cls] (default {!Internal})
     classifies the event for controlled scheduling; [fp] (default [""]) is
     an opaque payload fingerprint folded into the model checker's state
@@ -122,7 +130,6 @@ val label_of : handle -> string
 val seq_of : handle -> int
 (** Scheduling sequence number — the canonical order key for {!live_events}. *)
 
-val time_of : handle -> float
 val fp_of : handle -> string
 
 val is_live : handle -> bool
@@ -130,8 +137,9 @@ val is_live : handle -> bool
 
 val fire_forced : t -> handle -> unit
 (** Fires [ev] now, regardless of its position in the time order.  The
-    clock advances to [max now (time_of ev)] — never backwards.  Raises
-    [Invalid_argument] if the event is dead. *)
+    clock advances to the later of now and the event's scheduled time —
+    never backwards.  Raises [Invalid_argument] if the event is dead.
+    O(n) in the number of queued events. *)
 
 exception Stop
 (** An event's action may raise [Stop] to end {!run} early (remaining

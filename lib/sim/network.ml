@@ -16,13 +16,19 @@ let default_config =
 type action = Deliver | Drop | Delay of float
 
 module Registry = Splitbft_obs.Registry
+module Addr_tbl = Splitbft_util.Htbl.Int
+module Link_tbl = Splitbft_util.Htbl.Int_pair
+
+(* Per-link counters and the delivery event label, built on the link's
+   first message so the send path never formats a string. *)
+type link = { msgs : Registry.counter; bytes : Registry.counter; label : string }
 
 type t = {
   engine : Engine.t;
   config : config;
   rng : Splitbft_util.Rng.t;
-  handlers : (addr, src:addr -> string -> unit) Hashtbl.t;
-  mutable groups : (addr, int) Hashtbl.t option; (* partition group per addr *)
+  handlers : (src:addr -> string -> unit) Addr_tbl.t;
+  mutable groups : int Addr_tbl.t option; (* partition group per addr *)
   mutable filter : (src:addr -> dst:addr -> string -> action) option;
   mutable tap : (src:addr -> dst:addr -> string -> unit) option;
   mutable taps : (src:addr -> dst:addr -> string -> unit) list;  (* reverse order *)
@@ -34,8 +40,7 @@ type t = {
   c_delivered : Registry.counter;
   c_bytes : Registry.counter;
   c_dropped : Registry.counter;
-  (* Per-link counters, cached so the hot path never rebuilds labels. *)
-  links : (addr * addr, Registry.counter * Registry.counter) Hashtbl.t;
+  links : link Link_tbl.t;
 }
 
 let create engine config =
@@ -43,7 +48,7 @@ let create engine config =
   { engine;
     config;
     rng = Splitbft_util.Rng.split (Engine.rng engine);
-    handlers = Hashtbl.create 32;
+    handlers = Addr_tbl.create 32;
     groups = None;
     filter = None;
     tap = None;
@@ -56,29 +61,30 @@ let create engine config =
     c_delivered = Registry.counter obs "net.messages_delivered";
     c_bytes = Registry.counter obs "net.bytes_sent";
     c_dropped = Registry.counter obs "net.messages_dropped";
-    links = Hashtbl.create 64 }
+    links = Link_tbl.create 64 }
 
-let link_counters t src dst =
-  match Hashtbl.find_opt t.links (src, dst) with
-  | Some pair -> pair
+let link t src dst =
+  match Link_tbl.find_opt t.links (src, dst) with
+  | Some l -> l
   | None ->
     let labels =
       [ ("src", string_of_int src); ("dst", string_of_int dst) ]
     in
     let obs = Engine.obs t.engine in
-    let pair =
-      ( Registry.counter obs ~labels "net.link.messages",
-        Registry.counter obs ~labels "net.link.bytes" )
+    let l =
+      { msgs = Registry.counter obs ~labels "net.link.messages";
+        bytes = Registry.counter obs ~labels "net.link.bytes";
+        label = String.concat "" [ "net:"; string_of_int src; "->"; string_of_int dst ] }
     in
-    Hashtbl.replace t.links (src, dst) pair;
-    pair
+    Link_tbl.replace t.links (src, dst) l;
+    l
 
-let register t addr handler = Hashtbl.replace t.handlers addr handler
-let unregister t addr = Hashtbl.remove t.handlers addr
+let register t addr handler = Addr_tbl.replace t.handlers addr handler
+let unregister t addr = Addr_tbl.remove t.handlers addr
 
 let partition t groups =
-  let table = Hashtbl.create 16 in
-  List.iteri (fun i group -> List.iter (fun a -> Hashtbl.replace table a i) group) groups;
+  let table = Addr_tbl.create 16 in
+  List.iteri (fun i group -> List.iter (fun a -> Addr_tbl.replace table a i) group) groups;
   t.groups <- Some table
 
 let heal t = t.groups <- None
@@ -92,7 +98,7 @@ let same_side t src dst =
   | None -> true
   | Some table ->
     (* Unlisted addresses share the implicit group -1. *)
-    let side a = match Hashtbl.find_opt table a with Some g -> g | None -> -1 in
+    let side a = match Addr_tbl.find_opt table a with Some g -> g | None -> -1 in
     side src = side dst
 
 let model_delay t size =
@@ -113,9 +119,9 @@ let send t ~src ~dst payload =
   t.bytes <- t.bytes + size;
   Registry.incr t.c_sent;
   Registry.add t.c_bytes size;
-  let link_msgs, link_bytes = link_counters t src dst in
-  Registry.incr link_msgs;
-  Registry.add link_bytes size;
+  let link = link t src dst in
+  Registry.incr link.msgs;
+  Registry.add link.bytes size;
   let dropped_randomly =
     t.config.drop_probability > 0.0
     && Splitbft_util.Rng.float t.rng 1.0 < t.config.drop_probability
@@ -132,14 +138,13 @@ let send t ~src ~dst payload =
     | Deliver | Delay _ ->
       let extra = match verdict with Delay d -> d | Deliver | Drop -> 0.0 in
       let delay = model_delay t size +. extra in
-      let label = Printf.sprintf "net:%d->%d" src dst in
       let lane = match t.lane_hint with None -> -1 | Some hint -> hint ~dst payload in
       ignore
         (Engine.schedule t.engine
            ~cls:(Engine.Choice { host = dst; lane })
-           ~fp:payload ~delay ~label
+           ~fp:payload ~delay ~label:link.label
            (fun () ->
-             match Hashtbl.find_opt t.handlers dst with
+             match Addr_tbl.find_opt t.handlers dst with
              | None -> ()
              | Some handler ->
                t.delivered <- t.delivered + 1;

@@ -1,6 +1,7 @@
 module Signature = Splitbft_crypto.Signature
 module Resource = Splitbft_sim.Resource
 module Stats = Splitbft_util.Stats
+module Key_tbl = Splitbft_util.Htbl.String
 module Registry = Splitbft_obs.Registry
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
@@ -35,8 +36,8 @@ and pool = {
      when the last reader finishes.  A task must start after the writers
      of everything it touches and after the readers of everything it
      writes — the classic RW/WR/WW hazard rule. *)
-  write_free : (string, float) Hashtbl.t;
-  read_free : (string, float) Hashtbl.t;
+  write_free : float Key_tbl.t;
+  read_free : float Key_tbl.t;
   c_tasks : Registry.counter;
   c_conflict_waits : Registry.counter;
   g_backlog_us : Registry.gauge;
@@ -88,8 +89,8 @@ let create ?(verify_cache_capacity = 0) ?(workers = 1) platform ~name ~measureme
             Array.init workers (fun i ->
                 Resource.create (Platform.engine platform)
                   ~name:(Printf.sprintf "%s-w%d" name i));
-          write_free = Hashtbl.create 64;
-          read_free = Hashtbl.create 64;
+          write_free = Key_tbl.create 64;
+          read_free = Key_tbl.create 64;
           c_tasks = Registry.counter obs ~labels "tee.pool_tasks";
           c_conflict_waits = Registry.counter obs ~labels "tee.pool_conflict_waits";
           g_backlog_us = Registry.gauge obs ~labels "tee.pool_backlog_us" }
@@ -290,8 +291,8 @@ let restart t ~program =
   match t.pool with
   | None -> ()
   | Some p ->
-    Hashtbl.reset p.write_free;
-    Hashtbl.reset p.read_free;
+    Key_tbl.reset p.write_free;
+    Key_tbl.reset p.read_free;
     (* The backlog gauge would otherwise hold the dead incarnation's last
        queue depth until the first post-restart pool task overwrites it. *)
     Registry.set p.g_backlog_us 0.0;
@@ -378,10 +379,10 @@ let pool_size t = match t.pool with None -> 1 | Some p -> Array.length p.servers
    keys so long runs do not accumulate one entry per key ever touched. *)
 let pool_prune_horizons p ~now =
   let prune tbl =
-    if Hashtbl.length tbl > 4096 then
-      Hashtbl.iter
-        (fun k t -> if t <= now then Hashtbl.remove tbl k)
-        (Hashtbl.copy tbl)
+    if Key_tbl.length tbl > 4096 then
+      Key_tbl.iter
+        (fun k t -> if t <= now then Key_tbl.remove tbl k)
+        (Key_tbl.copy tbl)
   in
   prune p.write_free;
   prune p.read_free
@@ -424,7 +425,7 @@ let pool_run env f =
       let now = env_now env in
       let dep = ref 0.0 in
       let raise_dep tbl k =
-        match Hashtbl.find_opt tbl k with
+        match Key_tbl.find_opt tbl k with
         | Some t -> if t > !dep then dep := t
         | None -> ()
       in
@@ -442,13 +443,13 @@ let pool_run env f =
         Registry.incr p.c_conflict_waits;
       let start = Float.max !dep (Float.max now (Resource.free_at !best)) in
       let finish = start +. cost in
-      List.iter (fun k -> Hashtbl.replace p.write_free k finish) writes;
+      List.iter (fun k -> Key_tbl.replace p.write_free k finish) writes;
       List.iter
         (fun k ->
           let prev =
-            match Hashtbl.find_opt p.read_free k with Some t -> t | None -> 0.0
+            match Key_tbl.find_opt p.read_free k with Some t -> t | None -> 0.0
           in
-          Hashtbl.replace p.read_free k (Float.max prev finish))
+          Key_tbl.replace p.read_free k (Float.max prev finish))
         reads;
       pool_prune_horizons p ~now;
       Registry.incr p.c_tasks;

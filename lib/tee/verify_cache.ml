@@ -10,7 +10,7 @@ let create ~capacity = Lru.create ~capacity
    unambiguous encoding is what makes a later hit equivalent to re-running
    that verification. *)
 let key ~kind ~signature ~bytes =
-  Printf.sprintf "%s:%d:%s%s" kind (String.length signature) signature bytes
+  String.concat "" [ kind; ":"; string_of_int (String.length signature); ":"; signature; bytes ]
 
 let find = Lru.find
 let add = Lru.add

@@ -13,7 +13,7 @@ type 'a node = {
 
 type 'a t = {
   capacity : int;
-  table : (string, 'a node) Hashtbl.t;
+  table : 'a node Htbl.String.t;
   mutable first : 'a node option;  (* most recently used *)
   mutable last : 'a node option;  (* eviction candidate *)
   mutable hits : int;
@@ -23,14 +23,14 @@ type 'a t = {
 let create ~capacity =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   { capacity;
-    table = Hashtbl.create (min 1024 (max 16 capacity));
+    table = Htbl.String.create (min 1024 (max 16 capacity));
     first = None;
     last = None;
     hits = 0;
     misses = 0 }
 
 let capacity t = t.capacity
-let length t = Hashtbl.length t.table
+let length t = Htbl.String.length t.table
 let hits t = t.hits
 let misses t = t.misses
 
@@ -46,7 +46,7 @@ let push_front t node =
   t.first <- Some node
 
 let find t key =
-  match Hashtbl.find_opt t.table key with
+  match Htbl.String.find_opt t.table key with
   | None ->
     t.misses <- t.misses + 1;
     None
@@ -63,24 +63,24 @@ let evict_last t =
   | None -> ()
   | Some node ->
     unlink t node;
-    Hashtbl.remove t.table node.key
+    Htbl.String.remove t.table node.key
 
 let add t key value =
   if t.capacity > 0 then begin
-    (match Hashtbl.find_opt t.table key with
+    (match Htbl.String.find_opt t.table key with
     | Some node ->
       node.value <- value;
       unlink t node;
       push_front t node
     | None ->
-      if Hashtbl.length t.table >= t.capacity then evict_last t;
+      if Htbl.String.length t.table >= t.capacity then evict_last t;
       let node = { key; value; prev = None; next = None } in
-      Hashtbl.replace t.table key node;
+      Htbl.String.replace t.table key node;
       push_front t node)
   end
 
 let clear t =
-  Hashtbl.reset t.table;
+  Htbl.String.reset t.table;
   t.first <- None;
   t.last <- None
 

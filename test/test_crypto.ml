@@ -277,6 +277,141 @@ let prop_box_sealing_roundtrip =
       | Error _ -> false)
       && Sealing.unseal ~key:seal_key ~aad (Sealing.seal ~key:seal_key ~rng ~aad pt) = Ok pt)
 
+(* ----- compression kernels and the ChaCha20 rounds ----- *)
+
+let sha256_iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+     0x5be0cd19 |]
+
+(* FIPS 180-4 padding and chaining over an explicit compression kernel, so
+   each kernel is checked against the vectors whichever one [Sha256] uses. *)
+let hex_digest_with compress msg =
+  let n = String.length msg in
+  let len = (((n + 8) / 64) + 1) * 64 in
+  let b = Bytes.make len '\x00' in
+  Bytes.blit_string msg 0 b 0 n;
+  Bytes.set b n '\x80';
+  Bytes.set_int64_be b (len - 8) (Int64.of_int (8 * n));
+  let h = Array.copy sha256_iv in
+  let blocks = Bytes.unsafe_to_string b in
+  for i = 0 to (len / 64) - 1 do
+    compress h blocks (64 * i)
+  done;
+  String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+
+let fips_vectors =
+  [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+    ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+       ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
+    ( String.make 1_000_000 'a',
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" ) ]
+
+let check_kernel_vectors name compress =
+  List.iter
+    (fun (msg, expected) ->
+      check (Printf.sprintf "%s kernel, %d bytes" name (String.length msg)) expected
+        (hex_digest_with compress msg))
+    fips_vectors
+
+let test_sha256_ocaml_kernel_vectors () =
+  check_kernel_vectors "ocaml" Sha256.Private.compress_ocaml
+
+let test_sha256_hw_kernel_vectors () =
+  if not Sha256.Private.hw_available then Alcotest.skip ();
+  check_kernel_vectors "hw" Sha256.Private.compress_hw
+
+(* A random 8-word state and a block at a random offset inside a larger
+   string (with bytes on either side). *)
+let kernel_case_gen =
+  QCheck.Gen.(
+    let word = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff) in
+    triple (array_size (return 8) word) (int_bound 40) (int_bound 8) >>= fun (h, off, tail) ->
+    string_size (return (off + 64 + tail)) >|= fun s -> (h, s, off))
+
+let prop_sha256_kernels_agree =
+  QCheck.Test.make ~name:"sha256 hw kernel = ocaml kernel" ~count:2000
+    (QCheck.make
+       ~print:(fun (h, s, off) ->
+         Printf.sprintf "state %s, block at %d of %S"
+           (String.concat " " (Array.to_list (Array.map string_of_int h)))
+           off s)
+       kernel_case_gen)
+    (fun (h, s, off) ->
+      let a = Array.copy h and b = Array.copy h in
+      Sha256.Private.compress_ocaml a s off;
+      Sha256.Private.compress_hw b s off;
+      a = b)
+
+let test_sha256_kernels_agree () =
+  if not Sha256.Private.hw_available then Alcotest.skip ();
+  QCheck.Test.check_exn prop_sha256_kernels_agree
+
+(* RFC 8439 ChaCha20 written with an array-based quarter round: the
+   reference the register-held rounds of [Chacha20] must reproduce. *)
+let reference_chacha20 ~key ~nonce ~counter payload =
+  let mask = 0xffffffff in
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask in
+  let quarter_round st a b c d =
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 16;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 12;
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 8;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 7
+  in
+  let word s off = Int32.to_int (String.get_int32_le s off) land mask in
+  let st = Array.make 16 0 in
+  st.(0) <- 0x61707865;
+  st.(1) <- 0x3320646e;
+  st.(2) <- 0x79622d32;
+  st.(3) <- 0x6b206574;
+  for i = 0 to 7 do
+    st.(4 + i) <- word key (4 * i)
+  done;
+  for i = 0 to 2 do
+    st.(13 + i) <- word nonce (4 * i)
+  done;
+  let out = Bytes.of_string payload in
+  let n = Bytes.length out in
+  let blk = ref 0 in
+  while 64 * !blk < n do
+    st.(12) <- (counter + !blk) land mask;
+    let w = Array.copy st in
+    for _ = 1 to 10 do
+      quarter_round w 0 4 8 12;
+      quarter_round w 1 5 9 13;
+      quarter_round w 2 6 10 14;
+      quarter_round w 3 7 11 15;
+      quarter_round w 0 5 10 15;
+      quarter_round w 1 6 11 12;
+      quarter_round w 2 7 8 13;
+      quarter_round w 3 4 9 14
+    done;
+    for j = 64 * !blk to min n (64 * (!blk + 1)) - 1 do
+      let k = j land 63 in
+      let v = (w.(k / 4) + st.(k / 4)) land mask in
+      Bytes.set_uint8 out j (Bytes.get_uint8 out j lxor ((v lsr (8 * (k land 3))) land 0xff))
+    done;
+    incr blk
+  done;
+  Bytes.to_string out
+
+let prop_chacha20_reference =
+  QCheck.Test.make ~name:"chacha20 = array-based reference" ~count:300
+    QCheck.(
+      quad (string_of_size (Gen.return 32)) (string_of_size (Gen.return 12))
+        (make ~print:string_of_int Gen.(int_bound 0xffffffff))
+        (string_of_size Gen.(int_bound 300)))
+    (fun (key, nonce, counter, pt) ->
+      String.equal (Chacha20.encrypt ~key ~nonce ~counter pt)
+        (reference_chacha20 ~key ~nonce ~counter pt))
+
 (* ----- box ----- *)
 
 let test_box_roundtrip () =
@@ -334,4 +469,8 @@ let suites =
         Alcotest.test_case "hmac prepared reuse" `Quick test_hmac_prepared_reuse;
         Alcotest.test_case "sha256 every split" `Quick test_sha256_every_split;
         QCheck_alcotest.to_alcotest prop_aead_prepared;
-        QCheck_alcotest.to_alcotest prop_box_sealing_roundtrip ] ) ]
+        QCheck_alcotest.to_alcotest prop_box_sealing_roundtrip;
+        Alcotest.test_case "sha256 ocaml kernel vectors" `Quick test_sha256_ocaml_kernel_vectors;
+        Alcotest.test_case "sha256 hw kernel vectors" `Quick test_sha256_hw_kernel_vectors;
+        Alcotest.test_case "sha256 hw kernel = ocaml kernel" `Quick test_sha256_kernels_agree;
+        QCheck_alcotest.to_alcotest prop_chacha20_reference ] ) ]

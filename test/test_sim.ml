@@ -103,6 +103,135 @@ let test_engine_max_events () =
   Engine.run ~max_events:4 e;
   checki "only 4 processed" 4 (Engine.events_processed e)
 
+let test_engine_nan_delay_rejected () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule bad: NaN delay")
+    (fun () -> ignore (Engine.schedule e ~delay:Float.nan ~label:"bad" (fun () -> ())));
+  checki "nothing scheduled" 0 (Engine.pending e)
+
+let test_engine_empty () =
+  let e = Engine.create () in
+  checkb "step on empty" false (Engine.step e);
+  Engine.run e;
+  checkf "run on empty keeps the clock" 0.0 (Engine.now e);
+  Engine.run ~until:25.0 e;
+  checkf "run ~until on empty reaches the horizon" 25.0 (Engine.now e);
+  checki "nothing fired" 0 (Engine.events_processed e);
+  checkb "live_events empty" true (Engine.live_events e = [])
+
+(* A fired event (and whatever its action captured) must be collectable
+   while the engine lives on: the queue may not keep a copy in a vacated
+   slot. *)
+let test_engine_releases_fired_events () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  ignore (Engine.schedule e ~delay:1.0 ~label:"first" (fun () -> ()));
+  (let block = Bytes.make 64 'x' in
+   Weak.set w 0 (Some block);
+   ignore
+     (Engine.schedule e ~delay:2.0 ~label:"second" (fun () ->
+          ignore (Sys.opaque_identity block))));
+  Engine.run e;
+  Gc.full_major ();
+  checkb "fired event collected" false (Weak.check w 0);
+  checki "engine still reachable" 2 (Engine.events_processed (Sys.opaque_identity e))
+
+(* Random schedule / cancel / step / forced-fire sequences against a
+   reference list: events fire in (time, seq) order, a forced fire moves
+   the clock to the event's time unless that is in the past, and
+   [pending] and [live_events] match the reference after every
+   operation. *)
+type engine_op = Sched of float | Cancel of int | Step | Force of int
+
+let engine_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun d -> Sched (float_of_int d)) (int_bound 5));  (* many ties *)
+        (3, map (fun d -> Sched d) (float_bound_inclusive 50.0));
+        (2, map (fun i -> Cancel i) nat);
+        (3, return Step);
+        (1, map (fun i -> Force i) nat) ])
+
+let print_engine_op = function
+  | Sched d -> Printf.sprintf "Sched %g" d
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Step -> "Step"
+  | Force i -> Printf.sprintf "Force %d" i
+
+let prop_engine_order =
+  QCheck.Test.make ~name:"engine fires in (time, seq) order" ~count:300
+    QCheck.(make ~print:Print.(list print_engine_op) Gen.(list_size (int_bound 200) engine_op_gen))
+    (fun ops ->
+      let e = Engine.create () in
+      let fired = ref [] in
+      (* Reference: (time, seq, handle) of every live event. *)
+      let live = ref [] and handles = ref [||] in
+      let next_seq = ref 0 in
+      let earliest () =
+        List.fold_left
+          (fun best ((t, s, _) as x) ->
+            match best with
+            | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
+            | _ -> Some x)
+          None !live
+      in
+      let agrees () =
+        Engine.pending e = List.length !live
+        && List.map Engine.seq_of (Engine.live_events e)
+           = List.sort Int.compare (List.map (fun (_, s, _) -> s) !live)
+      in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Sched d ->
+            let s = !next_seq in
+            incr next_seq;
+            let h = Engine.schedule e ~delay:d ~label:"p" (fun () -> fired := s :: !fired) in
+            live := (Engine.now e +. d, s, h) :: !live;
+            handles := Array.append !handles [| h |]
+          | Cancel i ->
+            if Array.length !handles > 0 then begin
+              let h = !handles.(i mod Array.length !handles) in
+              Engine.cancel h;
+              live := List.filter (fun (_, _, h') -> h' != h) !live
+            end
+          | Step -> (
+            match earliest () with
+            | None -> if Engine.step e then ok := false
+            | Some (t, s, _) ->
+              if not (Engine.step e) then ok := false
+              else begin
+                (match !fired with x :: _ when x = s -> () | _ -> ok := false);
+                if Engine.now e <> t then ok := false;
+                live := List.filter (fun (_, s', _) -> s' <> s) !live
+              end)
+          | Force i -> (
+            match Engine.live_events e with
+            | [] -> ()
+            | evs ->
+              let h = List.nth evs (i mod List.length evs) in
+              let t, s, _ = List.find (fun (_, _, h') -> h' == h) !live in
+              let before = Engine.now e in
+              Engine.fire_forced e h;
+              (match !fired with x :: _ when x = s -> () | _ -> ok := false);
+              if Engine.now e <> Float.max before t then ok := false;
+              live := List.filter (fun (_, s', _) -> s' <> s) !live));
+          if not (agrees ()) then ok := false)
+        ops;
+      (* Drain: the rest fires in (time, seq) order. *)
+      let expected =
+        List.sort
+          (fun (t1, s1, _) (t2, s2, _) ->
+            let c = Float.compare t1 t2 in
+            if c <> 0 then c else Int.compare s1 s2)
+          !live
+        |> List.map (fun (_, s, _) -> s)
+      in
+      fired := [];
+      Engine.run e;
+      !ok && List.rev !fired = expected && Engine.pending e = 0 && Engine.live_events e = [])
+
 (* ----- timer ----- *)
 
 let test_timer_restart () =
@@ -327,6 +456,10 @@ let suites =
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_rejected;
         Alcotest.test_case "stop exception" `Quick test_engine_stop;
         Alcotest.test_case "max events" `Quick test_engine_max_events;
+        Alcotest.test_case "NaN delay" `Quick test_engine_nan_delay_rejected;
+        Alcotest.test_case "empty engine" `Quick test_engine_empty;
+        Alcotest.test_case "fired events released" `Quick test_engine_releases_fired_events;
+        QCheck_alcotest.to_alcotest prop_engine_order;
         Alcotest.test_case "timer restart" `Quick test_timer_restart;
         Alcotest.test_case "timer start idempotent" `Quick test_timer_start_idempotent;
         Alcotest.test_case "timer stop" `Quick test_timer_stop;

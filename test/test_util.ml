@@ -1,6 +1,5 @@
 module Hex = Splitbft_util.Hex
 module Rng = Splitbft_util.Rng
-module Heap = Splitbft_util.Heap
 module Stats = Splitbft_util.Stats
 module Lines = Splitbft_util.Lines
 
@@ -65,40 +64,6 @@ let test_rng_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 (fun i -> i)) sorted
-
-(* ----- heap ----- *)
-
-let test_heap_orders () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc =
-    match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 4;
-  Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  checki "peek does not remove" 2 (Heap.length h)
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "empty pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:100
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
 
 (* ----- stats ----- *)
 
@@ -190,10 +155,6 @@ let suites =
         Alcotest.test_case "rng split" `Quick test_rng_split_independent;
         Alcotest.test_case "rng exponential" `Quick test_rng_exponential_positive;
         Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
-        Alcotest.test_case "heap ordering" `Quick test_heap_orders;
-        Alcotest.test_case "heap peek" `Quick test_heap_peek;
-        Alcotest.test_case "heap pop empty" `Quick test_heap_pop_exn_empty;
-        QCheck_alcotest.to_alcotest heap_sorts;
         Alcotest.test_case "stats basic" `Quick test_stats_basic;
         Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
         Alcotest.test_case "stats percentile interpolates" `Quick
