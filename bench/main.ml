@@ -110,6 +110,8 @@ let micro_tests () =
   let nonce = String.make 12 'n' in
   let session = Splitbft_types.Session.make ~auth:key ~enc:key in
   let op = String.make 10 'o' in
+  let auth64 = String.sub payload 0 64 in
+  let result = "ok" in
   let request =
     { Splitbft_types.Message.client = 7; timestamp = 42L; payload = String.make 10 'x';
       auth = String.make 32 'a' }
@@ -123,8 +125,9 @@ let micro_tests () =
     done;
     Splitbft_sim.Engine.run engine
   in
-  (* A deep queue, as on the saturated workload (~110k live events at
-     peak): 100k pushes with seeded random delays, then the drain. *)
+  (* A deep queue: 100k pushes with seeded random delays, then the drain.
+     (The saturated workload peaks near 5k live events; before the queue
+     dropped its cancelled entries it held ~112k entries at peak.) *)
   let live_delays =
     let rng = Splitbft_util.Rng.create 11L in
     Array.init 100_000 (fun _ -> Splitbft_util.Rng.float rng 1e6)
@@ -143,6 +146,8 @@ let micro_tests () =
         (Staged.stage (fun () -> ignore (Splitbft_crypto.Hmac.mac ~key payload)));
       Test.make ~name:"hmac-256B-prepared"
         (Staged.stage (fun () -> ignore (Splitbft_crypto.Hmac.mac_with hmac_key [ payload ])));
+      Test.make ~name:"hmac-64B-prepared"
+        (Staged.stage (fun () -> ignore (Splitbft_crypto.Hmac.mac_with hmac_key [ auth64 ])));
       Test.make ~name:"chacha20-256B"
         (Staged.stage (fun () ->
              ignore (Splitbft_crypto.Chacha20.encrypt ~key ~nonce payload)));
@@ -162,6 +167,18 @@ let micro_tests () =
         (Staged.stage (fun () ->
              let ct = Splitbft_types.Session.encrypt_op session ~client:7 ~timestamp:42L op in
              match Splitbft_types.Session.decrypt_op session ~client:7 ~timestamp:42L ct with
+             | Ok _ -> ()
+             | Error e -> failwith e));
+      Test.make ~name:"session-result-seal-open-2B"
+        (Staged.stage (fun () ->
+             let ct =
+               Splitbft_types.Session.encrypt_result session ~client:7 ~timestamp:42L ~replica:2
+                 result
+             in
+             match
+               Splitbft_types.Session.decrypt_result session ~client:7 ~timestamp:42L ~replica:2
+                 ct
+             with
              | Ok _ -> ()
              | Error e -> failwith e));
       Test.make ~name:"codec-request-roundtrip"

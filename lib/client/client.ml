@@ -89,6 +89,8 @@ type t = {
   session : Session.keys;
   mutable exec_acks : Ids.replica_id list;
   mutable provisioned : (Ids.replica_id * string) list;  (* (replica, box public) already sent *)
+  retry_label : string;
+  no_retry : Timer.t;  (* never armed: a pending's [retry] until its own is made *)
 }
 
 let create engine net cfg =
@@ -102,6 +104,7 @@ let create engine net cfg =
     Splitbft_util.Rng.of_key (Engine.seed engine) ~domain:"client"
       ~stream:(Int64.of_int cfg.id)
   in
+  let retry_label = Printf.sprintf "client%d-retry" cfg.id in
   let t =
     { cfg;
       engine;
@@ -119,7 +122,9 @@ let create engine net cfg =
       recent_order = Queue.create ();
       session = Session.generate rng;
       exec_acks = [];
-      provisioned = [] }
+      provisioned = [];
+      retry_label;
+      no_retry = Timer.create engine ~label:retry_label ~delay:0.0 ~callback:ignore }
   in
   t
 
@@ -201,19 +206,12 @@ let dispatch t ~op ~on_result =
   t.next_ts <- Int64.add t.next_ts 1L;
   let ts = t.next_ts in
   let request = make_request t ~ts ~op in
-  let dummy =
-    Timer.create t.engine
-      ~cls:(Engine.Choice { host = Addr.client t.cfg.id; lane = -1 })
-      ~label:(Printf.sprintf "client%d-retry" t.cfg.id)
-      ~delay:t.cfg.retry_timeout_us
-      ~callback:(fun () -> ())
-  in
   let p =
     { op;
       request;
       sent_at = Engine.now t.engine;
       votes = [];
-      retry = dummy;
+      retry = t.no_retry;
       cur_delay_us = t.cfg.retry_timeout_us;
       ctx = None;
       root = -1;
@@ -251,8 +249,7 @@ let dispatch t ~op ~on_result =
   p.retry <-
     Timer.create t.engine
       ~cls:(Engine.Choice { host = Addr.client t.cfg.id; lane = -1 })
-      ~label:(Printf.sprintf "client%d-retry" t.cfg.id)
-      ~delay:(jittered t p.cur_delay_us) ~callback:resend;
+      ~label:t.retry_label ~delay:(jittered t p.cur_delay_us) ~callback:resend;
   broadcast t ?ctx:p.ctx (Message.Request p.request);
   Timer.restart p.retry
 

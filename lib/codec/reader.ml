@@ -17,23 +17,40 @@ let u8 t =
   t.pos <- t.pos + 1;
   v
 
+(* Fixed-width integers are little-endian: one bounds check, then one
+   unchecked load, byte-swapped on big-endian hosts as
+   [String.get_int64_le] does.  A short input fails as reading byte by
+   byte would: at the end of the input, needing 1 byte. *)
+external get16u : string -> int -> int = "%caml_string_get16u"
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let need_fixed t n =
+  if remaining t < n then begin
+    t.pos <- String.length t.src;
+    need t 1
+  end
+
 let u16 t =
-  let lo = u8 t in
-  let hi = u8 t in
-  lo lor (hi lsl 8)
+  need_fixed t 2;
+  let v = get16u t.src t.pos in
+  t.pos <- t.pos + 2;
+  if Sys.big_endian then swap16 v else v
 
 let u32 t =
-  let lo = u16 t in
-  let hi = u16 t in
-  lo lor (hi lsl 16)
+  need_fixed t 4;
+  let v = get32u t.src t.pos in
+  t.pos <- t.pos + 4;
+  Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xffff_ffff
 
 let u64 t =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    let b = Int64.of_int (u8 t) in
-    v := Int64.logor !v (Int64.shift_left b (8 * i))
-  done;
-  !v
+  need_fixed t 8;
+  let v = get64u t.src t.pos in
+  t.pos <- t.pos + 8;
+  if Sys.big_endian then swap64 v else v
 
 let varint t =
   let rec loop shift acc =

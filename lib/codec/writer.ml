@@ -22,18 +22,32 @@ let u8 t v =
   Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (v land 0xff));
   t.len <- t.len + 1
 
+(* Fixed-width integers are little-endian: one [ensure], then one
+   unchecked store of the low 16, 32 or 64 bits, byte-swapped on
+   big-endian hosts as [Bytes.set_int64_le] does. *)
+external set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 let u16 t v =
-  u8 t v;
-  u8 t (v lsr 8)
+  ensure t 2;
+  let v = v land 0xffff in
+  set16u t.buf t.len (if Sys.big_endian then swap16 v else v);
+  t.len <- t.len + 2
 
 let u32 t v =
-  u16 t v;
-  u16 t (v lsr 16)
+  ensure t 4;
+  let v = Int32.of_int v in
+  set32u t.buf t.len (if Sys.big_endian then swap32 v else v);
+  t.len <- t.len + 4
 
 let u64 t v =
-  for i = 0 to 7 do
-    u8 t (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-  done
+  ensure t 8;
+  set64u t.buf t.len (if Sys.big_endian then swap64 v else v);
+  t.len <- t.len + 8
 
 let rec varint t v =
   if v < 0 then invalid_arg "Writer.varint: negative"

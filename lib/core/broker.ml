@@ -11,6 +11,7 @@ module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module W = Splitbft_codec.Writer
 module Lru = Splitbft_util.Lru
+module Decimal = Splitbft_util.Decimal
 module Req_tbl = Splitbft_util.Htbl.Int_int64
 module Feed = Splitbft_storage.Feed
 module Ledger = Splitbft_storage.Ledger
@@ -108,7 +109,16 @@ type t = {
   c_retx_replayed : Registry.counter;
 }
 
-let retx_key client ts = String.concat ":" [ string_of_int client; Int64.to_string ts ]
+(* "client:timestamp" in decimal, built in one scratch buffer (one
+   domain). *)
+let key_buf = Buffer.create 32
+
+let retx_key client ts =
+  Buffer.clear key_buf;
+  Decimal.add_int key_buf client;
+  Buffer.add_char key_buf ':';
+  Decimal.add_int64 key_buf ts;
+  Buffer.contents key_buf
 
 let primary t = Ids.primary_of_view ~n:t.cfg.n t.view
 let is_primary t = primary t = t.cfg.id
@@ -361,10 +371,11 @@ and on_outputs t epoch origin ?body outputs =
 and apply_output t origin ?ctx ?body (output : Wire.output) =
   match output with
   | Wire.Out_send (dst, msg) ->
-    (match msg with
-    | Message.Reply rp -> request_replied t rp
-    | _ -> ());
     let payload = encode_msg t ?ctx msg in
+    (match msg with
+    | Message.Reply rp ->
+      request_replied t rp ~sent:(if Option.is_none ctx then Some payload else None)
+    | _ -> ());
     (match msg with
     | Message.State_reply _ | Message.State_request _ ->
       Registry.add t.c_state_bytes_out (String.length payload)
@@ -445,7 +456,9 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
 
 (* ----- client requests, batching, suspicion ----- *)
 
-and request_replied t (rp : Message.reply) =
+(* [sent] is the reply's payload as just sent, when it carries no trace
+   trailer and so is exactly [Message.encode (Reply rp)]. *)
+and request_replied t (rp : Message.reply) ~sent =
   Req_tbl.remove t.awaiting (rp.client, rp.timestamp);
   Req_tbl.remove t.req_ctx (rp.client, rp.timestamp);
   Req_tbl.remove t.inflight (rp.client, rp.timestamp);
@@ -454,7 +467,7 @@ and request_replied t (rp : Message.reply) =
        original request's (long-finished) trace context. *)
     Lru.add t.replied
       (retx_key rp.client rp.timestamp)
-      (Message.encode (Message.Reply rp));
+      (match sent with Some payload -> payload | None -> Message.encode (Message.Reply rp));
   (* Progress: re-arm the timer for the remaining requests so a loaded but
      progressing system never suspects its primary — and wind any
      suspicion backoff down to the base timeout. *)

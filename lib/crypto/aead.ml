@@ -9,21 +9,30 @@ let prepare key =
   let okm = Kdf.derive ~ikm:key ~info:"splitbft-aead-v1" ~length:64 () in
   { enc_key = String.sub okm 0 32; mac_key = Hmac.prepare (String.sub okm 32 32) }
 
-let tag key ~nonce ~aad ciphertext =
-  String.sub (Hmac.mac_with key.mac_key [ aad; nonce; ciphertext ]) 0 tag_size
+(* The full HMAC of the current call, whose first [tag_size] bytes are the
+   tag (one domain, as for Hmac's own scratch). *)
+let mac = Bytes.create Sha256.digest_size
 
 let encrypt_with key ~nonce ~aad plaintext =
-  let ciphertext = Chacha20.encrypt ~key:key.enc_key ~nonce plaintext in
-  ciphertext ^ tag key ~nonce ~aad ciphertext
+  let n = String.length plaintext in
+  let out = Bytes.create (n + tag_size) in
+  Chacha20.encrypt_into ~key:key.enc_key ~nonce plaintext ~src_off:0 out ~dst_off:0 ~len:n;
+  (* The ciphertext is only read while the tag is computed; [out] is
+     written again, and escapes, after that. *)
+  Hmac.mac_sub_into key.mac_key [ aad; nonce ] (Bytes.unsafe_to_string out) 0 n mac 0;
+  Bytes.blit mac 0 out n tag_size;
+  Bytes.unsafe_to_string out
 
 let decrypt_with key ~nonce ~aad payload =
-  let n = String.length payload in
-  if n < tag_size then Error "AEAD payload shorter than tag"
+  let n = String.length payload - tag_size in
+  if n < 0 then Error "AEAD payload shorter than tag"
   else begin
-    let ciphertext = String.sub payload 0 (n - tag_size) in
-    let received = String.sub payload (n - tag_size) tag_size in
-    if Hmac.equal_constant_time (tag key ~nonce ~aad ciphertext) received then
-      Ok (Chacha20.encrypt ~key:key.enc_key ~nonce ciphertext)
+    Hmac.mac_sub_into key.mac_key [ aad; nonce ] payload 0 n mac 0;
+    if Hmac.equal_sub_constant_time (Bytes.unsafe_to_string mac) 0 payload n tag_size then begin
+      let out = Bytes.create n in
+      Chacha20.encrypt_into ~key:key.enc_key ~nonce payload ~src_off:0 out ~dst_off:0 ~len:n;
+      Ok (Bytes.unsafe_to_string out)
+    end
     else Error "AEAD tag verification failed"
   end
 

@@ -11,7 +11,13 @@
     derivation runs once per key rather than once per message.  Output
     under a prepared key is byte-identical to the string-keyed functions,
     which are themselves [prepare] followed by {!encrypt_with} or
-    {!decrypt_with}. *)
+    {!decrypt_with}.
+
+    A seal writes the ciphertext and then the tag into the one string it
+    returns; an open authenticates the ciphertext where it lies in the
+    payload, compares the tag in constant time, and only then decrypts
+    into the one string it returns.  The MAC is computed in module-level
+    scratch (see {!Hmac}), so this assumes a single domain. *)
 
 type key
 (** A prepared key: the ChaCha20 subkey and the prepared MAC subkey. *)

@@ -1,8 +1,8 @@
-(** ChaCha20 stream cipher (RFC 8439), implemented from scratch and
-    validated against the RFC test vectors.  The 20 rounds keep the 16
-    working words in registers (the arguments of a local recursive
-    function) rather than in an array; the test suite checks the output
-    against an array-based reference.
+(** ChaCha20 stream cipher (RFC 8439), validated against the RFC test
+    vectors.  The keystream is generated by a portable C stub (loads and
+    stores are explicit little-endian bytes, so every host gives the same
+    output); the test suite checks it against an array-based OCaml
+    reference of the RFC's quarter round.
 
     Provides the confidentiality layer for client requests/replies and for
     enclave sealing (see {!Aead}). *)
@@ -18,5 +18,23 @@ val block : key:string -> counter:int -> nonce:string -> string
 
 val encrypt : key:string -> nonce:string -> ?counter:int -> string -> string
 (** XORs the keystream into the payload.  Encryption and decryption are the
-    same operation.  [counter] defaults to 1 as in RFC 8439 AEAD usage.
+    same operation.  [counter] defaults to 1 as in RFC 8439 AEAD usage;
+    only its low 32 bits count, and it wraps modulo 2{^32} from block to
+    block.
     @raise Invalid_argument on wrong key or nonce size. *)
+
+val encrypt_into :
+  key:string ->
+  nonce:string ->
+  ?counter:int ->
+  string ->
+  src_off:int ->
+  bytes ->
+  dst_off:int ->
+  len:int ->
+  unit
+(** [encrypt_into ~key ~nonce src ~src_off dst ~dst_off ~len] writes the
+    encryption of [src[src_off, src_off + len)] to [dst[dst_off, dst_off +
+    len)]; bytes of [dst] outside that range are untouched.
+    @raise Invalid_argument on wrong key or nonce size, or a range out of
+    bounds. *)

@@ -32,9 +32,9 @@ type ctx = {
   mutable total : int; (* total message bytes *)
 }
 
-(* The 8 state words big-endian, then the byte count as 8 bytes: a flat
-   string is the most compact immutable form for keys held per session. *)
-type midstate = string
+(* The 8 state words, then the byte count: restoring one into a context is
+   a blit. *)
+type midstate = int array
 
 let word_be s p = (String.get_uint16_be s p lsl 16) lor String.get_uint16_be s (p + 2)
 
@@ -42,16 +42,14 @@ let init () = { h = Array.copy iv; buf = Bytes.create block_size; buf_len = 0; t
 
 let midstate ctx =
   if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: partial block pending";
-  let m = Bytes.create 40 in
-  Array.iteri (fun i v -> Bytes.set_int32_be m (4 * i) (Int32.of_int v)) ctx.h;
-  Bytes.set_int64_be m 32 (Int64.of_int ctx.total);
-  Bytes.unsafe_to_string m
+  let m = Array.make 9 ctx.total in
+  Array.blit ctx.h 0 m 0 8;
+  m
 
-let resume m =
-  { h = Array.init 8 (fun i -> word_be m (4 * i));
-    buf = Bytes.create block_size;
-    buf_len = 0;
-    total = Int64.to_int (String.get_int64_be m 32) }
+let restart ctx (m : midstate) =
+  Array.blit m 0 ctx.h 0 8;
+  ctx.total <- m.(8);
+  ctx.buf_len <- 0
 
 (* Message-schedule scratch shared by every context: [compress] runs to
    completion without yielding, and the library is used from one domain. *)
@@ -115,32 +113,37 @@ let compress h block off = if use_hw then compress_hw h block off else compress_
 (* The buffer is only read while [compress] runs, never retained. *)
 let compress_buf ctx = compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0
 
-let update ctx s =
-  let n = String.length s in
+let update_sub ctx s off n =
+  if off < 0 || n < 0 || off > String.length s - n then
+    invalid_arg "Sha256.update_sub: range out of bounds";
   ctx.total <- ctx.total + n;
-  let pos = ref 0 in
+  let pos = ref off and stop = off + n in
   (* Fill a pending partial block first. *)
   if ctx.buf_len > 0 then begin
     let take = min n (block_size - ctx.buf_len) in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = block_size then begin
       compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks are compressed straight from the input. *)
-  while n - !pos >= block_size do
+  while stop - !pos >= block_size do
     compress ctx.h s !pos;
     pos := !pos + block_size
   done;
-  if !pos < n then begin
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len (n - !pos);
-    ctx.buf_len <- ctx.buf_len + (n - !pos)
+  if !pos < stop then begin
+    Bytes.blit_string s !pos ctx.buf ctx.buf_len (stop - !pos);
+    ctx.buf_len <- ctx.buf_len + (stop - !pos)
   end
 
-let finalize ctx =
+let update ctx s = update_sub ctx s 0 (String.length s)
+
+let finalize_into ctx dst off =
+  if off < 0 || off > Bytes.length dst - digest_size then
+    invalid_arg "Sha256.finalize_into: range out of bounds";
   (* Padding: 0x80, zeros, 64-bit big-endian bit length. *)
   Bytes.set ctx.buf ctx.buf_len '\x80';
   ctx.buf_len <- ctx.buf_len + 1;
@@ -152,23 +155,33 @@ let finalize ctx =
   Bytes.fill ctx.buf ctx.buf_len (block_size - 8 - ctx.buf_len) '\x00';
   Bytes.set_int64_be ctx.buf (block_size - 8) (Int64.shift_left (Int64.of_int ctx.total) 3);
   compress_buf ctx;
-  let out = Bytes.create digest_size in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set_uint16_be out (4 * i) (v lsr 16);
-    Bytes.set_uint16_be out ((4 * i) + 2) (v land 0xffff)
-  done;
+    let v = Array.unsafe_get ctx.h i and p = off + (4 * i) in
+    Bytes.unsafe_set dst p (Char.unsafe_chr (v lsr 24));
+    Bytes.unsafe_set dst (p + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+    Bytes.unsafe_set dst (p + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.unsafe_set dst (p + 3) (Char.unsafe_chr (v land 0xff))
+  done
+
+let finalize ctx =
+  let out = Bytes.create digest_size in
+  finalize_into ctx out 0;
   Bytes.unsafe_to_string out
 
+(* One context for the one-shot hashes, restarted from the IV per call
+   (one domain, as for [w]). *)
+let oneshot = init ()
+let initial = midstate oneshot
+
 let digest s =
-  let ctx = init () in
-  update ctx s;
-  finalize ctx
+  restart oneshot initial;
+  update oneshot s;
+  finalize oneshot
 
 let digest_parts parts =
-  let ctx = init () in
-  List.iter (update ctx) parts;
-  finalize ctx
+  restart oneshot initial;
+  List.iter (update oneshot) parts;
+  finalize oneshot
 
 let hex s = Splitbft_util.Hex.encode (digest s)
 

@@ -14,25 +14,40 @@
 type ctx
 
 val init : unit -> ctx
+
 val update : ctx -> string -> unit
 
+val update_sub : ctx -> string -> int -> int -> unit
+(** [update_sub ctx s off len] absorbs [s[off, off + len)].
+    @raise Invalid_argument if the range is out of bounds. *)
+
 val finalize : ctx -> string
-(** 32-byte digest.  The context must not be used afterwards. *)
+(** 32-byte digest.  The context must be {!restart}ed before it absorbs
+    another message. *)
+
+val finalize_into : ctx -> bytes -> int -> unit
+(** [finalize_into ctx dst off] writes the digest to [dst[off, off + 32)],
+    as {!finalize} returns it.
+    @raise Invalid_argument if the range is out of bounds. *)
 
 type midstate
 (** An immutable snapshot of a context that has absorbed whole blocks only:
-    the chaining value and the byte count. *)
+    the 8 chaining words and the byte count, held as words so that
+    restoring one is a copy. *)
 
 val midstate : ctx -> midstate
 (** Snapshot of the context.
     @raise Invalid_argument if a partial block is pending. *)
 
-val resume : midstate -> ctx
-(** A fresh context continuing from the snapshot; the snapshot is not
-    changed, so it can be resumed any number of times. *)
+val restart : ctx -> midstate -> unit
+(** [restart ctx m] puts [ctx] in the state the snapshot was taken in,
+    without allocating, whatever [ctx] absorbed before; the snapshot is not
+    changed, so it can be restarted from any number of times. *)
 
 val digest : string -> string
-(** One-shot hash. *)
+(** One-shot hash.  [digest] and [digest_parts] share one module-level
+    context, so, like the message schedule, they assume a single
+    domain. *)
 
 val digest_parts : string list -> string
 (** Hash of the concatenation of the parts, without building it. *)

@@ -126,6 +126,40 @@ let push t ev time =
   Array.unsafe_set t.events !i ev;
   t.size <- t.size + 1
 
+(* Places the entry (time, seq, ev) in the hole at [i0] of the first [n]
+   slots and sifts it down: the smaller child moves up until the entry is
+   no larger than both children. *)
+let sift_down t i0 n time seq ev =
+  let i = ref i0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let lt : float = Float.Array.unsafe_get t.times l in
+      let c =
+        if r < n then
+          let rt : float = Float.Array.unsafe_get t.times r in
+          if rt < lt || (rt = lt && Array.unsafe_get t.seqs r < Array.unsafe_get t.seqs l)
+          then r
+          else l
+        else l
+      in
+      let ct : float = Float.Array.unsafe_get t.times c and cs = Array.unsafe_get t.seqs c in
+      if ct < time || (ct = time && cs < seq) then begin
+        Float.Array.unsafe_set t.times !i ct;
+        Array.unsafe_set t.seqs !i cs;
+        Array.unsafe_set t.events !i (Array.unsafe_get t.events c);
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  Float.Array.unsafe_set t.times !i time;
+  Array.unsafe_set t.seqs !i seq;
+  Array.unsafe_set t.events !i ev
+
 (* Removes the root of a non-empty heap: the last entry sifts down from
    the root, and its old slot is cleared so a fired event is not kept
    alive by the array. *)
@@ -135,37 +169,29 @@ let pop_root t =
   let time : float = Float.Array.unsafe_get t.times n and seq : int = Array.unsafe_get t.seqs n in
   let ev = Array.unsafe_get t.events n in
   Array.unsafe_set t.events n t.vacant;
-  if n > 0 then begin
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let r = l + 1 in
-        let lt : float = Float.Array.unsafe_get t.times l in
-        let c =
-          if r < n then
-            let rt : float = Float.Array.unsafe_get t.times r in
-            if rt < lt || (rt = lt && Array.unsafe_get t.seqs r < Array.unsafe_get t.seqs l)
-            then r
-            else l
-          else l
-        in
-        let ct : float = Float.Array.unsafe_get t.times c and cs = Array.unsafe_get t.seqs c in
-        if ct < time || (ct = time && cs < seq) then begin
-          Float.Array.unsafe_set t.times !i ct;
-          Array.unsafe_set t.seqs !i cs;
-          Array.unsafe_set t.events !i (Array.unsafe_get t.events c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    Float.Array.unsafe_set t.times !i time;
-    Array.unsafe_set t.seqs !i seq;
-    Array.unsafe_set t.events !i ev
-  end
+  if n > 0 then sift_down t 0 n time seq ev
+
+(* Drops every dead entry: the live ones are packed to the front in their
+   current order, the vacated slots are cleared so the dropped events (and
+   the closures they captured) can be collected, and the heap is rebuilt
+   bottom-up.  (time, seq) is a total order, so the pop order does not
+   depend on the layout. *)
+let compact t =
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    let ev = t.events.(i) in
+    if not ev.dead then begin
+      Float.Array.set t.times !n (Float.Array.get t.times i);
+      t.seqs.(!n) <- t.seqs.(i);
+      t.events.(!n) <- ev;
+      incr n
+    end
+  done;
+  Array.fill t.events !n (t.size - !n) t.vacant;
+  t.size <- !n;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down t i !n (Float.Array.get t.times i) t.seqs.(i) t.events.(i)
+  done
 
 let schedule ?(cls = Internal) ?(fp = "") t ~delay ~label action =
   if delay < 0.0 then invalid_arg (Printf.sprintf "Engine.schedule %s: negative delay" label);
@@ -184,10 +210,14 @@ let cancel ev =
   if not ev.dead then begin
     ev.dead <- true;
     (* The event stays in the heap and is skipped when popped; the live
-       count is settled here, eagerly. *)
+       count is settled here, eagerly.  Every live event is queued, so
+       [size - live] entries are dead: once they are the majority of a
+       large heap, they are dropped in one pass.  That is O(size) at most
+       once per [size / 2] cancels. *)
     let t = ev.owner in
     t.live <- t.live - 1;
-    Registry.set t.g_live (float_of_int t.live)
+    Registry.set t.g_live (float_of_int t.live);
+    if t.size >= 1024 && 2 * t.live < t.size then compact t
   end
 
 let live t = t.live

@@ -9,8 +9,12 @@
     The queue is a binary min-heap on exactly (time, sequence number),
     held in parallel arrays (times, sequence numbers, events).  A fired or
     popped event leaves no reference behind in the arrays, so its action
-    and whatever that captured can be collected at once; a cancelled event
-    stays queued, dead, until it reaches the top. *)
+    and whatever that captured can be collected at once.  A cancelled event
+    stays queued, dead, until it reaches the top or until dead entries
+    outnumber live ones in a queue of at least 1024 entries; then every
+    dead entry is dropped in one pass and the heap is rebuilt, which
+    leaves the (time, sequence number) order, and so every run, as it
+    was. *)
 
 type t
 

@@ -3,6 +3,7 @@ module R = Splitbft_codec.Reader
 module Aead = Splitbft_crypto.Aead
 module Hmac = Splitbft_crypto.Hmac
 module Kdf = Splitbft_crypto.Kdf
+module Decimal = Splitbft_util.Decimal
 
 type keys = {
   auth : string;
@@ -68,7 +69,20 @@ let op_nonce k ~timestamp = nonce k ~direction:0 ~replica:0 ~timestamp
 let result_nonce k ~timestamp ~replica = nonce k ~direction:1 ~replica ~timestamp
 let replica_in_range replica = replica >= 0 && replica < 1 lsl 24
 
-let op_aad ~client ~timestamp = Printf.sprintf "op-aad:%d:%Ld" client timestamp
+(* AADs are built in one scratch buffer (one domain): "op-aad:C:T" and
+   "res-aad:C:T:R" in decimal, as [Printf]'s "%d" and "%Ld" print them. *)
+let aad_buf = Buffer.create 64
+
+let aad prefix ~client ~timestamp =
+  Buffer.clear aad_buf;
+  Buffer.add_string aad_buf prefix;
+  Decimal.add_int aad_buf client;
+  Buffer.add_char aad_buf ':';
+  Decimal.add_int64 aad_buf timestamp
+
+let op_aad ~client ~timestamp =
+  aad "op-aad:" ~client ~timestamp;
+  Buffer.contents aad_buf
 
 let encrypt_op k ~client ~timestamp op =
   Aead.encrypt_with k.enc_key ~nonce:(op_nonce k ~timestamp)
@@ -85,7 +99,10 @@ let request_auth_ok k (r : Message.request) =
   Hmac.verify_with k.auth_key ~msg:(Message.request_auth_bytes r) ~tag:r.auth
 
 let result_aad ~client ~timestamp ~replica =
-  Printf.sprintf "res-aad:%d:%Ld:%d" client timestamp replica
+  aad "res-aad:" ~client ~timestamp;
+  Buffer.add_char aad_buf ':';
+  Decimal.add_int aad_buf replica;
+  Buffer.contents aad_buf
 
 let encrypt_result k ~client ~timestamp ~replica result =
   if not (replica_in_range replica) then

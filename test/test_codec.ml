@@ -83,6 +83,57 @@ let test_raw_reads () =
   Alcotest.(check string) "raw rest" "def" (R.raw r 3);
   checkb "at end" true (R.at_end r)
 
+(* Fixed-width integers against a byte-at-a-time reference: the low 16, 32
+   or 64 bits, little-endian, whatever the sign or size of the int. *)
+let le_bytes width v =
+  String.init width (fun i ->
+      Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
+
+let prop_fixed_width =
+  QCheck.Test.make ~name:"u16/u32/u64 = byte-at-a-time reference" ~count:1000
+    QCheck.(pair int int64)
+    (fun (v, v64) ->
+      let enc f = W.to_string (fun w () -> f w) () in
+      let u16 = enc (fun w -> W.u16 w v) and u32 = enc (fun w -> W.u32 w v) in
+      let u64 = enc (fun w -> W.u64 w v64) in
+      String.equal u16 (le_bytes 2 (Int64.of_int v))
+      && String.equal u32 (le_bytes 4 (Int64.of_int v))
+      && String.equal u64 (le_bytes 8 v64)
+      && R.parse R.u16 u16 = Ok (v land 0xffff)
+      && R.parse R.u32 u32 = Ok (v land 0xffff_ffff)
+      && R.parse R.u64 u64 = Ok v64)
+
+let test_fixed_width_extremes () =
+  let enc f v = W.to_string f v in
+  List.iter
+    (fun v ->
+      Alcotest.(check string) (Printf.sprintf "u16 %d" v) (le_bytes 2 (Int64.of_int v)) (enc W.u16 v);
+      Alcotest.(check string) (Printf.sprintf "u32 %d" v) (le_bytes 4 (Int64.of_int v)) (enc W.u32 v))
+    [ 0; 1; -1; 0xffff; 0x10000; 0xffff_ffff; 0x1_0000_0000; min_int; max_int ];
+  List.iter
+    (fun v -> Alcotest.(check string) (Int64.to_string v) (le_bytes 8 v) (enc W.u64 v))
+    [ 0L; -1L; Int64.min_int; Int64.max_int ]
+
+(* A short fixed-width read fails at the end of the input, needing one
+   byte, as reading byte by byte did, wherever the read starts. *)
+let test_fixed_width_truncated () =
+  let err n = Error (Printf.sprintf "truncated input: need 1 bytes at offset %d" n) in
+  let after_u8 read r =
+    ignore (R.u8 r);
+    read r
+  in
+  for len = 0 to 7 do
+    let s = String.make len '\xab' in
+    if len < 2 then Alcotest.(check bool) "u16" true (R.parse R.u16 s = err len);
+    if len < 4 then Alcotest.(check bool) "u32" true (R.parse R.u32 s = err len);
+    Alcotest.(check bool) "u64" true (R.parse R.u64 s = err len);
+    if len >= 1 then begin
+      if len < 3 then Alcotest.(check bool) "u8, u16" true (R.parse (after_u8 R.u16) s = err len);
+      if len < 5 then Alcotest.(check bool) "u8, u32" true (R.parse (after_u8 R.u32) s = err len);
+      Alcotest.(check bool) "u8, u64" true (R.parse (after_u8 R.u64) s = err len)
+    end
+  done
+
 let qcheck_roundtrip name gen enc dec =
   QCheck.Test.make ~name ~count:300 gen (fun v -> roundtrip enc dec v)
 
@@ -127,4 +178,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_u64;
         QCheck_alcotest.to_alcotest prop_bytes;
         QCheck_alcotest.to_alcotest prop_pairs;
-        QCheck_alcotest.to_alcotest prop_decode_never_crashes ] ) ]
+        QCheck_alcotest.to_alcotest prop_decode_never_crashes;
+        QCheck_alcotest.to_alcotest prop_fixed_width;
+        Alcotest.test_case "fixed-width extremes" `Quick test_fixed_width_extremes;
+        Alcotest.test_case "fixed-width truncated" `Quick test_fixed_width_truncated ] ) ]

@@ -351,7 +351,7 @@ let test_sha256_kernels_agree () =
   QCheck.Test.check_exn prop_sha256_kernels_agree
 
 (* RFC 8439 ChaCha20 written with an array-based quarter round: the
-   reference the register-held rounds of [Chacha20] must reproduce. *)
+   reference the C keystream of [Chacha20] must reproduce. *)
 let reference_chacha20 ~key ~nonce ~counter payload =
   let mask = 0xffffffff in
   let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask in
@@ -402,15 +402,158 @@ let reference_chacha20 ~key ~nonce ~counter payload =
   done;
   Bytes.to_string out
 
+(* Block counters anywhere in 32 bits, and within 3 blocks of 2^32 so that
+   longer payloads wrap it. *)
+let counter_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_bound 0xffffffff); (1, map (fun d -> 0x1_0000_0000 - 1 - d) (int_bound 2)) ])
+
 let prop_chacha20_reference =
   QCheck.Test.make ~name:"chacha20 = array-based reference" ~count:300
     QCheck.(
       quad (string_of_size (Gen.return 32)) (string_of_size (Gen.return 12))
-        (make ~print:string_of_int Gen.(int_bound 0xffffffff))
-        (string_of_size Gen.(int_bound 300)))
+        (make ~print:string_of_int counter_gen)
+        (string_of_size Gen.(int_bound 1000)))
     (fun (key, nonce, counter, pt) ->
       String.equal (Chacha20.encrypt ~key ~nonce ~counter pt)
         (reference_chacha20 ~key ~nonce ~counter pt))
+
+(* [encrypt_into] at random offsets of larger buffers writes exactly the
+   reference ciphertext to its range and leaves every other byte as it
+   was. *)
+let prop_chacha20_into =
+  QCheck.Test.make ~name:"chacha20 encrypt_into = reference, in range only" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (_, _, counter, src, soff, len, dst, doff) ->
+          Printf.sprintf "counter %d, src %d bytes at %d, len %d, dst %d bytes at %d" counter
+            (String.length src) soff len (String.length dst) doff)
+        Gen.(
+          string_size (return 32) >>= fun key ->
+          string_size (return 12) >>= fun nonce ->
+          counter_gen >>= fun counter ->
+          int_bound 300 >>= fun len ->
+          pair (int_bound 40) (int_bound 40) >>= fun (soff, doff) ->
+          pair (int_bound 40) (int_bound 40) >>= fun (stail, dtail) ->
+          string_size (return (soff + len + stail)) >>= fun src ->
+          string_size (return (doff + len + dtail)) >|= fun dst ->
+          (key, nonce, counter, src, soff, len, dst, doff)))
+    (fun (key, nonce, counter, src, soff, len, dst, doff) ->
+      let out = Bytes.of_string dst in
+      Chacha20.encrypt_into ~key ~nonce ~counter src ~src_off:soff out ~dst_off:doff ~len;
+      let expected =
+        String.sub dst 0 doff
+        ^ reference_chacha20 ~key ~nonce ~counter (String.sub src soff len)
+        ^ String.sub dst (doff + len) (String.length dst - doff - len)
+      in
+      String.equal (Bytes.to_string out) expected)
+
+let test_chacha20_into_bounds () =
+  let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let src = String.make 10 's' in
+  List.iter
+    (fun (name, src_off, dst_len, dst_off, len) ->
+      match
+        Chacha20.encrypt_into ~key ~nonce src ~src_off (Bytes.create dst_len) ~dst_off ~len
+      with
+      | () -> Alcotest.failf "%s: no exception" name
+      | exception Invalid_argument _ -> ())
+    [ ("negative length", 0, 10, 0, -1);
+      ("negative src offset", -1, 10, 0, 1);
+      ("negative dst offset", 0, 10, -1, 1);
+      ("src overrun", 5, 10, 0, 6);
+      ("dst overrun", 0, 5, 0, 6);
+      ("dst offset overrun", 0, 10, 8, 3);
+      ("src offset past end", 11, 10, 0, 0) ];
+  Alcotest.check_raises "short key" (Invalid_argument "Chacha20: key must be 32 bytes")
+    (fun () ->
+      Chacha20.encrypt_into ~key:"short" ~nonce src ~src_off:0 (Bytes.create 10) ~dst_off:0
+        ~len:1)
+
+(* ----- the AEAD composition and the HMAC paths, against references ----- *)
+
+(* The AEAD subkeys, derived as [Aead.prepare] derives them. *)
+let aead_subkeys key =
+  let okm = Kdf.derive ~ikm:key ~info:"splitbft-aead-v1" ~length:64 () in
+  (String.sub okm 0 32, String.sub okm 32 32)
+
+let aead_case_gen =
+  QCheck.Gen.(
+    quad (string_size (return 32)) (string_size (return 12))
+      (string_size (int_bound 40))
+      (string_size (int_bound 300)))
+
+(* Seal = reference ChaCha20 ciphertext, then the first 16 bytes of the
+   reference HMAC over aad, nonce and ciphertext; open inverts it and
+   rejects every single-byte change and every truncation. *)
+let prop_aead_composition =
+  QCheck.Test.make ~name:"aead = chacha20 then truncated hmac" ~count:100
+    (QCheck.make
+       ~print:(fun (_, _, aad, pt) -> Printf.sprintf "aad %S, plaintext %S" aad pt)
+       aead_case_gen)
+    (fun (key, nonce, aad, pt) ->
+      let enc, mac = aead_subkeys key in
+      let ct = reference_chacha20 ~key:enc ~nonce ~counter:1 pt in
+      let expected = ct ^ String.sub (reference_hmac ~key:mac (aad ^ nonce ^ ct)) 0 16 in
+      let k = Aead.prepare key in
+      let sealed = Aead.encrypt_with k ~nonce ~aad pt in
+      let rejected payload = Result.is_error (Aead.decrypt_with k ~nonce ~aad payload) in
+      let every_change_rejected =
+        List.for_all
+          (fun i ->
+            let b = Bytes.of_string sealed in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (i land 7))));
+            rejected (Bytes.to_string b))
+          (List.init (String.length sealed) Fun.id)
+      in
+      let every_truncation_rejected =
+        List.for_all
+          (fun n -> rejected (String.sub sealed 0 n))
+          (List.init (String.length sealed) Fun.id)
+      in
+      String.equal sealed expected
+      && Aead.decrypt_with k ~nonce ~aad sealed = Ok pt
+      && every_change_rejected && every_truncation_rejected)
+
+(* [mac_sub_into] over parts and a slice, written at an offset, is the
+   reference tag over the concatenation; the bytes around it stay. *)
+let prop_hmac_sub_into =
+  QCheck.Test.make ~name:"hmac mac_sub_into = reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (_, (msg, parts), (s, off, len), doff) ->
+          Printf.sprintf "%S in %d parts, then %d bytes at %d of %S, tag at %d" msg
+            (List.length parts) len off s doff)
+        Gen.(
+          int_range 0 100 >>= fun klen ->
+          string_size (return klen) >>= fun key ->
+          split_gen >>= fun split ->
+          string_size (int_bound 200) >>= fun s ->
+          int_bound (String.length s) >>= fun off ->
+          int_bound (String.length s - off) >>= fun len ->
+          int_bound 20 >|= fun doff -> (key, split, (s, off, len), doff)))
+    (fun (key, (msg, parts), (s, off, len), doff) ->
+      let dst = Bytes.make (doff + 40) '*' in
+      Hmac.mac_sub_into (Hmac.prepare key) parts s off len dst doff;
+      String.equal (Bytes.to_string dst)
+        (String.make doff '*'
+        ^ reference_hmac ~key (msg ^ String.sub s off len)
+        ^ String.make 8 '*'))
+
+let test_hmac_verify_tag_length () =
+  let key = Hmac.prepare "k" in
+  let tag = Hmac.mac_with key [ "msg" ] in
+  checkb "full tag" true (Hmac.verify_with key ~msg:"msg" ~tag);
+  checkb "16-byte prefix" false (Hmac.verify_with key ~msg:"msg" ~tag:(String.sub tag 0 16));
+  checkb "33 bytes" false (Hmac.verify_with key ~msg:"msg" ~tag:(tag ^ "\x00"));
+  checkb "empty" false (Hmac.verify_with key ~msg:"msg" ~tag:"");
+  Alcotest.check_raises "slice out of range"
+    (Invalid_argument "Sha256.update_sub: range out of bounds") (fun () ->
+      Hmac.mac_sub_into key [] "abc" 2 2 (Bytes.create 32) 0);
+  Alcotest.check_raises "tag out of range"
+    (Invalid_argument "Sha256.finalize_into: range out of bounds") (fun () ->
+      Hmac.mac_sub_into key [] "abc" 0 3 (Bytes.create 40) 9)
 
 (* ----- box ----- *)
 
@@ -473,4 +616,9 @@ let suites =
         Alcotest.test_case "sha256 ocaml kernel vectors" `Quick test_sha256_ocaml_kernel_vectors;
         Alcotest.test_case "sha256 hw kernel vectors" `Quick test_sha256_hw_kernel_vectors;
         Alcotest.test_case "sha256 hw kernel = ocaml kernel" `Quick test_sha256_kernels_agree;
-        QCheck_alcotest.to_alcotest prop_chacha20_reference ] ) ]
+        QCheck_alcotest.to_alcotest prop_chacha20_reference;
+        QCheck_alcotest.to_alcotest prop_chacha20_into;
+        Alcotest.test_case "chacha20 encrypt_into bounds" `Quick test_chacha20_into_bounds;
+        QCheck_alcotest.to_alcotest prop_aead_composition;
+        QCheck_alcotest.to_alcotest prop_hmac_sub_into;
+        Alcotest.test_case "hmac verify tag length" `Quick test_hmac_verify_tag_length ] ) ]

@@ -140,8 +140,10 @@ let test_engine_releases_fired_events () =
    reference list: events fire in (time, seq) order, a forced fire moves
    the clock to the event's time unless that is in the past, and
    [pending] and [live_events] match the reference after every
-   operation. *)
-type engine_op = Sched of float | Cancel of int | Step | Force of int
+   [check_every]-th operation and at the end.  [Cancel i] cancels any
+   event ever scheduled (fired and cancelled ones included), [Cancel_live
+   i] one still pending. *)
+type engine_op = Sched of float | Cancel of int | Cancel_live of int | Step | Force of int
 
 let engine_op_gen =
   QCheck.Gen.(
@@ -155,82 +157,149 @@ let engine_op_gen =
 let print_engine_op = function
   | Sched d -> Printf.sprintf "Sched %g" d
   | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Cancel_live i -> Printf.sprintf "Cancel_live %d" i
   | Step -> "Step"
   | Force i -> Printf.sprintf "Force %d" i
+
+(* Returns whether the engine agreed with the reference, and how many
+   events were scheduled and cancelled. *)
+let engine_order_holds ?(check_every = 1) ops =
+  let e = Engine.create () in
+  let fired = ref [] in
+  (* Reference: (time, seq, handle) of every live event. *)
+  let live = ref [] and handles = Hashtbl.create 64 in
+  let next_seq = ref 0 and cancelled = ref 0 in
+  let earliest () =
+    List.fold_left
+      (fun best ((t, s, _) as x) ->
+        match best with
+        | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
+        | _ -> Some x)
+      None !live
+  in
+  let agrees () =
+    Engine.pending e = List.length !live
+    && List.map Engine.seq_of (Engine.live_events e)
+       = List.sort Int.compare (List.map (fun (_, s, _) -> s) !live)
+  in
+  let cancel h =
+    if Engine.is_live h then incr cancelled;
+    Engine.cancel h;
+    live := List.filter (fun (_, _, h') -> h' != h) !live
+  in
+  let ok = ref true in
+  List.iteri
+    (fun n op ->
+      (match op with
+      | Sched d ->
+        let s = !next_seq in
+        incr next_seq;
+        let h = Engine.schedule e ~delay:d ~label:"p" (fun () -> fired := s :: !fired) in
+        live := (Engine.now e +. d, s, h) :: !live;
+        Hashtbl.replace handles s h
+      | Cancel i -> if !next_seq > 0 then cancel (Hashtbl.find handles (i mod !next_seq))
+      | Cancel_live i -> (
+        match !live with
+        | [] -> ()
+        | l ->
+          let _, _, h = List.nth l (i mod List.length l) in
+          cancel h)
+      | Step -> (
+        match earliest () with
+        | None -> if Engine.step e then ok := false
+        | Some (t, s, _) ->
+          if not (Engine.step e) then ok := false
+          else begin
+            (match !fired with x :: _ when x = s -> () | _ -> ok := false);
+            if Engine.now e <> t then ok := false;
+            live := List.filter (fun (_, s', _) -> s' <> s) !live
+          end)
+      | Force i -> (
+        match Engine.live_events e with
+        | [] -> ()
+        | evs ->
+          let h = List.nth evs (i mod List.length evs) in
+          let t, s, _ = List.find (fun (_, _, h') -> h' == h) !live in
+          let before = Engine.now e in
+          Engine.fire_forced e h;
+          (match !fired with x :: _ when x = s -> () | _ -> ok := false);
+          if Engine.now e <> Float.max before t then ok := false;
+          live := List.filter (fun (_, s', _) -> s' <> s) !live));
+      if (n + 1) mod check_every = 0 && not (agrees ()) then ok := false)
+    ops;
+  if not (agrees ()) then ok := false;
+  (* Drain: the rest fires in (time, seq) order. *)
+  let expected =
+    List.sort
+      (fun (t1, s1, _) (t2, s2, _) ->
+        let c = Float.compare t1 t2 in
+        if c <> 0 then c else Int.compare s1 s2)
+      !live
+    |> List.map (fun (_, s, _) -> s)
+  in
+  fired := [];
+  Engine.run e;
+  ( !ok && List.rev !fired = expected && Engine.pending e = 0 && Engine.live_events e = [],
+    !next_seq,
+    !cancelled )
 
 let prop_engine_order =
   QCheck.Test.make ~name:"engine fires in (time, seq) order" ~count:300
     QCheck.(make ~print:Print.(list print_engine_op) Gen.(list_size (int_bound 200) engine_op_gen))
     (fun ops ->
-      let e = Engine.create () in
-      let fired = ref [] in
-      (* Reference: (time, seq, handle) of every live event. *)
-      let live = ref [] and handles = ref [||] in
-      let next_seq = ref 0 in
-      let earliest () =
-        List.fold_left
-          (fun best ((t, s, _) as x) ->
-            match best with
-            | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
-            | _ -> Some x)
-          None !live
-      in
-      let agrees () =
-        Engine.pending e = List.length !live
-        && List.map Engine.seq_of (Engine.live_events e)
-           = List.sort Int.compare (List.map (fun (_, s, _) -> s) !live)
-      in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          (match op with
-          | Sched d ->
-            let s = !next_seq in
-            incr next_seq;
-            let h = Engine.schedule e ~delay:d ~label:"p" (fun () -> fired := s :: !fired) in
-            live := (Engine.now e +. d, s, h) :: !live;
-            handles := Array.append !handles [| h |]
-          | Cancel i ->
-            if Array.length !handles > 0 then begin
-              let h = !handles.(i mod Array.length !handles) in
-              Engine.cancel h;
-              live := List.filter (fun (_, _, h') -> h' != h) !live
-            end
-          | Step -> (
-            match earliest () with
-            | None -> if Engine.step e then ok := false
-            | Some (t, s, _) ->
-              if not (Engine.step e) then ok := false
-              else begin
-                (match !fired with x :: _ when x = s -> () | _ -> ok := false);
-                if Engine.now e <> t then ok := false;
-                live := List.filter (fun (_, s', _) -> s' <> s) !live
-              end)
-          | Force i -> (
-            match Engine.live_events e with
-            | [] -> ()
-            | evs ->
-              let h = List.nth evs (i mod List.length evs) in
-              let t, s, _ = List.find (fun (_, _, h') -> h' == h) !live in
-              let before = Engine.now e in
-              Engine.fire_forced e h;
-              (match !fired with x :: _ when x = s -> () | _ -> ok := false);
-              if Engine.now e <> Float.max before t then ok := false;
-              live := List.filter (fun (_, s', _) -> s' <> s) !live));
-          if not (agrees ()) then ok := false)
-        ops;
-      (* Drain: the rest fires in (time, seq) order. *)
-      let expected =
-        List.sort
-          (fun (t1, s1, _) (t2, s2, _) ->
-            let c = Float.compare t1 t2 in
-            if c <> 0 then c else Int.compare s1 s2)
-          !live
-        |> List.map (fun (_, s, _) -> s)
-      in
-      fired := [];
-      Engine.run e;
-      !ok && List.rev !fired = expected && Engine.pending e = 0 && Engine.live_events e = [])
+      let ok, _, _ = engine_order_holds ops in
+      ok)
+
+(* The same property over long runs in which most events are cancelled,
+   as suspect and retry timers are: 2,200 schedules, most of them
+   cancelled while pending, so the queue repeatedly passes the size at
+   which it drops its dead entries. *)
+let prop_engine_order_mass_cancel =
+  QCheck.Test.make ~name:"engine order holds through mass cancellation" ~count:20
+    QCheck.(
+      make
+        ~print:(fun ops -> Printf.sprintf "%d operations" (List.length ops))
+        Gen.(
+          let sched =
+            oneof
+              [ map (fun d -> Sched (float_of_int d)) (int_bound 5);
+                map (fun d -> Sched d) (float_bound_inclusive 1000.0) ]
+          in
+          list_repeat 2200 sched >>= fun scheds ->
+          list_repeat 1700 (map (fun i -> Cancel_live i) nat) >>= fun cancels ->
+          list_repeat 40 (map (fun i -> Cancel i) nat) >>= fun stale ->
+          list_repeat 300 (return Step) >>= fun steps ->
+          list_repeat 30 (map (fun i -> Force i) nat) >>= fun forces ->
+          shuffle_l (List.concat [ scheds; cancels; stale; steps; forces ])))
+    (fun ops ->
+      let ok, scheduled, cancelled = engine_order_holds ~check_every:50 ops in
+      QCheck.assume (10 * cancelled >= 6 * scheduled);
+      ok)
+
+(* An event cancelled while pending must not stay reachable from the
+   queue once the queue has dropped its dead entries. *)
+let schedule_and_cancel_captured e w =
+  let block = Bytes.make 64 'x' in
+  Weak.set w 0 (Some block);
+  Engine.cancel
+    (Engine.schedule e ~delay:1e9 ~label:"captured" (fun () ->
+         ignore (Sys.opaque_identity block)))
+[@@inline never]
+
+let test_engine_releases_cancelled_events () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  ignore (Engine.schedule e ~delay:5.0 ~label:"live" (fun () -> ()));
+  schedule_and_cancel_captured e w;
+  let others =
+    List.init 1100 (fun i -> Engine.schedule e ~delay:(float_of_int (i + 10)) ~label:"o" ignore)
+  in
+  List.iter Engine.cancel others;
+  Gc.full_major ();
+  checkb "cancelled event collected" false (Weak.check w 0);
+  checki "one live event" 1 (Engine.pending e);
+  Engine.run e;
+  checki "only the live event fired" 1 (Engine.events_processed e)
 
 (* ----- timer ----- *)
 
@@ -460,6 +529,8 @@ let suites =
         Alcotest.test_case "empty engine" `Quick test_engine_empty;
         Alcotest.test_case "fired events released" `Quick test_engine_releases_fired_events;
         QCheck_alcotest.to_alcotest prop_engine_order;
+        QCheck_alcotest.to_alcotest prop_engine_order_mass_cancel;
+        Alcotest.test_case "cancelled events released" `Quick test_engine_releases_cancelled_events;
         Alcotest.test_case "timer restart" `Quick test_timer_restart;
         Alcotest.test_case "timer start idempotent" `Quick test_timer_start_idempotent;
         Alcotest.test_case "timer stop" `Quick test_timer_stop;

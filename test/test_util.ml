@@ -2,6 +2,7 @@ module Hex = Splitbft_util.Hex
 module Rng = Splitbft_util.Rng
 module Stats = Splitbft_util.Stats
 module Lines = Splitbft_util.Lines
+module Decimal = Splitbft_util.Decimal
 
 let check = Alcotest.(check string)
 let checki = Alcotest.(check int)
@@ -144,6 +145,50 @@ let test_lines_nested_comment () =
   checki "nested counts as comment" 1 c.Lines.comments;
   checki "code after" 1 c.Lines.code
 
+(* ----- decimal ----- *)
+
+let decimal_int n =
+  let b = Buffer.create 4 in
+  Decimal.add_int b n;
+  Buffer.contents b
+
+let decimal_int64 n =
+  let b = Buffer.create 4 in
+  Buffer.add_string b "x";
+  Decimal.add_int64 b n;
+  Buffer.contents b
+
+let check_decimal n = check (string_of_int n) (string_of_int n) (decimal_int n)
+let check_decimal64 n = check (Int64.to_string n) ("x" ^ Int64.to_string n) (decimal_int64 n)
+
+let test_decimal_extremes () =
+  List.iter check_decimal [ 0; min_int; max_int; min_int + 1; max_int - 1 ];
+  List.iter check_decimal64 [ 0L; Int64.min_int; Int64.max_int; Int64.of_int max_int;
+                              Int64.succ (Int64.of_int max_int); Int64.of_int min_int ];
+  (* Every power of ten that fits, and its neighbours. *)
+  let p = ref 1 in
+  for _ = 0 to 18 do
+    List.iter (fun d -> check_decimal (!p + d); check_decimal (- !p + d)) [ -1; 0; 1 ];
+    p := !p * 10
+  done;
+  let p = ref 1L in
+  for _ = 0 to 18 do
+    List.iter
+      (fun d -> check_decimal64 (Int64.add !p d); check_decimal64 (Int64.sub (Int64.neg !p) d))
+      [ -1L; 0L; 1L ];
+    p := Int64.mul !p 10L
+  done
+
+let test_decimal_random () =
+  let rng = Rng.create 10L in
+  for _ = 1 to 10_000 do
+    let v = Rng.next64 rng in
+    (* Every magnitude: shift the 64 random bits right by 0..63. *)
+    let v = Int64.shift_right v (Rng.int rng 64) in
+    check_decimal (Int64.to_int v);
+    check_decimal64 v
+  done
+
 let suites =
   [ ( "util",
       [ Alcotest.test_case "hex encode" `Quick test_hex_encode;
@@ -163,4 +208,6 @@ let suites =
         Alcotest.test_case "stats merge" `Quick test_stats_merge;
         Alcotest.test_case "lines classify" `Quick test_lines_classification;
         Alcotest.test_case "lines multiline" `Quick test_lines_multiline_comment;
-        Alcotest.test_case "lines nested" `Quick test_lines_nested_comment ] ) ]
+        Alcotest.test_case "lines nested" `Quick test_lines_nested_comment;
+        Alcotest.test_case "decimal extremes" `Quick test_decimal_extremes;
+        Alcotest.test_case "decimal random" `Quick test_decimal_random ] ) ]
