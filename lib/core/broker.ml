@@ -462,12 +462,11 @@ and request_replied t (rp : Message.reply) ~sent =
   Req_tbl.remove t.awaiting (rp.client, rp.timestamp);
   Req_tbl.remove t.req_ctx (rp.client, rp.timestamp);
   Req_tbl.remove t.inflight (rp.client, rp.timestamp);
-  if Config.hotpath t.cfg then
-    (* Plain encoding, not the traced one: a replay must not carry the
-       original request's (long-finished) trace context. *)
-    Lru.add t.replied
-      (retx_key rp.client rp.timestamp)
-      (match sent with Some payload -> payload | None -> Message.encode (Message.Reply rp));
+  (* Plain encoding, not the traced one: a replay must not carry the
+     original request's (long-finished) trace context. *)
+  Lru.add t.replied
+    (retx_key rp.client rp.timestamp)
+    (match sent with Some payload -> payload | None -> Message.encode (Message.Reply rp));
   (* Progress: re-arm the timer for the remaining requests so a loaded but
      progressing system never suspects its primary — and wind any
      suspicion backoff down to the base timeout. *)
@@ -490,13 +489,10 @@ and flush_batch t =
       end
     in
     let batch = grab take [] in
-    if Config.hotpath t.cfg then begin
-      let now = Engine.now t.engine in
-      List.iter
-        (fun (r : Message.request) ->
-          Req_tbl.replace t.inflight (r.client, r.timestamp) now)
-        batch
-    end;
+    let now = Engine.now t.engine in
+    List.iter
+      (fun (r : Message.request) -> Req_tbl.replace t.inflight (r.client, r.timestamp) now)
+      batch;
     Registry.incr t.c_batches;
     Registry.observe t.h_batch_occupancy (float_of_int take);
     (* The batch rides under the first sampled request's trace; the other
@@ -518,8 +514,6 @@ let on_request t ?ctx (r : Message.request) =
   let replayed =
     (* Early reject before any enclave transition is charged: an
        already-answered request is served from the reply cache. *)
-    Config.hotpath t.cfg
-    &&
     match Lru.find t.replied (retx_key r.client r.timestamp) with
     | Some payload ->
       Registry.incr t.c_retx_replayed;
@@ -535,8 +529,6 @@ let on_request t ?ctx (r : Message.request) =
     Timer.start t.suspect_timer;
     if is_primary t then begin
       let suppressed =
-        Config.hotpath t.cfg
-        &&
         match Req_tbl.find_opt t.inflight key with
         | None -> false
         | Some since when Engine.now t.engine -. since < t.cfg.inflight_ttl_us ->
@@ -732,7 +724,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
         recovered_count = 0;
         req_ctx = Req_tbl.create 64;
         scratch = W.create ~initial_size:1024 ();
-        replied = Lru.create ~capacity:(if Config.hotpath cfg then 4096 else 0);
+        replied = Lru.create ~capacity:4096;
         inflight = Req_tbl.create 64;
         recovery_ctx = None;
         recovery_span = -1;
@@ -849,6 +841,11 @@ let recovered t = t.recovered_count > 0 && not t.recovering
 
 let ecalls_to t compartment =
   int_of_float (Registry.counter_value (t.ecall_counter_of compartment))
+
+let reply_cache_keys t = Lru.fold t.replied ~init:[] ~f:(fun acc k _ -> k :: acc) |> List.rev
+
+let inflight_keys t =
+  Req_tbl.fold (fun k _ acc -> k :: acc) t.inflight [] |> List.sort compare
 
 let ecalls_issued t =
   List.fold_left (fun acc c -> acc + ecalls_to t c) 0 Ids.all_compartments

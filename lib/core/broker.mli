@@ -73,3 +73,13 @@ val ecalls_issued : t -> int
 
 val ecalls_to : t -> Splitbft_types.Ids.compartment -> int
 (** Ecalls issued to one compartment. *)
+
+val reply_cache_keys : t -> string list
+(** Keys (["client:timestamp"]) of the retransmit reply cache, most
+    recently used first.  A request whose key is here is answered by the
+    broker without an ecall. *)
+
+val inflight_keys : t -> (int * int64) list
+(** (client, timestamp) of the requests this broker batched that have not
+    been replied yet, sorted.  A retransmission of one of these is
+    suppressed while its entry is younger than the inflight TTL. *)

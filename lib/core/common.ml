@@ -2,9 +2,7 @@ module Ids = Splitbft_types.Ids
 module Message = Splitbft_types.Message
 module Validation = Splitbft_types.Validation
 module Enclave = Splitbft_tee.Enclave
-module Verify_cache = Splitbft_tee.Verify_cache
 module Signature = Splitbft_crypto.Signature
-module Sha256 = Splitbft_crypto.Sha256
 module Ckpt = Splitbft_consensus.Ckpt
 
 let charge_verify env count =
@@ -18,139 +16,83 @@ let sign_with env msg =
   charge_sign env 1;
   Signature.sign (Enclave.env_keypair env).Signature.secret msg
 
-(* ----- verified-digest cache wrappers -----
+(* ----- metered verification -----
 
-   One primitive: look the (kind, bytes, signature) fact up in the
-   enclave's cache; on a miss charge one verification, run it, and record
-   a success.  With the cache disabled this degrades to charge-then-verify
-   — the pre-cache accounting — so the same call sites serve both arms of
-   the hotpath ablation. *)
+   Each helper charges one verification, then checks one signature.  The
+   call sites order the cheap structural checks first, so a message that
+   cannot change the outcome (stale, duplicate, already decided) is dropped
+   before any crypto is charged. *)
 
-let verify_cached env lookup ~kind ~sender ~bytes ~signature =
-  let key = Verify_cache.key ~kind ~signature ~bytes in
-  match Enclave.cache_find env key with
-  | Some _ -> true
-  | None ->
-    charge_verify env 1;
-    let ok = Validation.verify_with lookup sender bytes signature in
-    if ok then Enclave.cache_add env key "";
-    ok
+let verify_signature env lookup ~sender ~bytes ~signature =
+  charge_verify env 1;
+  Validation.verify_with lookup sender bytes signature
 
-(* PrePrepares and their digest forms share signature and signing bytes
-   (Message.summarize), so they memoize the same fact. *)
-let verify_preprepare_c env lookup (pp : Message.preprepare) ~digest =
-  verify_cached env lookup ~kind:"pp" ~sender:pp.sender
+let verify_preprepare env lookup (pp : Message.preprepare) ~digest =
+  verify_signature env lookup ~sender:pp.sender
     ~bytes:
       (Message.signing_bytes_of_proposal ~view:pp.view ~seq:pp.seq ~digest
          ~sender:pp.sender)
     ~signature:pp.pp_sig
 
-let verify_preprepare_digest_c env lookup (pd : Message.preprepare_digest) =
-  verify_cached env lookup ~kind:"pp" ~sender:pd.pd_sender
+let verify_preprepare_digest env lookup (pd : Message.preprepare_digest) =
+  verify_signature env lookup ~sender:pd.pd_sender
     ~bytes:(Message.preprepare_digest_signing_bytes pd)
     ~signature:pd.pd_sig
 
-let verify_prepare_c env lookup (p : Message.prepare) =
-  verify_cached env lookup ~kind:"p" ~sender:p.sender
+let verify_prepare env lookup (p : Message.prepare) =
+  verify_signature env lookup ~sender:p.sender
     ~bytes:(Message.prepare_signing_bytes p) ~signature:p.p_sig
 
-let verify_commit_c env lookup (c : Message.commit) =
-  verify_cached env lookup ~kind:"c" ~sender:c.sender
+let verify_commit env lookup (c : Message.commit) =
+  verify_signature env lookup ~sender:c.sender
     ~bytes:(Message.commit_signing_bytes c) ~signature:c.c_sig
 
-let verify_checkpoint_c env lookup (ck : Message.checkpoint) =
-  verify_cached env lookup ~kind:"ck" ~sender:ck.sender
+let verify_checkpoint env lookup (ck : Message.checkpoint) =
+  verify_signature env lookup ~sender:ck.sender
     ~bytes:(Message.checkpoint_signing_bytes ck) ~signature:ck.ck_sig
 
-let verify_viewchange_c env lookup (vc : Message.viewchange) =
-  verify_cached env lookup ~kind:"vc" ~sender:vc.vc_sender
+let verify_viewchange env lookup (vc : Message.viewchange) =
+  verify_signature env lookup ~sender:vc.vc_sender
     ~bytes:(Message.viewchange_signing_bytes vc) ~signature:vc.vc_sig
 
-let verify_newview_c env lookup (nv : Message.newview) =
-  verify_cached env lookup ~kind:"nv" ~sender:nv.nv_sender
+let verify_newview env lookup (nv : Message.newview) =
+  verify_signature env lookup ~sender:nv.nv_sender
     ~bytes:(Message.newview_signing_bytes nv) ~signature:nv.nv_sig
 
-let verify_prepared_proof_c env ~f lookup (proof : Message.prepared_proof) =
-  verify_preprepare_digest_c env lookup proof.proof_preprepare
-  && List.for_all (verify_prepare_c env lookup) proof.proof_prepares
+let verify_prepared_proof env ~f lookup (proof : Message.prepared_proof) =
+  verify_preprepare_digest env lookup proof.proof_preprepare
+  && List.for_all (verify_prepare env lookup) proof.proof_prepares
   && Validation.prepare_cert_complete ~f proof.proof_preprepare proof.proof_prepares
 
-(* The whole deep fact is additionally memoized under the ViewChange's own
-   signature: when the quorum of ViewChanges a NewView carries was already
-   deep-verified on individual arrival, the NewView re-check costs one
-   lookup per ViewChange. *)
-let verify_viewchange_deep_c env ~f ~vc_lookup ~ckpt_lookup ~proof_lookup
+let verify_viewchange_deep env ~f ~vc_lookup ~ckpt_lookup ~proof_lookup
     (vc : Message.viewchange) =
-  let bytes = Message.viewchange_signing_bytes vc in
-  let key = Verify_cache.key ~kind:"vc-deep" ~signature:vc.vc_sig ~bytes in
-  match Enclave.cache_find env key with
-  | Some _ -> true
-  | None ->
-    let ok =
-      verify_viewchange_c env vc_lookup vc
-      && List.for_all (verify_checkpoint_c env ckpt_lookup) vc.vc_checkpoint_proof
-      && List.for_all (verify_prepared_proof_c env ~f proof_lookup) vc.vc_prepared
-      && (vc.vc_last_stable = 0
-         ||
-         match
-           Validation.checkpoint_quorum_seq ~quorum:((2 * f) + 1)
-             vc.vc_checkpoint_proof
-         with
-         | Some seq -> seq >= vc.vc_last_stable
-         | None -> false)
-    in
-    if ok then Enclave.cache_add env key "";
-    ok
+  verify_viewchange env vc_lookup vc
+  && List.for_all (verify_checkpoint env ckpt_lookup) vc.vc_checkpoint_proof
+  && List.for_all (verify_prepared_proof env ~f proof_lookup) vc.vc_prepared
+  && (vc.vc_last_stable = 0
+     ||
+     match
+       Validation.checkpoint_quorum_seq ~quorum:((2 * f) + 1) vc.vc_checkpoint_proof
+     with
+     | Some seq -> seq >= vc.vc_last_stable
+     | None -> false)
 
-let digest_of_batch_c env batch =
-  if not (Enclave.cache_enabled env) then Message.digest_of_batch batch
-  else begin
-    let pre = Message.batch_preimage batch in
-    let key = Verify_cache.key ~kind:"digest" ~signature:"" ~bytes:pre in
-    match Enclave.cache_find env key with
-    | Some d -> d
-    | None ->
-      let d = Sha256.digest pre in
-      Enclave.cache_add env key d;
-      d
-  end
+(* Stale checkpoints are dropped before any crypto is charged. *)
+let on_checkpoint env ~exec_lookup ckpt (ck : Message.checkpoint) ~on_stable =
+  if ck.seq > Ckpt.last_stable ckpt && verify_checkpoint env exec_lookup ck then
+    Ckpt.observe ckpt ck ~on_stable
 
-let on_checkpoint env ~hotpath ~exec_lookup ckpt (ck : Message.checkpoint) ~on_stable =
-  if hotpath then begin
-    if ck.seq > Ckpt.last_stable ckpt && verify_checkpoint_c env exec_lookup ck then
-      Ckpt.observe ckpt ck ~on_stable
-  end
-  else begin
-    charge_verify env 1;
-    if ck.seq > Ckpt.last_stable ckpt && Validation.verify_checkpoint exec_lookup ck
-    then Ckpt.observe ckpt ck ~on_stable
-  end
-
-let newview_shallow_ok env ~hotpath ~f ~n ~prep_lookup ~conf_lookup
-    (nv : Message.newview) =
+let newview_shallow_ok env ~f ~n ~prep_lookup ~conf_lookup (nv : Message.newview) =
   (* Confirmation/Execution verify the NewView and ViewChange signatures
      and the quorum, but not the embedded prepares (§4). *)
-  let quorum = (2 * f) + 1 in
   let senders =
     List.map (fun (vc : Message.viewchange) -> vc.vc_sender) nv.nv_viewchanges
   in
-  if hotpath then
-    nv.nv_sender = Ids.primary_of_view ~n nv.nv_view
-    && List.length nv.nv_viewchanges >= quorum
-    && Validation.distinct_senders senders
-    && verify_newview_c env prep_lookup nv
-    && List.for_all
-         (fun (vc : Message.viewchange) ->
-           vc.vc_new_view = nv.nv_view && verify_viewchange_c env conf_lookup vc)
-         nv.nv_viewchanges
-  else begin
-    charge_verify env (1 + List.length nv.nv_viewchanges);
-    nv.nv_sender = Ids.primary_of_view ~n nv.nv_view
-    && Validation.verify_newview prep_lookup nv
-    && List.length nv.nv_viewchanges >= quorum
-    && Validation.distinct_senders senders
-    && List.for_all
-         (fun (vc : Message.viewchange) ->
-           vc.vc_new_view = nv.nv_view && Validation.verify_viewchange conf_lookup vc)
-         nv.nv_viewchanges
-  end
+  nv.nv_sender = Ids.primary_of_view ~n nv.nv_view
+  && List.length nv.nv_viewchanges >= (2 * f) + 1
+  && Validation.distinct_senders senders
+  && verify_newview env prep_lookup nv
+  && List.for_all
+       (fun (vc : Message.viewchange) ->
+         vc.vc_new_view = nv.nv_view && verify_viewchange env conf_lookup vc)
+       nv.nv_viewchanges

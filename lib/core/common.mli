@@ -1,8 +1,7 @@
 (** Metered wrappers over the shared consensus core for logic every
     compartment runs: the checkpoint handler (9), the checkpoint/view part
-    of NewView handling (7'), signing/verification cost helpers, and the
-    cache-aware verification layer over the enclaves' verified-digest
-    caches.
+    of NewView handling (7'), and signing/verification helpers that charge
+    the enclave for every signature they create or check.
 
     The paper deliberately duplicates these handlers across compartments so
     each runs independently (P2); here they share one implementation, but
@@ -16,93 +15,72 @@ module Enclave = Splitbft_tee.Enclave
 
 val on_checkpoint :
   Enclave.env ->
-  hotpath:bool ->
   exec_lookup:Splitbft_types.Validation.key_lookup ->
   Splitbft_consensus.Ckpt.t ->
   Message.checkpoint ->
   on_stable:(Ids.seqno -> unit) ->
   unit
-(** Handler (9): charge and verify the Execution-enclave signature, log the
-    message, and on a quorum advance the stable sequence number, retaining
-    the proving quorum and invoking [on_stable] so the compartment can
-    garbage-collect its logs.  Checkpoints below the current stable mark
-    are discarded even if they arrive later.
-
-    [hotpath] selects the cache-aware path (stale checkpoints are dropped
-    before any crypto is charged, fresh ones verify through the cache);
-    [false] reproduces the pre-cache accounting exactly. *)
+(** Handler (9): drop a checkpoint at or below the current stable mark
+    before any crypto is charged; otherwise charge and verify the
+    Execution-enclave signature, log the message, and on a quorum advance
+    the stable sequence number, retaining the proving quorum and invoking
+    [on_stable] so the compartment can garbage-collect its logs. *)
 
 val newview_shallow_ok :
   Enclave.env ->
-  hotpath:bool ->
   f:int ->
   n:int ->
   prep_lookup:Splitbft_types.Validation.key_lookup ->
   conf_lookup:Splitbft_types.Validation.key_lookup ->
   Message.newview ->
   bool
-(** Charges and checks what Confirmation/Execution validate: the NewView
-    signature (a Preparation enclave, the new primary), each embedded
-    ViewChange signature (Confirmation enclaves), a [2f+1] quorum of
-    distinct ViewChange senders — but {e not} the embedded Prepares, per
-    §4.  [hotpath] as in {!on_checkpoint}. *)
+(** Checks what Confirmation/Execution validate: the sender is the new
+    primary and a [2f+1] quorum of distinct ViewChange senders is present
+    (both free), then the NewView signature (a Preparation enclave) and
+    each embedded ViewChange signature (Confirmation enclaves), charging
+    each verification it performs — but {e not} the embedded Prepares,
+    per §4. *)
 
 (** {2 Metered crypto helpers} *)
-
-val charge_verify : Enclave.env -> int -> unit
-(** Charge for [count] signature verifications. *)
 
 val charge_sign : Enclave.env -> int -> unit
 
 val sign_with : Enclave.env -> string -> string
 (** Sign with the enclave's own key (charges one signature). *)
 
-(** {2 Cache-aware verification}
+(** {2 Metered verification}
 
-    Each helper resolves one signature fact through the enclave's
-    verified-digest cache: a hit charges a cache reference, a miss charges
-    one verification and memoizes success.  With the cache disabled they
-    degrade to exactly one charged verification per call, so the same call
-    sites serve both arms of the [bench hotpath] ablation.  Only
-    {e successful} verifications are recorded — the untrusted world cannot
-    plant a fact (see DESIGN.md, "Verified-digest cache"). *)
+    Each helper charges one verification per signature it checks, then
+    checks it.  Call sites run their cheap structural checks first, so a
+    message that cannot change the outcome is dropped before any crypto is
+    charged. *)
 
-val verify_preprepare_c :
+val verify_preprepare :
   Enclave.env ->
   Splitbft_types.Validation.key_lookup ->
   Message.preprepare ->
   digest:string ->
   bool
-(** [digest] must be [digest_of_batch pp.batch] (typically from
-    {!digest_of_batch_c}), so the batch is hashed once per handler instead
-    of again inside signature verification. *)
+(** [digest] must be [Message.digest_of_batch pp.batch], so the batch is
+    hashed once per handler instead of again inside signature
+    verification. *)
 
-val verify_preprepare_digest_c :
+val verify_preprepare_digest :
   Enclave.env -> Splitbft_types.Validation.key_lookup -> Message.preprepare_digest -> bool
 
-val verify_prepare_c :
+val verify_prepare :
   Enclave.env -> Splitbft_types.Validation.key_lookup -> Message.prepare -> bool
 
-val verify_commit_c :
+val verify_commit :
   Enclave.env -> Splitbft_types.Validation.key_lookup -> Message.commit -> bool
 
-val verify_checkpoint_c :
+val verify_checkpoint :
   Enclave.env -> Splitbft_types.Validation.key_lookup -> Message.checkpoint -> bool
 
-val verify_viewchange_c :
-  Enclave.env -> Splitbft_types.Validation.key_lookup -> Message.viewchange -> bool
-
-val verify_newview_c :
+val verify_newview :
   Enclave.env -> Splitbft_types.Validation.key_lookup -> Message.newview -> bool
 
-val verify_prepared_proof_c :
-  Enclave.env ->
-  f:int ->
-  Splitbft_types.Validation.key_lookup ->
-  Message.prepared_proof ->
-  bool
-
-val verify_viewchange_deep_c :
+val verify_viewchange_deep :
   Enclave.env ->
   f:int ->
   vc_lookup:Splitbft_types.Validation.key_lookup ->
@@ -110,11 +88,7 @@ val verify_viewchange_deep_c :
   proof_lookup:Splitbft_types.Validation.key_lookup ->
   Message.viewchange ->
   bool
-(** {!Splitbft_types.Validation.verify_viewchange_deep} through the cache,
-    charging per verification actually performed; the complete deep fact is
-    additionally memoized under the ViewChange's signature so a NewView
-    carrying already-seen ViewChanges re-checks each in one lookup. *)
-
-val digest_of_batch_c : Enclave.env -> Message.request list -> string
-(** [Message.digest_of_batch] memoized in the enclave's cache (hits charge
-    a cache reference); hashes directly when the cache is disabled. *)
+(** {!Splitbft_types.Validation.verify_viewchange_deep}, charging each
+    verification as it is performed (a failing check stops the charging).
+    Nothing is memoized: a NewView's ViewChanges are deep-checked in full
+    every time. *)

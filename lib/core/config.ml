@@ -17,7 +17,6 @@ type t = {
   suspect_timeout_us : float;
   viewchange_timeout_us : float;
   recovery_retry_us : float;
-  verify_cache_capacity : int;
   lanes : int;
   exec_workers : int;
   inflight_ttl_us : float;
@@ -36,13 +35,11 @@ let default ~n ~id =
     suspect_timeout_us = 500_000.0;
     viewchange_timeout_us = 1_000_000.0;
     recovery_retry_us = 150_000.0;
-    verify_cache_capacity = 1024;
     lanes = 1;
     exec_workers = 1;
     inflight_ttl_us = 500_000.0;
     segment_entries = 0 }
 
-let hotpath t = t.verify_cache_capacity > 0
 let storage t = t.segment_entries > 0
 let f t = Ids.f_of_n t.n
 let quorum t = Ids.quorum ~n:t.n

@@ -26,12 +26,6 @@ type t = {
       (** while recovering after a restart, the broker re-prompts the
           Execution compartment at this period so a state-request round
           lost to in-flight message drop does not stall catch-up *)
-  verify_cache_capacity : int;
-      (** bound (entries) of each enclave's verified-digest cache; [0]
-          disables the whole hot-path optimization layer — lazy
-          verification ordering, digest memoization and the broker's
-          retransmit early-reject — reproducing the pre-cache cost
-          accounting exactly (the [bench hotpath] ablation's off arm) *)
   lanes : int;
       (** number of consensus lanes — concurrent protocol instances over a
           partition of the sequence space ([seq] belongs to lane
@@ -62,9 +56,6 @@ type t = {
 }
 
 val default : n:int -> id:Ids.replica_id -> t
-
-val hotpath : t -> bool
-(** [verify_cache_capacity > 0] — the hot-path layer is enabled. *)
 
 val storage : t -> bool
 (** [segment_entries > 0] — the append-only ledger and follower feed are

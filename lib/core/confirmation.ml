@@ -5,7 +5,6 @@ module Enclave = Splitbft_tee.Enclave
 module Log = Splitbft_consensus.Log
 module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
-module Proofs = Splitbft_consensus.Proofs
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 
@@ -115,30 +114,20 @@ let on_proposal env st ~byz (pd : Message.preprepare_digest) =
   if pd.pd_view = st.view && Log.ahead_of_window st.proposals pd.pd_seq then
     park_ahead st (Message.Preprepare_digest pd)
   else begin
-  (match byz with
-  | Conf_promiscuous -> promiscuous_commit env st pd
-  | Conf_honest | Conf_stale_proof -> ());
-  if Config.hotpath st.cfg then begin
-    if proposal_plausible st pd && Common.verify_preprepare_digest_c env st.prep_lookup pd
+    (match byz with
+    | Conf_promiscuous -> promiscuous_commit env st pd
+    | Conf_honest | Conf_stale_proof -> ());
+    if proposal_plausible st pd && Common.verify_preprepare_digest env st.prep_lookup pd
     then begin
       Log.set st.proposals pd.pd_seq { pd; committed = false };
       try_commit env st pd.pd_seq
     end
-  end
-  else begin
-    Common.charge_verify env 1;
-    if proposal_plausible st pd && Validation.verify_preprepare_digest st.prep_lookup pd
-    then begin
-      Log.set st.proposals pd.pd_seq { pd; committed = false };
-      try_commit env st pd.pd_seq
-    end
-  end
   end
 
 let on_prepare env st (p : Message.prepare) =
   if p.view = st.view && Log.ahead_of_window st.proposals p.seq then
     park_ahead st (Message.Prepare p)
-  else if Config.hotpath st.cfg then begin
+  else begin
     (* Already-committed slots and duplicate senders cannot change the
        outcome; drop them before the signature is even checked. *)
     let committed =
@@ -149,14 +138,7 @@ let on_prepare env st (p : Message.prepare) =
       && in_window st p.seq
       && (not committed)
       && (not (Votes.mem st.prepares ~key:p.seq ~sender:p.sender))
-      && Common.verify_prepare_c env st.prep_lookup p
-    then begin
-      if Votes.add st.prepares ~key:p.seq ~sender:p.sender p then try_commit env st p.seq
-    end
-  end
-  else begin
-    Common.charge_verify env 1;
-    if p.view = st.view && in_window st p.seq && Validation.verify_prepare st.prep_lookup p
+      && Common.verify_prepare env st.prep_lookup p
     then begin
       if Votes.add st.prepares ~key:p.seq ~sender:p.sender p then try_commit env st p.seq
     end
@@ -284,17 +266,9 @@ let on_suspect env st ~byz suspected_view =
    without waiting for our own. *)
 let on_viewchange env st ~byz (vc : Message.viewchange) =
   let deep_ok =
-    if Config.hotpath st.cfg then
-      vc.vc_new_view > st.view
-      && Common.verify_viewchange_deep_c env ~f:(Config.f st.cfg)
-           ~vc_lookup:st.conf_lookup ~ckpt_lookup:st.exec_lookup
-           ~proof_lookup:st.prep_lookup vc
-    else begin
-      Common.charge_verify env (Proofs.viewchange_sig_count vc);
-      vc.vc_new_view > st.view
-      && Validation.verify_viewchange_deep ~f:(Config.f st.cfg) ~vc_lookup:st.conf_lookup
-           ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup vc
-    end
+    vc.vc_new_view > st.view
+    && Common.verify_viewchange_deep env ~f:(Config.f st.cfg) ~vc_lookup:st.conf_lookup
+         ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup vc
   in
   if deep_ok && vc.vc_sender <> st.cfg.id then begin
     if Votes.add st.viewchanges_seen ~key:vc.vc_new_view ~sender:vc.vc_sender vc then begin
@@ -308,9 +282,8 @@ let on_viewchange env st ~byz (vc : Message.viewchange) =
 let on_newview env st (nv : Message.newview) =
   if
     nv.nv_view >= st.view
-    && Common.newview_shallow_ok env ~hotpath:(Config.hotpath st.cfg)
-         ~f:(Config.f st.cfg) ~n:st.cfg.n ~prep_lookup:st.prep_lookup
-         ~conf_lookup:st.conf_lookup nv
+    && Common.newview_shallow_ok env ~f:(Config.f st.cfg) ~n:st.cfg.n
+         ~prep_lookup:st.prep_lookup ~conf_lookup:st.conf_lookup nv
   then begin
     ignore (Ckpt.absorb_newview st.ckpt nv);
     st.view <- nv.nv_view;
@@ -346,8 +319,7 @@ let handle env st ~byz (input : Wire.input) =
       | Message.Viewchange vc -> on_viewchange env st ~byz vc
       | Message.Newview nv -> on_newview env st nv
       | Message.Checkpoint ck ->
-        Common.on_checkpoint env ~hotpath:(Config.hotpath st.cfg)
-          ~exec_lookup:st.exec_lookup st.ckpt ck
+        Common.on_checkpoint env ~exec_lookup:st.exec_lookup st.ckpt ck
           ~on_stable:(fun stable ->
             gc st stable;
             drain_ahead env st ~byz;

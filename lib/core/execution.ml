@@ -523,16 +523,8 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
        digest matches the checkpoint-quorum certificate. *)
     (if String.length sr.st_snapshot > 0 && sr.st_stable > st.last_executed then begin
        let proof_ok =
-         if Config.hotpath st.cfg then
-           (* f+1 repliers ship the same quorum certificate; the cache makes
-              every copy after the first cost a lookup per checkpoint. *)
-           Validation.checkpoint_quorum_seq ~quorum sr.st_proof = Some sr.st_stable
-           && List.for_all (Common.verify_checkpoint_c env st.exec_lookup) sr.st_proof
-         else begin
-           Common.charge_verify env (List.length sr.st_proof);
-           Validation.checkpoint_quorum_seq ~quorum sr.st_proof = Some sr.st_stable
-           && List.for_all (Validation.verify_checkpoint st.exec_lookup) sr.st_proof
-         end
+         Validation.checkpoint_quorum_seq ~quorum sr.st_proof = Some sr.st_stable
+         && List.for_all (Common.verify_checkpoint env st.exec_lookup) sr.st_proof
        in
        if proof_ok then
          match
@@ -707,25 +699,15 @@ let on_ledger_recover env st records =
 (* Full-request PrePrepares are duplicated into this compartment's log so
    Commits (which carry only digests) can be executed. *)
 let on_preprepare env st ~byz (pp : Message.preprepare) =
-  if Config.hotpath st.cfg then begin
-    (* Content-addressed admission: the batch store is keyed by the batch's
-       own digest and a slot only executes once a commit quorum decided
-       that digest, so the primary's signature adds nothing here — exactly
-       the argument that lets Batch_data bodies arrive unsigned.  The
-       signature is still verified where it gates protocol steps
-       (Preparation/Confirmation). *)
-    let digest = Common.digest_of_batch_c env pp.batch in
-    if not (Hashtbl.mem st.batches digest) then Hashtbl.replace st.batches digest pp.batch;
-    try_execute env st ~byz
-  end
-  else begin
-    Common.charge_verify env 1;
-    if Validation.verify_preprepare st.prep_lookup pp then begin
-      let digest = Message.digest_of_batch pp.batch in
-      if not (Hashtbl.mem st.batches digest) then Hashtbl.replace st.batches digest pp.batch;
-      try_execute env st ~byz
-    end
-  end
+  (* Content-addressed admission: the batch store is keyed by the batch's
+     own digest and a slot only executes once a commit quorum decided
+     that digest, so the primary's signature adds nothing here — exactly
+     the argument that lets Batch_data bodies arrive unsigned.  The
+     signature is still verified where it gates protocol steps
+     (Preparation/Confirmation). *)
+  let digest = Message.digest_of_batch pp.batch in
+  if not (Hashtbl.mem st.batches digest) then Hashtbl.replace st.batches digest pp.batch;
+  try_execute env st ~byz
 
 (* Handler (4): a commit certificate decides a sequence number. *)
 let on_commit env st ~byz (c : Message.commit) =
@@ -746,32 +728,21 @@ let on_commit env st ~byz (c : Message.commit) =
       end
     end
   in
-  if Config.hotpath st.cfg then begin
-    (* A decided slot or a duplicate sender cannot advance the quorum;
-       reject both before any signature work is charged. *)
-    if
-      c.view = st.view && in_window st c.seq
-      && (not (Log.mem st.decided c.seq))
-      && (not (Votes.mem st.commits ~key:c.seq ~sender:c.sender))
-      && Common.verify_commit_c env st.conf_lookup c
-    then accept env st ~byz c
-  end
-  else begin
-    Common.charge_verify env 1;
-    if
-      c.view = st.view && in_window st c.seq
-      && (not (Log.mem st.decided c.seq))
-      && Validation.verify_commit st.conf_lookup c
-    then accept env st ~byz c
-  end
+  (* A decided slot or a duplicate sender cannot advance the quorum;
+     reject both before any signature work is charged. *)
+  if
+    c.view = st.view && in_window st c.seq
+    && (not (Log.mem st.decided c.seq))
+    && (not (Votes.mem st.commits ~key:c.seq ~sender:c.sender))
+    && Common.verify_commit env st.conf_lookup c
+  then accept env st ~byz c
 
 (* Handler (7'): checkpoint-and-view part of a NewView. *)
 let on_newview env st (nv : Message.newview) =
   if
     nv.nv_view >= st.view
-    && Common.newview_shallow_ok env ~hotpath:(Config.hotpath st.cfg)
-         ~f:(Config.f st.cfg) ~n:st.cfg.n ~prep_lookup:st.prep_lookup
-         ~conf_lookup:st.conf_lookup nv
+    && Common.newview_shallow_ok env ~f:(Config.f st.cfg) ~n:st.cfg.n
+         ~prep_lookup:st.prep_lookup ~conf_lookup:st.conf_lookup nv
   then begin
     ignore (Ckpt.absorb_newview st.ckpt nv);
     st.view <- nv.nv_view;
@@ -843,8 +814,7 @@ let handle env st ~byz (input : Wire.input) =
       | Message.Batch_data bd -> on_batch_data env st ~byz bd
       | Message.Newview nv -> on_newview env st nv
       | Message.Checkpoint ck ->
-        Common.on_checkpoint env ~hotpath:(Config.hotpath st.cfg)
-          ~exec_lookup:st.exec_lookup st.ckpt ck
+        Common.on_checkpoint env ~exec_lookup:st.exec_lookup st.ckpt ck
           ~on_stable:(fun stable ->
             gc st stable;
             compact_ledger env st stable;

@@ -13,7 +13,6 @@ module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Sessions = Splitbft_consensus.Sessions
-module Proofs = Splitbft_consensus.Proofs
 module Newview_logic = Splitbft_consensus.Newview
 module Rng = Splitbft_util.Rng
 module W = Splitbft_codec.Writer
@@ -206,7 +205,7 @@ let on_batch env st ~byz ?(elide = true) reqs =
                Receivers verify the signed digest against the re-attached
                body, so a confused or malicious broker can only make the
                proposal fail verification, never change what is ordered. *)
-            if elide && Config.hotpath st.cfg && List.length batch = List.length reqs
+            if elide && List.length batch = List.length reqs
             then Message.Preprepare_digest (Message.summarize pp)
             else Message.Preprepare pp
           in
@@ -254,40 +253,25 @@ let park_ahead st msg =
 let on_preprepare env st (pp : Message.preprepare) =
   if pp.view = st.view && Log.ahead_of_window st.preprepares pp.seq then
     park_ahead st (Message.Preprepare pp)
-  else if Config.hotpath st.cfg then begin
+  else if preprepare_plausible st pp then begin
     (* Cheap structural checks before any crypto is charged; the batch is
        hashed once and the digest reused for signature check and Prepare. *)
-    if preprepare_plausible st pp then begin
-      charge_client_auth env st (List.length pp.batch);
-      let digest = Common.digest_of_batch_c env pp.batch in
-      if Common.verify_preprepare_c env st.prep_lookup pp ~digest then
-        accept_preprepare env st pp ~digest
-    end
-  end
-  else begin
-    Common.charge_verify env 1;
     charge_client_auth env st (List.length pp.batch);
-    if preprepare_plausible st pp && Validation.verify_preprepare st.prep_lookup pp
-    then accept_preprepare env st pp ~digest:(Message.digest_of_batch pp.batch)
+    let digest = Message.digest_of_batch pp.batch in
+    if Common.verify_preprepare env st.prep_lookup pp ~digest then
+      accept_preprepare env st pp ~digest
   end
 
 (* Prepares are duplicated into this compartment's input log (P3). *)
 let on_prepare env st (p : Message.prepare) =
   if p.view = st.view && Log.ahead_of_window st.preprepares p.seq then
     park_ahead st (Message.Prepare p)
-  else if Config.hotpath st.cfg then begin
-    if
-      p.view = st.view
-      && in_window st p.seq
-      && (not (Votes.mem st.prepares ~key:p.seq ~sender:p.sender))
-      && Common.verify_prepare_c env st.prep_lookup p
-    then ignore (Votes.add st.prepares ~key:p.seq ~sender:p.sender p)
-  end
-  else begin
-    Common.charge_verify env 1;
-    if p.view = st.view && in_window st p.seq && Validation.verify_prepare st.prep_lookup p
-    then ignore (Votes.add st.prepares ~key:p.seq ~sender:p.sender p)
-  end
+  else if
+    p.view = st.view
+    && in_window st p.seq
+    && (not (Votes.mem st.prepares ~key:p.seq ~sender:p.sender))
+    && Common.verify_prepare env st.prep_lookup p
+  then ignore (Votes.add st.prepares ~key:p.seq ~sender:p.sender p)
 
 (* Re-inject messages that were ahead of the window before it slid; any
    still ahead simply re-park. *)
@@ -446,17 +430,9 @@ let maybe_send_newview env st target =
 
 let on_viewchange env st (vc : Message.viewchange) =
   let deep_ok =
-    if Config.hotpath st.cfg then
-      vc.vc_new_view >= st.view
-      && Common.verify_viewchange_deep_c env ~f:(Config.f st.cfg)
-           ~vc_lookup:st.conf_lookup ~ckpt_lookup:st.exec_lookup
-           ~proof_lookup:st.prep_lookup vc
-    else begin
-      Common.charge_verify env (Proofs.viewchange_sig_count vc);
-      vc.vc_new_view >= st.view
-      && Validation.verify_viewchange_deep ~f:(Config.f st.cfg) ~vc_lookup:st.conf_lookup
-           ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup vc
-    end
+    vc.vc_new_view >= st.view
+    && Common.verify_viewchange_deep env ~f:(Config.f st.cfg) ~vc_lookup:st.conf_lookup
+         ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup vc
   in
   if deep_ok then begin
     if Votes.add st.viewchanges ~key:vc.vc_new_view ~sender:vc.vc_sender vc then
@@ -464,35 +440,21 @@ let on_viewchange env st (vc : Message.viewchange) =
   end
 
 (* Handler (7): full NewView validation — including recomputing the
-   re-issued PrePrepares, the logic the paper notes is repeated here.  On
-   the hot path the deep re-check of each embedded ViewChange resolves
-   through the verified-digest cache: a quorum already deep-verified on
-   individual arrival costs one cache lookup per ViewChange. *)
+   re-issued PrePrepares, the logic the paper notes is repeated here.  Each
+   embedded ViewChange is deep-checked in full, even if this compartment
+   already verified it on individual arrival. *)
 let on_newview env st (nv : Message.newview) =
   let f = Config.f st.cfg in
   let valid =
-    if Config.hotpath st.cfg then
-      nv.nv_view >= st.view
-      && nv.nv_sender = Config.primary_of_view st.cfg nv.nv_view
-      && nv.nv_sender <> st.cfg.id
-      && List.length nv.nv_viewchanges >= Config.quorum st.cfg
-      && Common.verify_newview_c env st.prep_lookup nv
-      && List.for_all
-           (Common.verify_viewchange_deep_c env ~f ~vc_lookup:st.conf_lookup
-              ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup)
-           nv.nv_viewchanges
-    else begin
-      Common.charge_verify env (Proofs.newview_sig_count nv);
-      nv.nv_view >= st.view
-      && nv.nv_sender = Config.primary_of_view st.cfg nv.nv_view
-      && nv.nv_sender <> st.cfg.id
-      && Validation.verify_newview st.prep_lookup nv
-      && List.length nv.nv_viewchanges >= Config.quorum st.cfg
-      && List.for_all
-           (Validation.verify_viewchange_deep ~f ~vc_lookup:st.conf_lookup
-              ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup)
-           nv.nv_viewchanges
-    end
+    nv.nv_view >= st.view
+    && nv.nv_sender = Config.primary_of_view st.cfg nv.nv_view
+    && nv.nv_sender <> st.cfg.id
+    && List.length nv.nv_viewchanges >= Config.quorum st.cfg
+    && Common.verify_newview env st.prep_lookup nv
+    && List.for_all
+         (Common.verify_viewchange_deep env ~f ~vc_lookup:st.conf_lookup
+            ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup)
+         nv.nv_viewchanges
   in
   if valid then begin
     let _min_s, max_s, expected =
@@ -567,8 +529,7 @@ let handle env st ~byz (input : Wire.input) =
       | Message.Viewchange vc -> on_viewchange env st vc
       | Message.Newview nv -> on_newview env st nv
       | Message.Checkpoint ck ->
-        Common.on_checkpoint env ~hotpath:(Config.hotpath st.cfg)
-          ~exec_lookup:st.exec_lookup st.ckpt ck
+        Common.on_checkpoint env ~exec_lookup:st.exec_lookup st.ckpt ck
           ~on_stable:(fun stable ->
             gc st stable;
             (* The window just slid forward: re-drive any batch that was

@@ -32,8 +32,7 @@ let create ?(prep_byz = Preparation.Prep_honest) ?(conf_byz = Confirmation.Conf_
     let workers =
       match compartment with Ids.Execution -> cfg.exec_workers | _ -> 1
     in
-    Enclave.create platform ~verify_cache_capacity:cfg.verify_cache_capacity
-      ~workers
+    Enclave.create platform ~workers
       ~name:
         (Printf.sprintf "replica%d-%s" cfg.id (Ids.compartment_name compartment))
       ~measurement:(Enclave_identity.of_compartment compartment)

@@ -333,22 +333,19 @@ let print_batch_ablation points =
              Printf.sprintf "%.1f" p.ab_ecall_us_per_req ])
          points)
 
-(* ----- hotpath ablation: verified-digest cache on/off x batch size ----- *)
+(* ----- hotpath sweep: batch size, churn and detectors ----- *)
 
 type hotpath_point = {
   hp_label : string;
   hp_batch : int;
-  hp_cache : bool;
   hp_churn : bool;
   hp_tput : float;
   hp_ecall_us_per_req : float;
-  hp_cache_hits : float;
-  hp_cache_misses : float;
   hp_copy_bytes : float;
   hp_retx_suppressed : float;
 }
 
-let hotpath_point ?(detect = false) ~batch ~cache ~churn () =
+let hotpath_point ?(detect = false) ~batch ~churn () =
   let executed_at_warmup = ref 0 in
   let at_warmup cluster =
     (match leader_split cluster with
@@ -359,9 +356,8 @@ let hotpath_point ?(detect = false) ~batch ~cache ~churn () =
     if churn then begin
       (* Crash the view-0 primary right after warmup: the cluster view-
          changes under load and the host later restarts and catches up via
-         state transfer — the paths on which verification results are
-         legitimately reused (view-change proofs, checkpoint certificates,
-         client retransmissions). *)
+         state transfer — the paths that re-verify view-change proofs and
+         checkpoint certificates and replay client retransmissions. *)
       Cluster.crash_host cluster 0;
       ignore
         (Splitbft_sim.Engine.schedule (Cluster.engine cluster) ~delay:900_000.0
@@ -369,7 +365,7 @@ let hotpath_point ?(detect = false) ~batch ~cache ~churn () =
     end
   in
   let params =
-    { (Cluster.default_params (Proto_splitbft.make ~verify_cache:cache ())) with
+    { (Cluster.default_params (Proto_splitbft.make ())) with
       Cluster.batch_size = batch;
       batch_timeout_us = 10_000.0;
       seed = 71L }
@@ -387,8 +383,8 @@ let hotpath_point ?(detect = false) ~batch ~cache ~churn () =
   let per_req =
     (* Leader-side ecall time per executed request, as in the batch
        ablation.  In churn arms the view-0 leader spends part of the run
-       crashed; the number is still deterministic and comparable between
-       the cache arms, which is all the regression gate needs. *)
+       crashed; the number is still deterministic, which is all the
+       regression gate needs. *)
     match leader_split cluster with
     | Some replica ->
       let executed = max 1 (S.executed_count replica - !executed_at_warmup) in
@@ -402,46 +398,36 @@ let hotpath_point ?(detect = false) ~batch ~cache ~churn () =
   let obs = Cluster.obs cluster in
   let sum prefix = Splitbft_obs.Registry.sum obs ~prefix in
   { hp_label =
-      Printf.sprintf "batch%d%s%s%s" batch
-        (if cache then "" else "-nocache")
+      Printf.sprintf "batch%d%s%s" batch
         (if churn then "-churn" else "")
         (if detect then "-detect" else "");
     hp_batch = batch;
-    hp_cache = cache;
     hp_churn = churn;
     hp_tput = r.Workload.throughput_ops;
     hp_ecall_us_per_req = per_req;
-    hp_cache_hits = sum "tee.verify_cache_hits";
-    hp_cache_misses = sum "tee.verify_cache_misses";
     hp_copy_bytes = sum "tee.copy_bytes";
     hp_retx_suppressed = sum "broker.retx" }
 
 let hotpath ?(batches = [ 1; 50; 200 ]) () =
-  List.concat_map
-    (fun cache ->
-      List.map (fun batch -> hotpath_point ~batch ~cache ~churn:false ()) batches
-      @ [ hotpath_point ~batch:200 ~cache ~churn:true () ]
+  List.map (fun batch -> hotpath_point ~batch ~churn:false ()) batches
+  @ [ hotpath_point ~batch:200 ~churn:true ();
       (* detectors-on twin of the saturated batch200 point: the CI gate
          holds its throughput within 3% of the plain one *)
-      @ (if cache then [ hotpath_point ~detect:true ~batch:200 ~cache ~churn:false () ] else []))
-    [ true; false ]
+      hotpath_point ~detect:true ~batch:200 ~churn:false () ]
 
 let print_hotpath points =
   Table.print
     ~title:
-      "Hotpath ablation — verified-digest cache on/off (SplitBFT KVS, 40x40 clients; \
-       churn = primary crash + view change + recovery)"
+      "Hotpath sweep (SplitBFT KVS, 40x40 clients; churn = primary crash + view \
+       change + recovery; detect = flight recorder + anomaly detector)"
     ~header:
-      [ "point"; "throughput"; "ecall us/req"; "cache hits"; "misses"; "copy MB";
-        "retx early-rejects" ]
+      [ "point"; "throughput"; "ecall us/req"; "copy MB"; "retx early-rejects" ]
     ~rows:
       (List.map
          (fun p ->
            [ p.hp_label;
              Table.ops p.hp_tput;
              Printf.sprintf "%.1f" p.hp_ecall_us_per_req;
-             Printf.sprintf "%.0f" p.hp_cache_hits;
-             Printf.sprintf "%.0f" p.hp_cache_misses;
              Printf.sprintf "%.1f" (p.hp_copy_bytes /. 1e6);
              Printf.sprintf "%.0f" p.hp_retx_suppressed ])
          points)
@@ -667,12 +653,9 @@ let json_of_hotpath points =
          Json.Obj
            [ ("label", Json.Str p.hp_label);
              ("batch", Json.Int p.hp_batch);
-             ("cache", Json.Bool p.hp_cache);
              ("churn", Json.Bool p.hp_churn);
              ("throughput_ops", num p.hp_tput);
              ("ecall_us_per_request", num p.hp_ecall_us_per_req);
-             ("verify_cache_hits", num p.hp_cache_hits);
-             ("verify_cache_misses", num p.hp_cache_misses);
              ("copy_bytes", num p.hp_copy_bytes);
              ("retx_early_rejects", num p.hp_retx_suppressed) ])
        points)

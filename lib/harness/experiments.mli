@@ -88,24 +88,20 @@ val batch_ablation : ?batches:int list -> ?duration_us:float -> unit -> ablation
 
 val print_batch_ablation : ablation_point list -> unit
 
-(** {2 Hotpath ablation — verified-digest cache on/off}
+(** {2 Hotpath sweep}
 
     The perf-regression gate's pinned sweep ([bench hotpath]): saturated
-    SplitBFT-KVS points across batch sizes with the enclaves' hot-path
-    layer (verified-digest cache, lazy verification, broker retransmit
-    early-reject) enabled and disabled, plus a churn point (primary crash,
-    view change, crash-recovery) that exercises the paths on which
-    verification results are legitimately reused. *)
+    SplitBFT-KVS points across batch sizes, a churn point (primary crash,
+    view change, crash-recovery) that exercises view-change and
+    state-transfer verification and the broker's retransmit early-reject,
+    and a detectors-on twin of the batch-200 point. *)
 
 type hotpath_point = {
   hp_label : string;  (** stable key the regression gate matches on *)
   hp_batch : int;
-  hp_cache : bool;
   hp_churn : bool;
   hp_tput : float;
   hp_ecall_us_per_req : float;
-  hp_cache_hits : float;  (** summed [tee.verify_cache_hits] *)
-  hp_cache_misses : float;
   hp_copy_bytes : float;  (** summed [tee.copy_bytes] *)
   hp_retx_suppressed : float;  (** broker early-rejected retransmissions *)
 }

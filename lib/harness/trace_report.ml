@@ -34,7 +34,6 @@ type t = {
   ecall_spans : int;
   ecall_total_us : float;
   ecall_copied_bytes : float;
-  ecall_cache_hits : float;
   phases : phase list;
 }
 
@@ -102,14 +101,12 @@ let analyze tracer =
   let ecall_spans = ref 0 in
   let ecall_total = ref 0.0 in
   let ecall_copied = ref 0.0 in
-  let ecall_cache_hits = ref 0.0 in
   List.iter
     (fun (s : Tracer.span) ->
       if String.equal s.cat "enclave" then begin
         incr ecall_spans;
         ecall_total := !ecall_total +. arg s "total_us";
-        ecall_copied := !ecall_copied +. arg s "copied_bytes";
-        ecall_cache_hits := !ecall_cache_hits +. arg s "cache_hits"
+        ecall_copied := !ecall_copied +. arg s "copied_bytes"
       end;
       let key = (s.cat, s.name) in
       let dur = Float.max 0.0 s.dur in
@@ -155,7 +152,6 @@ let analyze tracer =
     ecall_spans = !ecall_spans;
     ecall_total_us = !ecall_total;
     ecall_copied_bytes = !ecall_copied;
-    ecall_cache_hits = !ecall_cache_hits;
     phases }
 
 (* ----- reconciliation against the registry ----- *)
@@ -188,16 +184,6 @@ let reconcile report registry =
       (Printf.sprintf
          "span-attributed copied bytes %.0f != registry tee.copy_bytes %.0f"
          report.ecall_copied_bytes copy_bytes)
-  else if
-    not
-      (close report.ecall_cache_hits
-         (Registry.sum registry ~prefix:"tee.verify_cache_hits"))
-  then
-    Error
-      (Printf.sprintf
-         "span-attributed cache hits %.0f != registry tee.verify_cache_hits %.0f"
-         report.ecall_cache_hits
-         (Registry.sum registry ~prefix:"tee.verify_cache_hits"))
   else Ok ()
 
 (* ----- rendering ----- *)
@@ -259,7 +245,6 @@ let to_json report =
       ("ecall_spans", Json.Int report.ecall_spans);
       ("ecall_total_us", Json.Float report.ecall_total_us);
       ("ecall_copied_bytes", Json.Float report.ecall_copied_bytes);
-      ("ecall_cache_hits", Json.Float report.ecall_cache_hits);
       ("phases", Json.List (List.map phase_json report.phases)) ]
 
 (* ----- Trace Event JSON validation (the CI gate) ----- *)

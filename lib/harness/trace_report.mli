@@ -36,8 +36,6 @@ type t = {
   ecall_spans : int;
   ecall_total_us : float;
   ecall_copied_bytes : float;
-  ecall_cache_hits : float;
-      (** verified-digest cache hits summed over enclave spans *)
   phases : phase list;  (** sorted by [total_dur_us], descending *)
 }
 
@@ -46,8 +44,7 @@ val analyze : Splitbft_obs.Tracer.t -> t
 val reconcile : t -> Splitbft_obs.Registry.t -> (unit, string) result
 (** Checks span-attributed enclave cost against the registry aggregates:
     ecall span count vs [tee.ecalls], summed [total_us] args vs
-    [tee.ecall_us], summed [copied_bytes] vs [tee.copy_bytes], summed
-    [cache_hits] vs [tee.verify_cache_hits].  Exact only when the tracer
+    [tee.ecall_us], summed [copied_bytes] vs [tee.copy_bytes].  Exact only when the tracer
     ran with [sample_every = 1] and [record_orphans = true]. *)
 
 val print : ?max_phases:int -> t -> unit

@@ -4,6 +4,7 @@ module Addr = Splitbft_types.Addr
 module Message = Splitbft_types.Message
 module Sconfig = Splitbft_core.Config
 module Replica = Splitbft_core.Replica
+module Broker = Splitbft_core.Broker
 module Confirmation = Splitbft_core.Confirmation
 module Client = Splitbft_client.Client
 module Kvs = Splitbft_app.Kvs
@@ -101,16 +102,24 @@ let suppressed t label =
     fired >= budget_for t kind
 
 (* Deterministic network adversary used by the mutation self-test: steer
-   the run through two view changes by (1) hiding view-0 Commits from
-   everyone but replica 0, so only it executes before the first view
-   change, (2) killing view 1's Prepares, forcing a second view change
-   whose ViewChanges are built from view 1's entry state, and (3) keeping
-   request ts=1 away from replica 2, the eventual view-2 primary, so a
-   cert-less new-view (the re-introduced PR-3 bug) makes it propose a
-   conflicting batch at seq 1. *)
+   the run through two view changes by (1) hiding view 0's Commits from
+   everyone but replica 0, and even from it at seqs above 1, so replica 0
+   alone executes ts=1 (at seq 1) before the first view change while
+   ts=2 stays prepared but unexecuted everywhere, (2) killing view 1's
+   Prepares, forcing a second view change whose ViewChanges are built
+   from view 1's entry state, and (3) keeping request ts=1 away from
+   replica 2, the eventual view-2 primary, so a cert-less new-view (the
+   re-introduced view-change bug) makes it propose ts=2 at seq 1.
+
+   Holding ts=2 back from replica 0 keeps its suspect timer in play: a
+   broker answers a retransmission of a request it already replied to
+   from its reply cache without arming the timer, so a replica 0 that
+   had executed both requests would never suspect anyone, and one
+   suspect fire per replica could no longer push the cluster to view 2. *)
 let lossy_viewchange_filter ~src:_ ~dst payload =
   match Message.decode_traced payload with
-  | Ok (Message.Commit { view = 0; _ }, _) when dst <> Addr.replica 0 -> Network.Drop
+  | Ok (Message.Commit { view = 0; seq; _ }, _) when dst <> Addr.replica 0 || seq <> 1 ->
+    Network.Drop
   | Ok (Message.Prepare { view = 1; _ }, _) -> Network.Drop
   | Ok (Message.Request { timestamp = 1L; _ }, _) when dst = Addr.replica 2 -> Network.Drop
   | _ -> Network.Deliver
@@ -123,10 +132,6 @@ let replica_config cfg id =
     suspect_timeout_us = 5_000.0;
     viewchange_timeout_us = 10_000.0;
     recovery_retry_us = 5_000.0;
-    (* Hot-path caching off: verification short-cuts depend on arrival
-       history, which would make replica behavior schedule-sensitive in
-       ways the fingerprint does not capture. *)
-    verify_cache_capacity = 0;
     lanes = 1;
     exec_workers = 1 }
 
@@ -332,12 +337,13 @@ let independent a b =
   else if a.host <> b.host then true
   else a.lane >= 0 && b.lane >= 0 && a.lane <> b.lane
 
-(* A canonical digest of everything schedule-visible: compartment probe
-   state, executed logs, persisted storage, client progress, in-flight
-   choices (label + payload digest, times excluded) and the budget
-   counters.  Virtual times and event seqnos are deliberately excluded so
-   interleavings that converge to the same protocol state collide. *)
-let fingerprint t =
+(* A canonical text of everything schedule-visible: compartment probe
+   state, executed logs, persisted storage, the brokers' reply-cache and
+   inflight keys, client progress, in-flight choices (label + payload
+   digest, times excluded) and the budget counters.  Virtual times and
+   event seqnos are deliberately excluded so interleavings that converge
+   to the same protocol state collide. *)
+let state_text t =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   Array.iteri
@@ -364,7 +370,17 @@ let fingerprint t =
           Buffer.add_string pb (Digest.to_hex (Digest.string data));
           Buffer.add_char pb ';')
         (List.sort compare blobs);
-      add "S%d:%s;" (List.length blobs) (Digest.to_hex (Digest.string (Buffer.contents pb))))
+      add "S%d:%s;" (List.length blobs) (Digest.to_hex (Digest.string (Buffer.contents pb)));
+      (* The broker answers a retransmission from its reply cache and drops
+         one whose request is inflight, so both key sets decide what a
+         replica does next.  The reply cache's recency order only picks
+         eviction victims, which it stays far too small to need here, but
+         it is cheap to keep exact. *)
+      let broker = Replica.broker r in
+      add "B%d:rc=%s;in=%s;" i
+        (String.concat "," (Broker.reply_cache_keys broker))
+        (String.concat ","
+           (List.map (fun (c, ts) -> Printf.sprintf "%d:%Ld" c ts) (Broker.inflight_keys broker))))
     t.replicas;
   add "cl:%b,%d,%d,%d,%d;" (Client.is_ready t.client) t.completed t.wrong
     (Client.outstanding t.client) t.wire_leaks;
@@ -377,7 +393,9 @@ let fingerprint t =
   Hashtbl.fold (fun l k acc -> (l, k) :: acc) t.fired []
   |> List.sort compare
   |> List.iter (fun (l, k) -> add "t%s=%d;" l k);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Buffer.contents b
+
+let fingerprint t = Digest.to_hex (Digest.string (state_text t))
 
 (* Replicas whose Execution compartment runs the honest program; their
    executed logs and replies are the ones SplitBFT's containment claim

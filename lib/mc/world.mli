@@ -10,9 +10,12 @@
 
     Soundness of treating replica behavior as schedule-determined: the
     configuration forces jitter/drops/bandwidth to zero, one lane, one
-    Execution worker, batch size 1 and the verification cache off, so
-    compartment transitions depend only on message arrival {e order} —
-    exactly what the scheduler controls — never on virtual time. *)
+    Execution worker and batch size 1, so compartment transitions depend
+    only on message arrival {e order} — exactly what the scheduler
+    controls — never on virtual time.  The replicas otherwise run the
+    configuration that ships: the broker's reply cache and inflight
+    suppression, PrePrepare body elision and the cheap-checks-first
+    verification order are all on. *)
 
 type timer_budgets = { suspect : int; retry : int; batch : int; recovery : int }
 (** Per-label fire budgets for the self-rearming timers; budgets make the
@@ -85,9 +88,15 @@ val independent : choice -> choice -> bool
     host with distinct non-negative lanes. *)
 
 val fingerprint : t -> string
-(** Canonical state digest — probes, executed logs, persisted storage,
-    client progress, pending choices, budget counters; virtual times
-    excluded — for visited-state pruning. *)
+(** Canonical state digest — the digest of {!state_text} — for
+    visited-state pruning. *)
+
+val state_text : t -> string
+(** The canonical text {!fingerprint} digests: probes, executed logs,
+    persisted storage, each broker's reply-cache and inflight keys, client
+    progress, pending choices, budget counters; virtual times excluded.
+    Two states share a fingerprint exactly when their texts are equal, so
+    diffing the texts explains a collision. *)
 
 val check : ?terminal:bool -> t -> string option
 (** The safety invariants, as a violation description or [None]:

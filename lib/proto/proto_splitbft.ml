@@ -1,8 +1,7 @@
 (* SplitBFT (the paper's compartmentalized protocol) as a
    [Protocol_intf.PROTOCOL] instance.  All SplitBFT-only deployment knobs
-   live here: broker threading, the verified-digest cache (and with it the
-   whole hot-path layer), consensus lanes, the Execution worker pool, and
-   per-replica byzantine-enclave placement. *)
+   live here: broker threading, consensus lanes, the Execution worker pool,
+   the storage layer, and per-replica byzantine-enclave placement. *)
 
 module R = Splitbft_core.Replica
 module Config = Splitbft_core.Config
@@ -22,7 +21,7 @@ let honest_enclaves =
 
 type Protocol_intf.witness += Splitbft of R.t
 
-let make ?(threading = Config.Per_enclave) ?(verify_cache = true) ?(lanes = 1)
+let make ?(threading = Config.Per_enclave) ?(lanes = 1)
     ?(exec_workers = 1) ?(segment_entries = 0)
     ?(byz = fun (_ : Ids.replica_id) -> honest_enclaves) () : Protocol_intf.t =
   (module struct
@@ -42,7 +41,6 @@ let make ?(threading = Config.Per_enclave) ?(verify_cache = true) ?(lanes = 1)
         batch_timeout_us = s.batch_timeout_us;
         checkpoint_interval = s.checkpoint_interval;
         suspect_timeout_us = s.suspect_timeout_us;
-        verify_cache_capacity = (if verify_cache then 1024 else 0);
         lanes;
         exec_workers;
         segment_entries }

@@ -4,7 +4,6 @@ type t = {
   copy_per_byte_us : float;
   sign_us : float;
   verify_us : float;
-  cache_ref_us : float;
   client_auth_us : float;
   reply_auth_us : float;
   decrypt_request_us : float;
@@ -25,7 +24,6 @@ let default =
     copy_per_byte_us = 0.010;
     sign_us = 25.0;
     verify_us = 65.0;
-    cache_ref_us = 0.2;
     client_auth_us = 2.5;
     reply_auth_us = 1.0;
     decrypt_request_us = 0.5;
@@ -50,7 +48,6 @@ let free =
     copy_per_byte_us = 0.0;
     sign_us = 0.0;
     verify_us = 0.0;
-    cache_ref_us = 0.0;
     client_auth_us = 0.0;
     reply_auth_us = 0.0;
     decrypt_request_us = 0.0;

@@ -19,10 +19,6 @@ type t = {
           including (de)serialization at the boundary *)
   sign_us : float;  (** Ed25519-class signature creation *)
   verify_us : float;  (** Ed25519-class signature verification *)
-  cache_ref_us : float;
-      (** hit in the in-enclave verified-digest cache: one bounded-LRU
-          lookup over in-EPC memory, replacing a [verify_us]-class
-          re-verification of an already-proven signature *)
   client_auth_us : float;  (** HMAC verification of one client request *)
   reply_auth_us : float;  (** HMAC + encryption of one client reply *)
   decrypt_request_us : float;  (** AEAD open of one client request *)

@@ -21,7 +21,6 @@ type env = {
   mutable cat_io : float;
   mutable cat_ocall_transitions : float;
   mutable ocalls : int;
-  mutable call_cache_hits : int;
   (* Worker-pool plumbing, valid only while an ecall is executing: the
      caller's output sink (so deferred task outputs reach the same
      destination as the ecall's own outputs) and the transition span's
@@ -58,21 +57,18 @@ and t = {
   mutable total_us : float;
   mutable durations : Stats.t;
   quote_encoded : string;
-  cache : Verify_cache.t;
   pool : pool option;
   c_ecalls : Registry.counter;
   c_ecalls_aborted : Registry.counter;
   c_ecall_us : Registry.counter;
   c_copy_bytes : Registry.counter;
-  c_cache_hits : Registry.counter;
-  c_cache_misses : Registry.counter;
   h_ecall_us : Registry.histogram;
 }
 
 and handler = string -> unit
 and program = env -> handler
 
-let create ?(verify_cache_capacity = 0) ?(workers = 1) platform ~name ~measurement
+let create ?(workers = 1) platform ~name ~measurement
     ~cost_model ~key_seed ~program =
   if workers <= 0 then invalid_arg "Enclave.create: workers must be positive";
   let keypair = Signature.derive ~seed:key_seed in
@@ -110,14 +106,11 @@ let create ?(verify_cache_capacity = 0) ?(workers = 1) platform ~name ~measureme
       total_us = 0.0;
       durations = Stats.create ();
       quote_encoded = Attestation.encode quote;
-      cache = Verify_cache.create ~capacity:verify_cache_capacity;
       pool;
       c_ecalls = Registry.counter obs ~labels "tee.ecalls";
       c_ecalls_aborted = Registry.counter obs ~labels "tee.ecalls_aborted";
       c_ecall_us = Registry.counter obs ~labels "tee.ecall_us";
       c_copy_bytes = Registry.counter obs ~labels "tee.copy_bytes";
-      c_cache_hits = Registry.counter obs ~labels "tee.verify_cache_hits";
-      c_cache_misses = Registry.counter obs ~labels "tee.verify_cache_misses";
       h_ecall_us = Registry.histogram obs ~labels "tee.ecall_duration_us" }
   in
   t.env <-
@@ -133,7 +126,6 @@ let create ?(verify_cache_capacity = 0) ?(workers = 1) platform ~name ~measureme
         cat_io = 0.0;
         cat_ocall_transitions = 0.0;
         ocalls = 0;
-        call_cache_hits = 0;
         deferred_sink = None;
         ecall_out_ctx = None };
   t
@@ -219,7 +211,6 @@ let ecall t ~thread ?ctx ~payload ~on_done () =
     env.cat_io <- 0.0;
     env.cat_ocall_transitions <- 0.0;
     env.ocalls <- 0;
-    env.call_cache_hits <- 0;
     let span = match tracer with Some tr -> open_ecall_span t tr ctx | None -> None in
     env.deferred_sink <- Some on_done;
     env.ecall_out_ctx <- (match span with Some (_, c) -> Some c | None -> None);
@@ -257,7 +248,6 @@ let ecall t ~thread ?ctx ~payload ~on_done () =
       Tracer.add_arg tr id "io_us" env.cat_io;
       Tracer.add_arg tr id "other_us"
         (Float.max 0.0 (env.pending_charge -. categorized));
-      Tracer.add_arg tr id "cache_hits" (float_of_int env.call_cache_hits);
       Tracer.add_arg tr id "total_us" cost
     | _ -> ());
     env.pending_charge <- 0.0;
@@ -284,10 +274,8 @@ let restart t ~program =
   t.subverted <- false;
   t.program <- program;
   t.handler <- None;
-  (* Enclave memory does not survive teardown: the verified-digest cache
-     restarts cold, like every other in-enclave structure — including the
-     worker pool's conflict horizons. *)
-  Verify_cache.clear t.cache;
+  (* Enclave memory does not survive teardown: the worker pool's conflict
+     horizons restart empty, like every other in-enclave structure. *)
   match t.pool with
   | None -> ()
   | Some p ->
@@ -338,25 +326,6 @@ let charge_io env us =
 
 let cost_model env = env.enclave.cost_model
 
-let cache_enabled env = Verify_cache.capacity env.enclave.cache > 0
-
-let cache_find env key =
-  if not (cache_enabled env) then None
-  else
-    match Verify_cache.find env.enclave.cache key with
-    | Some v ->
-      env.call_cache_hits <- env.call_cache_hits + 1;
-      Registry.incr env.enclave.c_cache_hits;
-      charge_crypto env env.enclave.cost_model.cache_ref_us;
-      Some v
-    | None ->
-      Registry.incr env.enclave.c_cache_misses;
-      None
-
-let cache_add env key value =
-  if cache_enabled env then Verify_cache.add env.enclave.cache key value
-
-let verify_cache t = t.cache
 let emit env payload = env.pending_outputs <- payload :: env.pending_outputs
 
 let ocall env ?(cost = 0.0) payload =

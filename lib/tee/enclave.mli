@@ -27,7 +27,6 @@ type program = env -> handler
 (** Called once per (re)start; state lives in the returned closure. *)
 
 val create :
-  ?verify_cache_capacity:int ->
   ?workers:int ->
   Platform.t ->
   name:string ->
@@ -37,9 +36,7 @@ val create :
   program:program ->
   t
 (** The enclave's protocol keypair derives deterministically from
-    [key_seed].  [verify_cache_capacity] bounds the in-enclave
-    verified-digest cache ({!Verify_cache}); 0 (the default) disables
-    it.  [workers] (default 1) sizes the in-enclave worker pool used by
+    [key_seed].  [workers] (default 1) sizes the in-enclave worker pool used by
     {!pool_run}; at 1 there is no pool and {!pool_run} degenerates to
     running its task inline, reproducing single-threaded cost accounting
     exactly. *)
@@ -123,30 +120,6 @@ val charge_io : env -> float -> unit
 (** [charge], attributed to storage/ledger work performed outside. *)
 
 val cost_model : env -> Cost_model.t
-
-(** {2 Verified-digest cache}
-
-    A bounded LRU in enclave memory recording facts this enclave has
-    already paid trusted crypto to establish.  Only the program inserts
-    (and only after a successful verification), so the untrusted world
-    cannot poison it; a hit charges {!Cost_model.t.cache_ref_us} instead
-    of the avoided crypto and is metered as [tee.verify_cache_hits]
-    (per-span arg [cache_hits], reconciled by [Harness.Trace_report]). *)
-
-val cache_enabled : env -> bool
-
-val cache_find : env -> string -> string option
-(** On a hit: promotes the entry, charges one cache reference (attributed
-    to crypto) and counts [tee.verify_cache_hits].  On a miss (or with the
-    cache disabled): returns [None]; misses on an enabled cache count
-    [tee.verify_cache_misses]. *)
-
-val cache_add : env -> string -> string -> unit
-(** Records a fact.  Call strictly after the verification it memoizes
-    succeeded. *)
-
-val verify_cache : t -> Verify_cache.t
-(** The enclave's cache, for tests and introspection. *)
 
 val emit : env -> string -> unit
 (** Queues an output returned to the caller when the ecall completes

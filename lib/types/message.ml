@@ -238,13 +238,11 @@ let request_auth_bytes (r : request) =
 
 let digest_of_request r = Sha256.digest (encode_request r)
 
-let batch_preimage batch =
+let digest_of_batch batch =
   let w = W.create () in
   W.raw w "batch";
   List.iter (write_request w) batch;
-  W.contents w
-
-let digest_of_batch batch = Sha256.digest (batch_preimage batch)
+  Sha256.digest (W.contents w)
 
 (* ----- preprepare ----- *)
 

@@ -214,10 +214,6 @@ val type_name : t -> string
 val digest_of_request : request -> string
 val digest_of_batch : request list -> string
 
-val batch_preimage : request list -> string
-(** The exact bytes {!digest_of_batch} hashes — lets a caller memoize the
-    digest under a key it can build without hashing. *)
-
 val empty_batch_digest : string
 (** [digest_of_batch []], the digest of the no-op filler batch used to plug
     sequence-number gaps in a NewView. *)

@@ -1,8 +1,8 @@
 (* Bounded LRU map: hash table plus an intrusive doubly-linked recency
    list, so find/add/evict are all O(1) and memory is strictly bounded by
-   the capacity.  Used inside the enclaves (verified-digest cache) and by
-   the untrusted broker (retransmit reply cache), so it must not allocate
-   proportionally to the history it has seen. *)
+   the capacity.  Used by the untrusted broker (retransmit reply cache)
+   and the workload generator (client identity cache), so it must not
+   allocate proportionally to the history it has seen. *)
 
 type 'a node = {
   key : string;
@@ -55,8 +55,6 @@ let find t key =
     unlink t node;
     push_front t node;
     Some node.value
-
-let mem t key = find t key <> None
 
 let evict_last t =
   match t.last with

@@ -1,16 +1,14 @@
 (** Bounded least-recently-used map with O(1) find/add/evict and strictly
     capacity-bounded memory.
 
-    Shared by the enclaves' verified-digest caches (inside the trust
-    boundary) and the broker's retransmit reply cache (outside it); both
-    run on hot paths of unbounded-length executions, so the structure must
-    never grow with history. *)
+    Backs the broker's retransmit reply cache and the workload generator's
+    client identity cache; both run on hot paths of unbounded-length
+    executions, so the structure must never grow with history. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
-(** A capacity of [0] is legal and makes every operation a no-op miss
-    (the "cache disabled" configuration).  Raises [Invalid_argument] on
+(** A capacity of [0] is legal and makes every operation a no-op miss.  Raises [Invalid_argument] on
     negative capacity. *)
 
 val capacity : 'a t -> int
@@ -19,9 +17,6 @@ val length : 'a t -> int
 val find : 'a t -> string -> 'a option
 (** Promotes the entry to most-recently-used and counts a hit; absent
     keys count a miss. *)
-
-val mem : 'a t -> string -> bool
-(** [find <> None] — promotes and counts like {!find}. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Inserts or overwrites (promoting to most-recently-used), evicting the

@@ -332,6 +332,139 @@ let test_ledger_blocks_sealed_in_storage () =
   checkb "sealed blobs hide transactions" false
     (List.exists (fun (_, data) -> contains data "SENSITIVE") stored)
 
+(* ----- NewView validation inside each compartment -----
+
+   One enclave per compartment, driven by a single ecall carrying a
+   NewView for view 1 (primary: replica 1) built and signed here with the
+   deployment's enclave keys.  Accepting the NewView moves the
+   compartment's view to 1; rejecting it leaves view 0.  Each forgery is
+   re-signed by every enclave above it (the ViewChange's sender, the new
+   primary), as colluding compromised enclaves could, so only the
+   compartment's own check of the forged signature can catch it. *)
+
+module Keys = Splitbft_types.Keys
+module Signature = Splitbft_crypto.Signature
+
+let sign_as replica compartment bytes =
+  let kp = Signature.derive ~seed:(Keys.enclave_signing_seed replica compartment) in
+  Signature.sign kp.Signature.secret bytes
+
+let signed_vc (vc : Message.viewchange) =
+  { vc with
+    Message.vc_sig = sign_as vc.vc_sender Ids.Confirmation (Message.viewchange_signing_bytes vc) }
+
+(* View 0's prepare certificate for seq 1: the primary's PrePrepare plus
+   2f = 2 Prepares. *)
+let prepared_seq1 =
+  let digest = Message.digest_of_batch [] in
+  let pd = { Message.pd_view = 0; pd_seq = 1; pd_digest = digest; pd_sender = 0; pd_sig = "" } in
+  let pd =
+    { pd with pd_sig = sign_as 0 Ids.Preparation (Message.preprepare_digest_signing_bytes pd) }
+  in
+  let prepare sender =
+    let p = { Message.view = 0; seq = 1; digest; sender; p_sig = "" } in
+    { p with p_sig = sign_as sender Ids.Preparation (Message.prepare_signing_bytes p) }
+  in
+  { Message.proof_preprepare = pd; proof_prepares = [ prepare 1; prepare 2 ] }
+
+let honest_vc sender =
+  signed_vc
+    { Message.vc_new_view = 1;
+      vc_last_stable = 0;
+      vc_checkpoint_proof = [];
+      vc_prepared = [ prepared_seq1 ];
+      vc_sender = sender;
+      vc_sig = "" }
+
+let newview_of vcs =
+  let _, _, pds = Splitbft_consensus.Newview.compute ~view:1 ~sender:1 vcs in
+  let pds =
+    List.map
+      (fun (pd : Message.preprepare_digest) ->
+        { pd with
+          Message.pd_sig = sign_as 1 Ids.Preparation (Message.preprepare_digest_signing_bytes pd) })
+      pds
+  in
+  let nv =
+    { Message.nv_view = 1; nv_viewchanges = vcs; nv_preprepares = pds; nv_sender = 1; nv_sig = "" }
+  in
+  { nv with nv_sig = sign_as 1 Ids.Preparation (Message.newview_signing_bytes nv) }
+
+let honest_newview = newview_of (List.map honest_vc [ 0; 2; 3 ])
+
+(* Replica 3's ViewChange carries a Prepare that claims replica 2 but is
+   signed by replica 3's Preparation enclave. *)
+let forged_prepare_newview =
+  let forged_proof =
+    { prepared_seq1 with
+      Message.proof_prepares =
+        List.map
+          (fun (p : Message.prepare) ->
+            if p.sender = 2 then
+              { p with p_sig = sign_as 3 Ids.Preparation (Message.prepare_signing_bytes p) }
+            else p)
+          prepared_seq1.proof_prepares }
+  in
+  let vc3 = signed_vc { (honest_vc 3) with Message.vc_prepared = [ forged_proof ] } in
+  newview_of [ honest_vc 0; honest_vc 2; vc3 ]
+
+(* Replica 3's ViewChange is signed by replica 0's Confirmation enclave. *)
+let forged_vc_newview =
+  let vc3 = honest_vc 3 in
+  let vc3 =
+    { vc3 with Message.vc_sig = sign_as 0 Ids.Confirmation (Message.viewchange_signing_bytes vc3) }
+  in
+  newview_of [ honest_vc 0; honest_vc 2; vc3 ]
+
+(* The view a fresh compartment of replica 2 is in after one NewView. *)
+let view_after_newview compartment nv =
+  let engine = Engine.create ~seed:3L () in
+  let platform = Splitbft_tee.Platform.create engine ~id:2 in
+  let cfg = Config.default ~n:4 ~id:2 in
+  let program, view =
+    match compartment with
+    | Ids.Preparation ->
+      let program, probe = Preparation.make cfg in
+      (program, probe.Preparation.view)
+    | Ids.Confirmation ->
+      let program, probe = Confirmation.make cfg in
+      (program, probe.Confirmation.view)
+    | Ids.Execution ->
+      let program, probe = Execution.make cfg ~app:(fun () -> Kvs.create ()) in
+      (program, probe.Execution.view)
+  in
+  let enclave =
+    Enclave.create platform ~name:"replica2-under-test"
+      ~measurement:(Splitbft_types.Enclave_identity.of_compartment compartment)
+      ~cost_model:cfg.Config.cost
+      ~key_seed:(Keys.enclave_signing_seed 2 compartment)
+      ~program
+  in
+  Enclave.ecall enclave
+    ~thread:(Splitbft_sim.Resource.create engine ~name:"ecall")
+    ~payload:(Wire.encode_input (Wire.In_net (Message.Newview nv)))
+    ~on_done:ignore ();
+  Engine.run engine;
+  view ()
+
+let test_prep_rejects_forged_prepared_proof () =
+  checki "honest NewView accepted" 1 (view_after_newview Ids.Preparation honest_newview);
+  checki "forged Prepare in a prepared proof rejected" 0
+    (view_after_newview Ids.Preparation forged_prepare_newview);
+  (* Confirmation does not check embedded Prepares (§4), so it accepts the
+     same NewView: the forged Prepare is all that is wrong with it. *)
+  checki "confirmation accepts it" 1
+    (view_after_newview Ids.Confirmation forged_prepare_newview)
+
+let test_conf_exec_reject_forged_viewchange () =
+  List.iter
+    (fun compartment ->
+      let name = Ids.compartment_name compartment in
+      checki (name ^ ": honest NewView accepted") 1 (view_after_newview compartment honest_newview);
+      checki (name ^ ": forged ViewChange signature rejected") 0
+        (view_after_newview compartment forged_vc_newview))
+    [ Ids.Confirmation; Ids.Execution ]
+
 let suites =
   [ ( "splitbft",
       [ Alcotest.test_case "wire codec" `Quick test_wire_roundtrips;
@@ -349,4 +482,8 @@ let suites =
         Alcotest.test_case "corrupt exec beyond f" `Quick test_corrupt_exec_beyond_f_breaks_integrity;
         Alcotest.test_case "leaky exec" `Quick test_leaky_exec_exposes_plaintext;
         Alcotest.test_case "equivocating preparation" `Quick test_equivocating_prep_recovers_via_view_change;
-        Alcotest.test_case "sealed ledger blocks" `Quick test_ledger_blocks_sealed_in_storage ] ) ]
+        Alcotest.test_case "sealed ledger blocks" `Quick test_ledger_blocks_sealed_in_storage;
+        Alcotest.test_case "newview: preparation checks prepared proofs" `Quick
+          test_prep_rejects_forged_prepared_proof;
+        Alcotest.test_case "newview: conf/exec check viewchange sigs" `Quick
+          test_conf_exec_reject_forged_viewchange ] ) ]

@@ -174,6 +174,31 @@ let test_table2_counts () =
     ((find "Trusted Counter").Experiments.total_loc
     < (find "Preparation Enc.").Experiments.total_loc / 5)
 
+(* Table 2 as a gate: the paper measures its compartments by trusted-code
+   size, so no row may grow past the line count it had when the ceiling
+   was last set.  Lower a ceiling when a change shrinks its row; raise one
+   only for a change that says why it needs the extra trusted code. *)
+let table2_ceilings =
+  [ ("Preparation Enc.", 2124);
+    ("Confirmation Enc.", 1953);
+    ("Execution Enc.", 2619);
+    ("Untrusted Env.", 1272);
+    ("Trusted Counter", 58) ]
+
+let test_table2_ceilings () =
+  let rows = Experiments.table2 () in
+  checki "one ceiling per row" (List.length rows) (List.length table2_ceilings);
+  List.iter
+    (fun (component, ceiling) ->
+      match List.find_opt (fun r -> r.Experiments.component = component) rows with
+      | None -> Alcotest.failf "Table 2 has no %s row" component
+      | Some r ->
+        checkb
+          (Printf.sprintf "%s: %d lines <= %d" component r.Experiments.total_loc ceiling)
+          true
+          (r.Experiments.total_loc <= ceiling))
+    table2_ceilings
+
 let test_table_render () =
   let s = Table.render ~header:[ "a"; "bb" ] ~rows:[ [ "1"; "2" ]; [ "333"; "4" ] ] in
   checkb "has rule" true (String.length s > 0 && String.contains s '-');
@@ -200,5 +225,6 @@ let suites =
         Alcotest.test_case "partition then heal" `Slow test_partition_then_heal;
         Alcotest.test_case "scenario ids unique" `Quick test_scenario_ids_unique;
         Alcotest.test_case "table2 counts" `Quick test_table2_counts;
+        Alcotest.test_case "table2 ceilings" `Quick test_table2_ceilings;
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "format helpers" `Quick test_formatting_helpers ] ) ]

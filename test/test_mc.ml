@@ -183,6 +183,43 @@ let test_world_deterministic () =
   check Alcotest.bool "identical executed log" true (log1 = log2);
   check Alcotest.bool "walk made protocol progress" true (List.length fps1 > 10)
 
+let contains text sub =
+  let n = String.length text and m = String.length sub in
+  let rec at i = i + m <= n && (String.equal (String.sub text i m) sub || at (i + 1)) in
+  at 0
+
+let test_fingerprint_covers_broker_tables () =
+  (* A broker answers a retransmission from its reply cache and drops one
+     whose request is inflight, so two states that differ only in those
+     tables behave differently and must not share a fingerprint.  Walk
+     the happy path: the primary's inflight request must show up mid-run,
+     and every replica's cached reply at the end. *)
+  let cfg = { World.default_config with World.requests = 1; budgets = zero_budgets } in
+  let w = World.create cfg in
+  let saw_inflight = ref false in
+  let rec go () =
+    let text = World.state_text w in
+    check Alcotest.string "fingerprint digests the state text"
+      (Digest.to_hex (Digest.string text))
+      (World.fingerprint w);
+    if contains text "B0:rc=;in=0:1;" then saw_inflight := true;
+    match World.enabled w with
+    | [] -> ()
+    | c :: _ ->
+      World.apply w c;
+      go ()
+  in
+  go ();
+  check Alcotest.int "request completed" 1 (World.completed w);
+  check Alcotest.bool "primary's inflight key fingerprinted" true !saw_inflight;
+  let text = World.state_text w in
+  for i = 0 to 3 do
+    check Alcotest.bool
+      (Printf.sprintf "replica %d's reply-cache key fingerprinted" i)
+      true
+      (contains text (Printf.sprintf "B%d:rc=0:1;in=;" i))
+  done
+
 (* ----- Checker end-to-end ----- *)
 
 let quick_budget = { Driver.max_states = 400; max_depth = 120; max_wall_s = 30.0 }
@@ -321,6 +358,8 @@ let suites =
         Alcotest.test_case "schedule artifact round-trip" `Quick test_schedule_round_trip ] );
     ( "mc-checker",
       [ Alcotest.test_case "world is schedule-deterministic" `Quick test_world_deterministic;
+        Alcotest.test_case "fingerprint covers broker tables" `Quick
+          test_fingerprint_covers_broker_tables;
         Alcotest.test_case "no-fault bounded run clean" `Quick test_no_fault_clean;
         Alcotest.test_case "small scope exhausts (per-host granularity)" `Slow
           test_small_scope_exhausts;
