@@ -117,6 +117,16 @@ let micro_tests () =
       auth = String.make 32 'a' }
   in
   let encoded_request = Splitbft_types.Message.encode_request request in
+  (* 64 KiB: the size class of a late checkpoint image, which the seal
+     encrypts in one call. *)
+  let blob = String.init 65536 (fun i -> Char.chr (i land 0xff)) in
+  let blob_out = Bytes.create 65536 in
+  (* A store of 2,560 keys with the paper's 10-byte values (§6). *)
+  let kvs = Splitbft_app.Kvs.create () in
+  for i = 1 to 2560 do
+    let put = Splitbft_app.Kvs.Put (Printf.sprintf "key%d" i, "0123456789") in
+    ignore (kvs.Splitbft_app.State_machine.apply (Splitbft_app.Kvs.encode_op put))
+  done;
   let sim_events () =
     let engine = Splitbft_sim.Engine.create ~seed:7L () in
     for i = 1 to 100 do
@@ -151,6 +161,15 @@ let micro_tests () =
       Test.make ~name:"chacha20-256B"
         (Staged.stage (fun () ->
              ignore (Splitbft_crypto.Chacha20.encrypt ~key ~nonce payload)));
+      Test.make ~name:"chacha20-xor-64KiB"
+        (Staged.stage (fun () ->
+             Splitbft_crypto.Chacha20.encrypt_into ~key ~nonce blob ~src_off:0 blob_out ~dst_off:0
+               ~len:65536));
+      Test.make ~name:"aead-seal-64KiB-prepared"
+        (Staged.stage (fun () ->
+             ignore (Splitbft_crypto.Aead.encrypt_with aead_key ~nonce ~aad:"a" blob)));
+      Test.make ~name:"kvs-snapshot-2560"
+        (Staged.stage (fun () -> ignore (kvs.Splitbft_app.State_machine.snapshot ())));
       Test.make ~name:"aead-seal-open-256B"
         (Staged.stage (fun () ->
              let ct = Splitbft_crypto.Aead.encrypt ~key ~nonce ~aad:"a" payload in

@@ -38,36 +38,44 @@ let decode_op s =
 let ok = "OK"
 let not_found = "\x00absent"
 
+(* The store is one ordered map from key to a mutable value cell.  Only a
+   change to the key set rebuilds map nodes (a PUT to an existing key
+   writes its cell), and a snapshot streams the entries in key order with
+   no sort: the entry count, then each (key, value) — the bytes of
+   [W.list] over the sorted entries, which makes the snapshot (and thus
+   checkpoints) canonical. *)
+module Smap = Map.Make (String)
+
+type cell = { mutable value : string }
+
 let create () =
-  let table : (string, string) Hashtbl.t = Hashtbl.create 256 in
+  let table = ref Smap.empty in
   let apply op_bytes =
     match decode_op op_bytes with
     | Error _ -> State_machine.noop_result
     | Ok (Put (k, v)) ->
-      Hashtbl.replace table k v;
+      (match Smap.find_opt k !table with
+      | Some c -> c.value <- v
+      | None -> table := Smap.add k { value = v } !table);
       ok
     | Ok (Get k) -> (
-      match Hashtbl.find_opt table k with
-      | Some v -> v
+      match Smap.find_opt k !table with
+      | Some c -> c.value
       | None -> not_found)
     | Ok (Delete k) ->
-      Hashtbl.remove table k;
+      table := Smap.remove k !table;
       ok
   in
   let snapshot () =
-    (* Sorted entries make the snapshot (and thus checkpoints) canonical. *)
-    let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-    let entries =
-      List.sort (fun (ka, _) (kb, _) -> String.compare ka kb) entries
-    in
     W.to_string
-      (fun w () ->
-        W.list w
-          (fun w (k, v) ->
+      (fun w m ->
+        W.varint w (Smap.cardinal m);
+        Smap.iter
+          (fun k c ->
             W.bytes w k;
-            W.bytes w v)
-          entries)
-      ()
+            W.bytes w c.value)
+          m)
+      !table
   in
   let restore blob =
     match
@@ -81,8 +89,8 @@ let create () =
     with
     | Error e -> Error e
     | Ok entries ->
-      Hashtbl.reset table;
-      List.iter (fun (k, v) -> Hashtbl.replace table k v) entries;
+      (* A repeated key keeps its last value, as successive PUTs would. *)
+      table := List.fold_left (fun m (k, v) -> Smap.add k { value = v } m) Smap.empty entries;
       Ok ()
   in
   let classify op_bytes =

@@ -93,9 +93,6 @@ let list ?(max_len = 1_000_000) t dec =
   let rec loop i acc = if i = 0 then List.rev acc else loop (i - 1) (dec t :: acc) in
   loop n []
 
-let expect_end t =
-  if not (at_end t) then fail (Printf.sprintf "%d trailing bytes" (remaining t))
-
 let parse ?(exact = true) dec s =
   let t = of_string s in
   match dec t with

@@ -31,9 +31,6 @@ val list : ?max_len:int -> t -> (t -> 'a) -> 'a list
 (** [max_len] (default [1_000_000]) bounds the announced element count so a
     malformed length prefix cannot force a huge allocation. *)
 
-val expect_end : t -> unit
-(** @raise Error if input bytes remain. *)
-
 val parse : ?exact:bool -> (t -> 'a) -> string -> ('a, string) result
 (** Runs a decoder over a whole string.  With [exact] (default [true]) the
     decoder must consume every byte. *)

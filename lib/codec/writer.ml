@@ -3,7 +3,6 @@ type t = { mutable buf : Bytes.t; mutable len : int }
 let create ?(initial_size = 64) () = { buf = Bytes.create (max 8 initial_size); len = 0 }
 let contents t = Bytes.sub_string t.buf 0 t.len
 let length t = t.len
-let reset t = t.len <- 0
 
 let ensure t extra =
   let needed = t.len + extra in
@@ -123,7 +122,38 @@ let list t enc xs =
     xs;
   patch_reserved_varint t start !count
 
+let append t src =
+  ensure t src.len;
+  Bytes.blit src.buf 0 t.buf t.len src.len;
+  t.len <- t.len + src.len
+
+(* The encode arena behind [to_string]: one writer whose buffer keeps the
+   size of the largest recent encode, so a large message is written once
+   and copied out once instead of growing through every power of two.  A
+   nested [to_string] (an encoder that itself calls [to_string]) finds the
+   arena busy and takes a fresh writer; an exception releases it; a buffer
+   grown past [arena_limit] is dropped after use so one huge encode does
+   not pin its memory.  Single-domain, like the rest of the simulator. *)
+let arena_limit = 1 lsl 20
+let arena = ref (create ())
+let arena_busy = ref false
+
+let release t =
+  arena_busy := false;
+  if Bytes.length t.buf > arena_limit then arena := create ()
+
 let to_string enc v =
-  let t = create () in
-  enc t v;
-  contents t
+  let nested = !arena_busy in
+  let t = if nested then create () else !arena in
+  t.len <- 0;
+  arena_busy := true;
+  match
+    enc t v;
+    contents t
+  with
+  | s ->
+    if not nested then release t;
+    s
+  | exception e ->
+    if not nested then release t;
+    raise e

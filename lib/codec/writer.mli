@@ -11,10 +11,6 @@ val create : ?initial_size:int -> unit -> t
 val contents : t -> string
 val length : t -> int
 
-(** [reset t] empties the writer while keeping its grown buffer, so one
-    writer can serve as a reusable encode arena: steady-state encodes stop
-    paying the grow-and-blit doubling of a fresh buffer per message. *)
-val reset : t -> unit
 val u8 : t -> int -> unit
 val u16 : t -> int -> unit
 val u32 : t -> int -> unit
@@ -46,5 +42,12 @@ val nested : t -> (t -> 'a -> unit) -> 'a -> unit
     without serializing into a fresh buffer and copying.  Readers consume
     it with {!Reader.bytes}. *)
 
+val append : t -> t -> unit
+(** [append t src] appends the bytes written to [src] so far, with no
+    length prefix, as one blit. *)
+
 val to_string : (t -> 'a -> unit) -> 'a -> string
-(** [to_string enc v] encodes [v] with [enc] into a fresh buffer. *)
+(** [to_string enc v] encodes [v] with [enc] and returns the bytes.  The
+    encode runs in one reused arena, so a large encode is written once and
+    copied out once; an [enc] that itself calls [to_string] gets a fresh
+    writer for the inner call.  The result is the same either way. *)

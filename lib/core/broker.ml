@@ -9,7 +9,6 @@ module Message = Splitbft_types.Message
 module Registry = Splitbft_obs.Registry
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
-module W = Splitbft_codec.Writer
 module Lru = Splitbft_util.Lru
 module Decimal = Splitbft_util.Decimal
 module Req_tbl = Splitbft_util.Htbl.Int_int64
@@ -80,8 +79,6 @@ type t = {
       (* trace context of each queued/awaited request, so the context can
          ride the In_batch ecall even though batching decouples it from
          the arrival that carried it *)
-  scratch : W.t;
-      (* reusable encode arena for ecall payloads and outgoing messages *)
   replied : string Lru.t;
       (* plain reply encodings by client request, so a retransmission of an
          answered request is served from here — what any untrusted relay
@@ -238,14 +235,6 @@ let gc_ledger t cut =
 
 (* ----- ecalls ----- *)
 
-(* Outgoing message encode through the same arena as ecall payloads;
-   byte-identical to [Message.encode_traced]. *)
-let encode_msg t ?ctx msg =
-  W.reset t.scratch;
-  Message.encode_into t.scratch msg;
-  (match ctx with Some c -> W.raw t.scratch (Trace_ctx.to_trailer c) | None -> ());
-  W.contents t.scratch
-
 (* Which lane thread carries an ecall: sequence-numbered protocol
    messages ride their seqno's lane; batches stripe round-robin (the
    assigned seqno is only known inside the enclave); everything else
@@ -281,14 +270,10 @@ let rec ecall t ?ctx ?body compartment (input : Wire.input) =
         if t.lanes > 1 then Registry.incr t.c_lane_ecalls.(lane);
         flight t ~kind:"ecall" ~detail:(Ids.compartment_name compartment);
         let enclave = t.enclave_of compartment in
-        (* The payload is built in the broker's arena and handed over as
-           the enclave's copy-in buffer — no per-ecall buffer growth. *)
-        W.reset t.scratch;
-        Wire.encode_input_into ?ctx t.scratch input;
         Enclave.ecall enclave
           ~thread:(t.thread_of compartment lane)
           ?ctx
-          ~payload:(W.contents t.scratch)
+          ~payload:(Wire.encode_input ?ctx input)
           ~on_done:(fun outputs -> on_outputs t epoch compartment ?body outputs)
           ()
       end
@@ -371,7 +356,7 @@ and on_outputs t epoch origin ?body outputs =
 and apply_output t origin ?ctx ?body (output : Wire.output) =
   match output with
   | Wire.Out_send (dst, msg) ->
-    let payload = encode_msg t ?ctx msg in
+    let payload = Message.encode_traced ?ctx msg in
     (match msg with
     | Message.Reply rp ->
       request_replied t rp ~sent:(if Option.is_none ctx then Some payload else None)
@@ -400,7 +385,7 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
             pp_sig = pd.pd_sig }
       | _ -> msg
     in
-    let payload = encode_msg t ?ctx msg in
+    let payload = Message.encode_traced ?ctx msg in
     (match msg with
     | Message.State_reply _ | Message.State_request _ ->
       Registry.add t.c_state_bytes_out ((t.cfg.n - 1) * String.length payload)
@@ -723,7 +708,6 @@ let create engine net (cfg : Config.t) ~enclave_of =
         recovery_started_at = 0.0;
         recovered_count = 0;
         req_ctx = Req_tbl.create 64;
-        scratch = W.create ~initial_size:1024 ();
         replied = Lru.create ~capacity:4096;
         inflight = Req_tbl.create 64;
         recovery_ctx = None;

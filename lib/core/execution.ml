@@ -26,6 +26,24 @@ module Ledger_entry = Splitbft_storage.Entry
 
 type byz = Exec_honest | Exec_leak | Exec_corrupt | Exec_lie_checkpoint
 
+(* The executed log, kept encoded: [count] entries of (varint seq, bytes
+   batch digest) in seqno order — the body of the list a recovery image
+   carries.  Each executed batch appends its entry once, so a seal embeds
+   the whole log with one blit instead of re-serialising it. *)
+type executed_log = { mutable count : int; entries : W.t }
+
+let log_append log seq digest =
+  W.varint log.entries seq;
+  W.bytes log.entries digest;
+  log.count <- log.count + 1
+
+let write_log w log =
+  W.varint w log.count;
+  W.append w log.entries
+
+let read_log r = R.list r (fun r -> let seq = R.varint r in (seq, R.bytes r))
+let log_entries log = Result.get_ok (R.parse read_log (W.to_string write_log log))
+
 type probe = {
   view : unit -> int;
   last_executed : unit -> Ids.seqno;
@@ -51,7 +69,7 @@ type state = {
   mutable ahead : Message.commit list;
   decided : string Log.t;  (* seq -> committed digest *)
   mutable last_executed : Ids.seqno;
-  executed_log : (Ids.seqno, string) Hashtbl.t;
+  executed_log : executed_log;
   clients : Client_table.t;
   sessions : Session.keys Sessions.t;
   ckpt : Ckpt.t;
@@ -84,7 +102,7 @@ let create_state (cfg : Config.t) ~app =
     ahead = [];
     decided = Log.create ~window:cfg.watermark_window ();
     last_executed = 0;
-    executed_log = Hashtbl.create 1024;
+    executed_log = { count = 0; entries = W.create ~initial_size:1024 () };
     clients = Client_table.create ();
     sessions = Sessions.create ();
     ckpt = Ckpt.create ~quorum:(Config.quorum cfg);
@@ -121,25 +139,24 @@ type recovery_image = {
   ri_sessions : (Ids.client_id * Session.keys) list;
 }
 
-let encode_recovery_image ri =
+(* The image is written straight from the compartment state: the executed
+   log goes in as its count and one blit of its kept encoding, the bytes
+   [W.list] would give over [ri_executed]. *)
+let encode_recovery_image st ~counter ~last_executed ~snapshot =
   W.to_string
-    (fun w () ->
-      W.u64 w ri.ri_counter;
-      W.varint w ri.ri_view;
-      W.varint w ri.ri_last_executed;
-      W.bytes w ri.ri_snapshot;
-      W.list w
-        (fun w (seq, d) ->
-          W.varint w seq;
-          W.bytes w d)
-        ri.ri_executed;
+    (fun w sessions ->
+      W.u64 w counter;
+      W.varint w st.view;
+      W.varint w last_executed;
+      W.bytes w snapshot;
+      write_log w st.executed_log;
       W.list w
         (fun w (c, (k : Session.keys)) ->
           W.varint w c;
           W.bytes w k.Session.auth;
           W.bytes w k.Session.enc)
-        ri.ri_sessions)
-    ()
+        sessions)
+    (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions [])
 
 let decode_recovery_image s =
   R.parse
@@ -148,12 +165,7 @@ let decode_recovery_image s =
       let ri_view = R.varint r in
       let ri_last_executed = R.varint r in
       let ri_snapshot = R.bytes r in
-      let ri_executed =
-        R.list r (fun r ->
-            let seq = R.varint r in
-            let d = R.bytes r in
-            (seq, d))
-      in
+      let ri_executed = read_log r in
       let ri_sessions =
         R.list r (fun r ->
             let c = R.varint r in
@@ -166,20 +178,8 @@ let decode_recovery_image s =
 
 let seal_checkpoint_state env st seq snapshot =
   let counter = Enclave.counter_increment env "ckpt" in
-  let image =
-    { ri_counter = counter;
-      ri_view = st.view;
-      ri_last_executed = seq;
-      ri_snapshot = snapshot;
-      ri_executed =
-        (* Explicit seqno order: polymorphic [compare] would also inspect
-           the digest bytes, making the encoding order an accident of the
-           pair representation rather than the log order. *)
-        Hashtbl.fold (fun s d acc -> (s, d) :: acc) st.executed_log []
-        |> List.sort Log.by_seqno;
-      ri_sessions = Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions [] }
-  in
-  let sealed = Enclave.seal env (encode_recovery_image image) in
+  let image = encode_recovery_image st ~counter ~last_executed:seq ~snapshot in
+  let sealed = Enclave.seal env image in
   Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag = "ckpt:execution"; data = sealed }))
 
 (* Handler (8): originate a Checkpoint every interval.  An
@@ -206,7 +206,7 @@ let send_checkpoint_if_due env st ~byz seq =
         let state_digest =
           match byz with
           | Exec_lie_checkpoint -> Message.digest_of_batch []
-          | Exec_honest | Exec_leak | Exec_corrupt -> State_machine.digest st.app
+          | Exec_honest | Exec_leak | Exec_corrupt -> Sha256.digest snapshot
         in
         let ck = { Message.seq; state_digest; sender = st.cfg.id; ck_sig = "" } in
         let ck =
@@ -403,7 +403,7 @@ let rec try_execute env st ~byz =
       end
     | Some batch ->
       st.last_executed <- seq;
-      Hashtbl.replace st.executed_log seq digest;
+      log_append st.executed_log seq digest;
       (* The batch executes as one pool task: state transitions happen
          here, in sequence order (so executed_log and reply contents are
          identical to serial execution by construction); with
@@ -660,7 +660,9 @@ let on_recover env st blob_opt =
             ignore (st.app.State_machine.drain_effects ());
             st.view <- ri.ri_view;
             st.last_executed <- ri.ri_last_executed;
-            List.iter (fun (s, d) -> Hashtbl.replace st.executed_log s d) ri.ri_executed;
+            (* A fresh incarnation's log is empty until this, its first
+               restore, so the kept encoding is rebuilt from the image. *)
+            List.iter (fun (s, d) -> log_append st.executed_log s d) ri.ri_executed;
             List.iter (fun (c, k) -> Sessions.set st.sessions c k) ri.ri_sessions;
             Hashtbl.replace st.snapshots ri.ri_last_executed ri.ri_snapshot;
             Ckpt.force_stable st.ckpt ri.ri_last_executed;
@@ -866,10 +868,7 @@ let make ?(byz = Exec_honest) (cfg : Config.t) ~app =
     { view = (fun () -> !current.view);
       last_executed = (fun () -> !current.last_executed);
       executed_total = (fun () -> !current.executed_total);
-      executed_log =
-        (fun () ->
-          Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) !current.executed_log []
-          |> List.sort Log.by_seqno);
+      executed_log = (fun () -> log_entries !current.executed_log);
       app_digest = (fun () -> State_machine.digest !current.app);
       last_stable = (fun () -> Ckpt.last_stable !current.ckpt);
       sessions = (fun () -> Sessions.count !current.sessions) }

@@ -45,12 +45,6 @@ let input_into w input =
         W.bytes w data)
       records
 
-let encode_input_plain input = W.to_string input_into input
-
-let encode_input_into ?ctx w input =
-  input_into w input;
-  match ctx with Some c -> W.raw w (Trace_ctx.to_trailer c) | None -> ()
-
 let decode_nested_message r =
   match Message.decode (R.bytes r) with
   | Ok msg -> msg
@@ -86,19 +80,9 @@ let decode_input_exact s =
    Message uses, with exact-parse fallback against magic-tail collisions
    in legacy payloads (cf. Message.decode_traced). *)
 
-let encode_input ?ctx input = Trace_ctx.append ctx (encode_input_plain input)
+let encode_input ?ctx input = Trace_ctx.append ctx (W.to_string input_into input)
 
-let decode_input_traced s =
-  match Trace_ctx.strip s with
-  | body, (Some _ as ctx) -> (
-    match decode_input_exact body with
-    | Ok input -> Ok (input, ctx)
-    | Error _ -> (
-      match decode_input_exact s with
-      | Ok input -> Ok (input, None)
-      | Error e -> Error e))
-  | _, None -> (
-    match decode_input_exact s with Ok i -> Ok (i, None) | Error e -> Error e)
+let decode_input_traced = Message.decode_traced_with decode_input_exact
 
 let decode_input s = Result.map fst (decode_input_traced s)
 
@@ -146,16 +130,6 @@ let decode_output_exact s =
 
 let encode_output ?ctx output = Trace_ctx.append ctx (encode_output_plain output)
 
-let decode_output_traced s =
-  match Trace_ctx.strip s with
-  | body, (Some _ as ctx) -> (
-    match decode_output_exact body with
-    | Ok output -> Ok (output, ctx)
-    | Error _ -> (
-      match decode_output_exact s with
-      | Ok output -> Ok (output, None)
-      | Error e -> Error e))
-  | _, None -> (
-    match decode_output_exact s with Ok o -> Ok (o, None) | Error e -> Error e)
+let decode_output_traced = Message.decode_traced_with decode_output_exact
 
 let decode_output s = Result.map fst (decode_output_traced s)

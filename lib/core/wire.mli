@@ -48,13 +48,6 @@ type output =
 val encode_input : ?ctx:Splitbft_obs.Trace_ctx.t -> input -> string
 val decode_input : string -> (input, string) result
 
-val encode_input_into :
-  ?ctx:Splitbft_obs.Trace_ctx.t -> Splitbft_codec.Writer.t -> input -> unit
-(** [encode_input] straight into an existing writer (trailer included) —
-    with {!Splitbft_codec.Writer.reset} this lets the broker build every
-    ecall payload in one reusable arena instead of growing a fresh buffer
-    per call.  Bytes are identical to {!encode_input}. *)
-
 val decode_input_traced :
   string -> (input * Splitbft_obs.Trace_ctx.t option, string) result
 

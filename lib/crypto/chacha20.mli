@@ -1,8 +1,11 @@
 (** ChaCha20 stream cipher (RFC 8439), validated against the RFC test
-    vectors.  The keystream is generated by a portable C stub (loads and
-    stores are explicit little-endian bytes, so every host gives the same
-    output); the test suite checks it against an array-based OCaml
-    reference of the RFC's quarter round.
+    vectors.  The keystream is generated by a C stub (key and nonce loads
+    are explicit little-endian bytes, so every host gives the same
+    output).  On x86-64, runs of 256 bytes go through a 4-block SSE2
+    kernel and the rest through the portable scalar block function; other
+    architectures use the scalar function throughout.  The test suite
+    checks both kernels against an array-based OCaml reference of the
+    RFC's quarter round.
 
     Provides the confidentiality layer for client requests/replies and for
     enclave sealing (see {!Aead}). *)
@@ -38,3 +41,13 @@ val encrypt_into :
     len)]; bytes of [dst] outside that range are untouched.
     @raise Invalid_argument on wrong key or nonce size, or a range out of
     bounds. *)
+
+(** {2 Test-only}
+
+    The portable scalar kernel, for the differential test.  Nothing else
+    should use this. *)
+module Private : sig
+  val encrypt_scalar : key:string -> nonce:string -> counter:int -> string -> string
+  (** [encrypt] through the scalar block function alone, whatever the
+      architecture. *)
+end

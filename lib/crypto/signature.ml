@@ -30,4 +30,3 @@ let verify ~public ~msg ~signature =
     | Some key -> Hmac.verify_with key ~msg ~tag:signature
 
 let registered public = Hashtbl.mem registry public
-let pp_public ppf p = Format.pp_print_string ppf (Splitbft_util.Hex.short ~len:12 p)

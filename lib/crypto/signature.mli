@@ -44,4 +44,3 @@ val verify : public:public -> msg:string -> signature:string -> bool
 val signature_size : int
 val public_size : int
 val registered : public -> bool
-val pp_public : Format.formatter -> public -> unit

@@ -8,7 +8,7 @@ type gauge = { mutable gv : float }
 type histogram = {
   bounds : float array;  (* ascending upper bounds; +inf bucket is implicit *)
   counts : int array;    (* length = Array.length bounds + 1 *)
-  mutable hsum : float;
+  hsum : Float.Array.t;  (* one cell, so [observe] stores the sum unboxed *)
   mutable hcount : int;
 }
 
@@ -101,7 +101,10 @@ let histogram t ?(buckets = default_buckets) ?(labels = []) name =
     if sorted = [] then invalid_arg "Registry.histogram: empty bucket list";
     let bounds = Array.of_list sorted in
     Histogram
-      { bounds; counts = Array.make (Array.length bounds + 1) 0; hsum = 0.0; hcount = 0 }
+      { bounds;
+        counts = Array.make (Array.length bounds + 1) 0;
+        hsum = Float.Array.make 1 0.0;
+        hcount = 0 }
   in
   register t ~name ~labels ~make
     ~cast:(function Histogram h -> Some h | _ -> None)
@@ -117,11 +120,11 @@ let observe h x =
   in
   let i = find 0 n in
   h.counts.(i) <- h.counts.(i) + 1;
-  h.hsum <- h.hsum +. x;
+  Float.Array.set h.hsum 0 (Float.Array.get h.hsum 0 +. x);
   h.hcount <- h.hcount + 1
 
 let histogram_count h = h.hcount
-let histogram_sum h = h.hsum
+let histogram_sum h = Float.Array.get h.hsum 0
 
 (* ----- summaries ----- *)
 
@@ -197,7 +200,7 @@ let json_of_metric m =
                Json.Obj [ ("le", le); ("count", Json.Int n) ])
              h.counts)
       in
-      [ ("count", Json.Int h.hcount); ("sum", num h.hsum);
+      [ ("count", Json.Int h.hcount); ("sum", num (Float.Array.get h.hsum 0));
         ("buckets", Json.List buckets) ]
     | Summary r ->
       let s = !r in

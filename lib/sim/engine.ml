@@ -11,6 +11,10 @@ exception Stop
    quiescence between choices. *)
 type event_class = Internal | Choice of { host : int; lane : int }
 
+(* The virtual clock lives in an all-float record: a mutable float field of
+   the mixed record [t] would box a fresh float on every fired event. *)
+type clock = { mutable at : float }
+
 (* [dead] covers both cancellation and firing, so a late [cancel] on an
    event that already ran cannot corrupt the live count.  The event's time
    is kept only in the queue's [times] array: a float field here would be
@@ -41,7 +45,7 @@ and t = {
   flight : Splitbft_obs.Flight.t option;
   g_live : Registry.gauge;
   c_fired : Registry.counter;
-  mutable clock : float;
+  clock : clock;
   mutable next_seq : int;
   mutable fired : int;
   mutable live : int;  (* scheduled, not fired, not cancelled *)
@@ -67,7 +71,7 @@ let create ?(seed = 1L) ?obs ?tracer ?flight () =
       flight;
       g_live;
       c_fired;
-      clock = 0.0;
+      clock = { at = 0.0 };
       next_seq = 0;
       fired = 0;
       live = 0 }
@@ -77,7 +81,7 @@ let create ?(seed = 1L) ?obs ?tracer ?flight () =
   in
   t
 
-let now t = t.clock
+let now t = t.clock.at
 let seed t = t.seed
 let rng t = t.root_rng
 let obs t = t.obs
@@ -87,7 +91,7 @@ let flight t = t.flight
 let flight_record t ~host ~kind ~detail =
   match t.flight with
   | None -> ()
-  | Some f -> Splitbft_obs.Flight.record f ~at:t.clock ~host ~kind ~detail
+  | Some f -> Splitbft_obs.Flight.record f ~at:t.clock.at ~host ~kind ~detail
 
 (* --- The heap ---------------------------------------------------------
    Each sift moves a hole instead of swapping, and compares (time, seq)
@@ -203,7 +207,7 @@ let schedule ?(cls = Internal) ?(fp = "") t ~delay ~label action =
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
   Registry.set t.g_live (float_of_int t.live);
-  push t ev (t.clock +. delay);
+  push t ev (t.clock.at +. delay);
   ev
 
 let cancel ev =
@@ -225,7 +229,7 @@ let pending t = t.live
 
 let fire t ev time =
   ev.dead <- true;
-  t.clock <- time;
+  t.clock.at <- time;
   t.fired <- t.fired + 1;
   t.live <- t.live - 1;
   Registry.set t.g_live (float_of_int t.live);
@@ -258,7 +262,7 @@ let run ?until ?max_events t =
       else
         match until with
         | Some horizon when time > horizon ->
-          t.clock <- horizon;
+          t.clock.at <- horizon;
           continue := false
         | _ ->
           pop_root t;
@@ -267,7 +271,7 @@ let run ?until ?max_events t =
     end
   done;
   match until with
-  | Some horizon when t.clock < horizon && t.size = 0 -> t.clock <- horizon
+  | Some horizon when t.clock.at < horizon && t.size = 0 -> t.clock.at <- horizon
   | _ -> ()
 
 let events_processed t = t.fired
@@ -300,7 +304,7 @@ let fire_forced t ev =
   let rec time_at i = if t.events.(i) == ev then Float.Array.get t.times i else time_at (i + 1) in
   let time = time_at 0 in
   ev.dead <- true;
-  t.clock <- Float.max t.clock time;
+  t.clock.at <- Float.max t.clock.at time;
   t.fired <- t.fired + 1;
   t.live <- t.live - 1;
   Registry.set t.g_live (float_of_int t.live);

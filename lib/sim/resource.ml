@@ -1,10 +1,17 @@
 module Registry = Splitbft_obs.Registry
 
+(* The two float accumulators live in an all-float record, so a submit
+   stores them unboxed instead of allocating a box per field. *)
+type times = {
+  mutable free_at : float;
+  mutable busy : float;
+}
+
 type t = {
   engine : Engine.t;
   name : string;
-  mutable free_at : float;
-  mutable busy : float;
+  label : string;  (* the label of this server's completion events *)
+  times : times;
   mutable jobs : int;
   c_busy_us : Registry.counter;
   c_jobs : Registry.counter;
@@ -16,8 +23,8 @@ let create engine ~name =
   let labels = [ ("resource", name) ] in
   { engine;
     name;
-    free_at = 0.0;
-    busy = 0.0;
+    label = "cpu:" ^ name;
+    times = { free_at = 0.0; busy = 0.0 };
     jobs = 0;
     c_busy_us = Registry.counter obs ~labels "resource.busy_us";
     c_jobs = Registry.counter obs ~labels "resource.jobs";
@@ -31,20 +38,20 @@ let name t = t.name
 let submit_after t ~earliest ~cost callback =
   if cost < 0.0 then invalid_arg (t.name ^ ": negative job cost");
   let now = Engine.now t.engine in
-  let start = Float.max earliest (Float.max now t.free_at) in
+  let start = Float.max earliest (Float.max now t.times.free_at) in
   let finish = start +. cost in
-  t.free_at <- finish;
-  t.busy <- t.busy +. cost;
+  t.times.free_at <- finish;
+  t.times.busy <- t.times.busy +. cost;
   t.jobs <- t.jobs + 1;
   Registry.add_f t.c_busy_us cost;
   Registry.incr t.c_jobs;
   Registry.set t.g_queue_us (finish -. now);
-  ignore (Engine.schedule t.engine ~delay:(finish -. now) ~label:("cpu:" ^ t.name) callback)
+  ignore (Engine.schedule t.engine ~delay:(finish -. now) ~label:t.label callback)
 
 let submit t ~cost callback = submit_after t ~earliest:0.0 ~cost callback
 
-let free_at t = t.free_at
-let busy_time t = t.busy
+let free_at t = t.times.free_at
+let busy_time t = t.times.busy
 let jobs t = t.jobs
 
 (* Crash-path gauge reset: a crashed host's resources are abandoned (their
@@ -55,7 +62,7 @@ let jobs t = t.jobs
    backlog.  Cumulative counters (busy/jobs) are left alone: they are
    totals across incarnations by design. *)
 let quiesce t =
-  t.free_at <- Engine.now t.engine;
+  t.times.free_at <- Engine.now t.engine;
   Registry.set t.g_queue_us 0.0
 
 module Pool = struct
@@ -72,10 +79,10 @@ module Pool = struct
      job starts as soon as any worker is free. *)
   let submit p ~cost callback =
     let best = ref p.servers.(0) in
-    Array.iter (fun s -> if s.free_at < !best.free_at then best := s) p.servers;
+    Array.iter (fun s -> if s.times.free_at < !best.times.free_at then best := s) p.servers;
     submit !best ~cost callback
 
-  let busy_time p = Array.fold_left (fun acc s -> acc +. s.busy) 0.0 p.servers
+  let busy_time p = Array.fold_left (fun acc s -> acc +. s.times.busy) 0.0 p.servers
   let workers p = Array.to_list p.servers
   let quiesce p = Array.iter quiesce p.servers
 end

@@ -6,20 +6,26 @@ module Registry = Splitbft_obs.Registry
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 
+(* The metered cost of the running ecall and its per-category attribution,
+   reset on entry and read into the active span on exit.  [pending] stays
+   the single source of truth for the metered cost; the others only
+   classify where it came from.  An all-float record, so a charge stores
+   unboxed floats instead of allocating a box per field. *)
+type charges = {
+  mutable pending : float;
+  mutable crypto : float;
+  mutable exec : float;
+  mutable seal : float;
+  mutable io : float;
+  mutable ocall_transitions : float;
+}
+
 type env = {
   enclave : t;
   keypair : Signature.keypair;
   rng : Splitbft_util.Rng.t;
-  mutable pending_charge : float;
+  charges : charges;
   mutable pending_outputs : string list; (* newest first *)
-  (* Per-ecall cost attribution, reset on entry and read into the active
-     span on exit.  [pending_charge] stays the single source of truth for
-     the metered cost; these only classify where it came from. *)
-  mutable cat_crypto : float;
-  mutable cat_exec : float;
-  mutable cat_seal : float;
-  mutable cat_io : float;
-  mutable cat_ocall_transitions : float;
   mutable ocalls : int;
   (* Worker-pool plumbing, valid only while an ecall is executing: the
      caller's output sink (so deferred task outputs reach the same
@@ -54,7 +60,7 @@ and t = {
   mutable crashed : bool;
   mutable subverted : bool;
   mutable calls : int;
-  mutable total_us : float;
+  total_us : Float.Array.t;  (* one cell, so an ecall stores it unboxed *)
   mutable durations : Stats.t;
   quote_encoded : string;
   pool : pool option;
@@ -103,7 +109,7 @@ let create ?(workers = 1) platform ~name ~measurement
       crashed = false;
       subverted = false;
       calls = 0;
-      total_us = 0.0;
+      total_us = Float.Array.make 1 0.0;
       durations = Stats.create ();
       quote_encoded = Attestation.encode quote;
       pool;
@@ -118,13 +124,10 @@ let create ?(workers = 1) platform ~name ~measurement
       { enclave = t;
         keypair;
         rng = Splitbft_util.Rng.split (Platform.rng platform);
-        pending_charge = 0.0;
+        charges =
+          { pending = 0.0; crypto = 0.0; exec = 0.0; seal = 0.0; io = 0.0;
+            ocall_transitions = 0.0 };
         pending_outputs = [];
-        cat_crypto = 0.0;
-        cat_exec = 0.0;
-        cat_seal = 0.0;
-        cat_io = 0.0;
-        cat_ocall_transitions = 0.0;
         ocalls = 0;
         deferred_sink = None;
         ecall_out_ctx = None };
@@ -203,13 +206,14 @@ let ecall t ~thread ?ctx ~payload ~on_done () =
   end
   else begin
     let env = the_env t in
-    env.pending_charge <- 0.0;
+    let ch = env.charges in
+    ch.pending <- 0.0;
     env.pending_outputs <- [];
-    env.cat_crypto <- 0.0;
-    env.cat_exec <- 0.0;
-    env.cat_seal <- 0.0;
-    env.cat_io <- 0.0;
-    env.cat_ocall_transitions <- 0.0;
+    ch.crypto <- 0.0;
+    ch.exec <- 0.0;
+    ch.seal <- 0.0;
+    ch.io <- 0.0;
+    ch.ocall_transitions <- 0.0;
     env.ocalls <- 0;
     let span = match tracer with Some tr -> open_ecall_span t tr ctx | None -> None in
     env.deferred_sink <- Some on_done;
@@ -230,29 +234,26 @@ let ecall t ~thread ?ctx ~payload ~on_done () =
     let out_bytes = List.fold_left (fun acc o -> acc + String.length o) 0 outputs in
     let copied = String.length payload + out_bytes in
     let copy_us = cm.copy_per_byte_us *. float_of_int copied in
-    let cost = cm.ecall_transition_us +. copy_us +. env.pending_charge in
+    let cost = cm.ecall_transition_us +. copy_us +. ch.pending in
     (match (tracer, span) with
     | Some tr, Some (id, _) ->
-      let categorized =
-        env.cat_crypto +. env.cat_exec +. env.cat_seal +. env.cat_io
-        +. env.cat_ocall_transitions
-      in
+      let categorized = ch.crypto +. ch.exec +. ch.seal +. ch.io +. ch.ocall_transitions in
       Tracer.add_arg tr id "transitions" (float_of_int (1 + env.ocalls));
       Tracer.add_arg tr id "transition_us"
-        (cm.ecall_transition_us +. env.cat_ocall_transitions);
+        (cm.ecall_transition_us +. ch.ocall_transitions);
       Tracer.add_arg tr id "copied_bytes" (float_of_int copied);
       Tracer.add_arg tr id "copy_us" copy_us;
-      Tracer.add_arg tr id "crypto_us" env.cat_crypto;
-      Tracer.add_arg tr id "exec_us" env.cat_exec;
-      Tracer.add_arg tr id "seal_us" env.cat_seal;
-      Tracer.add_arg tr id "io_us" env.cat_io;
+      Tracer.add_arg tr id "crypto_us" ch.crypto;
+      Tracer.add_arg tr id "exec_us" ch.exec;
+      Tracer.add_arg tr id "seal_us" ch.seal;
+      Tracer.add_arg tr id "io_us" ch.io;
       Tracer.add_arg tr id "other_us"
-        (Float.max 0.0 (env.pending_charge -. categorized));
+        (Float.max 0.0 (ch.pending -. categorized));
       Tracer.add_arg tr id "total_us" cost
     | _ -> ());
-    env.pending_charge <- 0.0;
+    ch.pending <- 0.0;
     t.calls <- t.calls + 1;
-    t.total_us <- t.total_us +. cost;
+    Float.Array.set t.total_us 0 (Float.Array.get t.total_us 0 +. cost);
     Stats.add t.durations cost;
     Registry.incr t.c_ecalls;
     Registry.add_f t.c_ecall_us cost;
@@ -302,26 +303,26 @@ let subvert t program =
 
 let is_subverted t = t.subverted
 let ecall_count t = t.calls
-let ecall_total_us t = t.total_us
+let ecall_total_us t = Float.Array.get t.total_us 0
 let ecall_durations t = t.durations
 
 let reset_stats t =
   t.calls <- 0;
-  t.total_us <- 0.0;
+  Float.Array.set t.total_us 0 0.0;
   t.durations <- Stats.create ()
 
-let charge env us = env.pending_charge <- env.pending_charge +. us
+let charge env us = env.charges.pending <- env.charges.pending +. us
 
 let charge_crypto env us =
-  env.cat_crypto <- env.cat_crypto +. us;
+  env.charges.crypto <- env.charges.crypto +. us;
   charge env us
 
 let charge_exec env us =
-  env.cat_exec <- env.cat_exec +. us;
+  env.charges.exec <- env.charges.exec +. us;
   charge env us
 
 let charge_io env us =
-  env.cat_io <- env.cat_io +. us;
+  env.charges.io <- env.charges.io +. us;
   charge env us
 
 let cost_model env = env.enclave.cost_model
@@ -331,7 +332,7 @@ let emit env payload = env.pending_outputs <- payload :: env.pending_outputs
 let ocall env ?(cost = 0.0) payload =
   let cm = env.enclave.cost_model in
   env.ocalls <- env.ocalls + 1;
-  env.cat_ocall_transitions <- env.cat_ocall_transitions +. cm.ocall_transition_us;
+  env.charges.ocall_transitions <- env.charges.ocall_transitions +. cm.ocall_transition_us;
   charge env cm.ocall_transition_us;
   charge_io env cost;
   emit env payload
@@ -367,22 +368,23 @@ let pool_run env f =
        splice out what it contributed, and schedule that on the
        earliest-available worker, no earlier than the finish time of every
        conflicting task already scheduled. *)
-    let charge0 = env.pending_charge in
-    let crypto0 = env.cat_crypto and exec0 = env.cat_exec in
-    let seal0 = env.cat_seal and io0 = env.cat_io in
-    let ocall_t0 = env.cat_ocall_transitions and ocalls0 = env.ocalls in
+    let ch = env.charges in
+    let charge0 = ch.pending in
+    let crypto0 = ch.crypto and exec0 = ch.exec in
+    let seal0 = ch.seal and io0 = ch.io in
+    let ocall_t0 = ch.ocall_transitions and ocalls0 = env.ocalls in
     let outputs0 = env.pending_outputs in
     env.pending_outputs <- [];
     let reads, writes = f () in
     let task_outputs = List.rev env.pending_outputs in
     env.pending_outputs <- outputs0;
-    let delta = env.pending_charge -. charge0 in
-    env.pending_charge <- charge0;
-    env.cat_crypto <- crypto0;
-    env.cat_exec <- exec0;
-    env.cat_seal <- seal0;
-    env.cat_io <- io0;
-    env.cat_ocall_transitions <- ocall_t0;
+    let delta = ch.pending -. charge0 in
+    ch.pending <- charge0;
+    ch.crypto <- crypto0;
+    ch.exec <- exec0;
+    ch.seal <- seal0;
+    ch.io <- io0;
+    ch.ocall_transitions <- ocall_t0;
     env.ocalls <- ocalls0;
     let cm = env.enclave.cost_model in
     let out_bytes =
@@ -433,7 +435,7 @@ let pool_run env f =
     end
 
 let charge_seal env us =
-  env.cat_seal <- env.cat_seal +. us;
+  env.charges.seal <- env.charges.seal +. us;
   charge env us
 
 let seal env data =

@@ -6,5 +6,4 @@ let follower fid = follower_base + fid
 let is_client addr = addr >= client_base
 let is_follower addr = addr >= follower_base && addr < client_base
 let client_of_addr addr = addr - client_base
-let follower_of_addr addr = addr - follower_base
 let replica_of_addr addr = addr

@@ -14,5 +14,4 @@ val follower_base : int
 val is_client : int -> bool
 val is_follower : int -> bool
 val client_of_addr : int -> Ids.client_id
-val follower_of_addr : int -> int
 val replica_of_addr : int -> Ids.replica_id

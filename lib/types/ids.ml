@@ -11,14 +11,6 @@ let compartment_name = function
   | Confirmation -> "confirmation"
   | Execution -> "execution"
 
-let compartment_of_name = function
-  | "preparation" -> Ok Preparation
-  | "confirmation" -> Ok Confirmation
-  | "execution" -> Ok Execution
-  | other -> Error (Printf.sprintf "unknown compartment %S" other)
-
-let pp_compartment ppf c = Format.pp_print_string ppf (compartment_name c)
-
 let f_of_n n =
   if n < 1 then invalid_arg "Ids.f_of_n: n must be positive";
   (n - 1) / 3

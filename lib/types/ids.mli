@@ -11,8 +11,6 @@ type compartment = Preparation | Confirmation | Execution
 
 val all_compartments : compartment list
 val compartment_name : compartment -> string
-val compartment_of_name : string -> (compartment, string) result
-val pp_compartment : Format.formatter -> compartment -> unit
 
 val f_of_n : int -> int
 (** Largest [f] with [n >= 3f + 1]. *)

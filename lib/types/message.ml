@@ -236,7 +236,6 @@ let request_auth_bytes (r : request) =
       W.bytes w r.payload)
     ()
 
-let digest_of_request r = Sha256.digest (encode_request r)
 
 let digest_of_batch batch =
   let w = W.create () in
@@ -690,17 +689,17 @@ let decode_exact s =
 
 let encode_traced ?ctx msg = Trace_ctx.append ctx (encode msg)
 
-let decode_traced s =
+let untraced decode_exact s = Result.map (fun v -> (v, None)) (decode_exact s)
+
+let decode_traced_with decode_exact s =
   match Trace_ctx.strip s with
   | body, (Some _ as ctx) -> (
     match decode_exact body with
-    | Ok msg -> Ok (msg, ctx)
-    | Error _ -> (
-      match decode_exact s with
-      | Ok msg -> Ok (msg, None)
-      | Error e -> Error e))
-  | _, None -> (
-    match decode_exact s with Ok msg -> Ok (msg, None) | Error e -> Error e)
+    | Ok v -> Ok (v, ctx)
+    | Error _ -> untraced decode_exact s)
+  | _, None -> untraced decode_exact s
+
+let decode_traced s = decode_traced_with decode_exact s
 
 (* Trailer-tolerant: every legacy call site keeps working when handed a
    traced payload, it just does not see the context. *)

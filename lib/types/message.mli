@@ -211,7 +211,6 @@ val type_name : t -> string
 
 (** {2 Digests} *)
 
-val digest_of_request : request -> string
 val digest_of_batch : request list -> string
 
 val empty_batch_digest : string
@@ -241,6 +240,14 @@ val decode_traced : string -> (t * Splitbft_obs.Trace_ctx.t option, string) resu
     Encodings from before the trailer existed decode with [None]; a
     legacy message whose tail coincidentally matches the trailer magic
     is resolved by exact-parse fallback. *)
+
+val decode_traced_with :
+  (string -> ('a, string) result) ->
+  string ->
+  ('a * Splitbft_obs.Trace_ctx.t option, string) result
+(** [decode_traced_with decode_exact s] is {!decode_traced} for any
+    payload [decode_exact] parses exactly; the broker/enclave envelopes
+    of [Wire] use it too. *)
 
 val encode_into : Splitbft_codec.Writer.t -> t -> unit
 (** Appends the encoding of the message to an existing writer; together

@@ -8,16 +8,22 @@
    The reservoir's RNG is its own deterministic xorshift64* stream — it
    must not perturb (or be perturbed by) the simulation's seeded RNGs. *)
 
+(* The running moments, in an all-float record so [add] stores them
+   unboxed instead of allocating a box per field. *)
+type moments = {
+  mutable sum : float;
+  mutable sumsq : float;
+  mutable mn : float;
+  mutable mx : float;
+}
+
 type t = {
   cap : int;
   mutable samples : float array;
   mutable size : int;  (* live entries in [samples] *)
   mutable sorted : bool;
   mutable n : int;  (* observations ever *)
-  mutable sum : float;
-  mutable sumsq : float;
-  mutable mn : float;
-  mutable mx : float;
+  m : moments;
   mutable rng : int64;
 }
 
@@ -30,10 +36,7 @@ let create ?(cap = default_cap) () =
     size = 0;
     sorted = true;
     n = 0;
-    sum = 0.0;
-    sumsq = 0.0;
-    mn = infinity;
-    mx = neg_infinity;
+    m = { sum = 0.0; sumsq = 0.0; mn = infinity; mx = neg_infinity };
     rng = 0x9E3779B97F4A7C15L }
 
 let cap t = t.cap
@@ -57,11 +60,12 @@ let store t i x =
   t.sorted <- false
 
 let add t x =
+  let m = t.m in
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  t.sumsq <- t.sumsq +. (x *. x);
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x;
+  m.sum <- m.sum +. x;
+  m.sumsq <- m.sumsq +. (x *. x);
+  if x < m.mn then m.mn <- x;
+  if x > m.mx then m.mx <- x;
   if t.size < t.cap then begin
     store t t.size x;
     t.size <- t.size + 1
@@ -73,14 +77,14 @@ let add t x =
   end
 
 let count t = t.n
-let total t = t.sum
-let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
-let min t = if t.n = 0 then nan else t.mn
-let max t = if t.n = 0 then nan else t.mx
+let total t = t.m.sum
+let mean t = if t.n = 0 then nan else t.m.sum /. float_of_int t.n
+let min t = if t.n = 0 then nan else t.m.mn
+let max t = if t.n = 0 then nan else t.m.mx
 let is_empty t = t.n = 0
-let mean_opt t = if t.n = 0 then None else Some (t.sum /. float_of_int t.n)
-let min_opt t = if t.n = 0 then None else Some t.mn
-let max_opt t = if t.n = 0 then None else Some t.mx
+let mean_opt t = if t.n = 0 then None else Some (t.m.sum /. float_of_int t.n)
+let min_opt t = if t.n = 0 then None else Some t.m.mn
+let max_opt t = if t.n = 0 then None else Some t.m.mx
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -109,13 +113,13 @@ let percentile_opt t p = if t.size = 0 then None else Some (percentile t p)
 (* Total-window guard for code paths that feed JSON/records: an empty
    window yields 0 rather than letting nan propagate into snapshots. *)
 let percentile_or0 t p = if t.size = 0 then 0.0 else percentile t p
-let mean_or0 t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+let mean_or0 t = if t.n = 0 then 0.0 else t.m.sum /. float_of_int t.n
 
 let stddev t =
   if t.n < 2 then 0.0
   else
     let n = float_of_int t.n in
-    let var = (t.sumsq -. (t.sum *. t.sum /. n)) /. (n -. 1.0) in
+    let var = (t.m.sumsq -. (t.m.sum *. t.m.sum /. n)) /. (n -. 1.0) in
     sqrt (Float.max 0.0 var)
 
 let merge a b =
@@ -129,10 +133,10 @@ let merge a b =
   (* The reservoir above holds both sample sets; the exact moments are
      the sums of the inputs' exact moments, not of their reservoirs. *)
   t.n <- a.n + b.n;
-  t.sum <- a.sum +. b.sum;
-  t.sumsq <- a.sumsq +. b.sumsq;
-  t.mn <- Stdlib.min a.mn b.mn;
-  t.mx <- Stdlib.max a.mx b.mx;
+  t.m.sum <- a.m.sum +. b.m.sum;
+  t.m.sumsq <- a.m.sumsq +. b.m.sumsq;
+  t.m.mn <- Stdlib.min a.m.mn b.m.mn;
+  t.m.mx <- Stdlib.max a.m.mx b.m.mx;
   t
 
 let pp_summary ppf t =

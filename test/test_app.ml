@@ -145,6 +145,71 @@ let test_counter_restore () =
   check "restored" "1" (b.State_machine.apply Counter_app.read_op);
   checkb "bad snapshot" true (Result.is_error (b.State_machine.restore "nonsense"))
 
+(* Reference snapshot encoding: fold a hash table, sort by key, [W.list]
+   the pairs.  The store must reproduce these bytes exactly, at any size
+   and after any mix of operations. *)
+let reference_kvs_snapshot model =
+  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] in
+  let entries = List.sort (fun (ka, _) (kb, _) -> String.compare ka kb) entries in
+  Splitbft_codec.Writer.to_string
+    (fun w () ->
+      Splitbft_codec.Writer.list w
+        (fun w (k, v) ->
+          Splitbft_codec.Writer.bytes w k;
+          Splitbft_codec.Writer.bytes w v)
+        entries)
+    ()
+
+type kvs_step = Op of Kvs.op | Snapshot | Restore_fresh | Restore_self
+
+let kvs_step_gen =
+  (* 256 keys, so runs of a few hundred steps pass the 128-entry mark where
+     the list's count varint widens. *)
+  let key = QCheck.Gen.map (Printf.sprintf "key%03d") (QCheck.Gen.int_bound 255) in
+  let value = QCheck.Gen.(string_size ~gen:printable (int_range 0 12)) in
+  QCheck.Gen.frequency
+    [ (6, QCheck.Gen.map2 (fun k v -> Op (Kvs.Put (k, v))) key value);
+      (2, QCheck.Gen.map (fun k -> Op (Kvs.Get k)) key);
+      (2, QCheck.Gen.map (fun k -> Op (Kvs.Delete k)) key);
+      (1, QCheck.Gen.return Snapshot);
+      (1, QCheck.Gen.return Restore_fresh);
+      (1, QCheck.Gen.return Restore_self) ]
+
+let prop_kvs_snapshot_matches_reference =
+  QCheck.Test.make ~name:"kvs snapshot = sorted reference encoding" ~count:100
+    QCheck.(make Gen.(list_size (int_range 0 600) kvs_step_gen))
+    (fun steps ->
+      let app = ref (Kvs.create ()) and model = Hashtbl.create 64 in
+      let agrees () =
+        String.equal (!app.State_machine.snapshot ()) (reference_kvs_snapshot model)
+      in
+      List.for_all
+        (fun step ->
+          match step with
+          | Op op ->
+            let result = !app.State_machine.apply (Kvs.encode_op op) in
+            let expected =
+              match op with
+              | Kvs.Put (k, v) ->
+                Hashtbl.replace model k v;
+                Kvs.ok
+              | Kvs.Get k -> Option.value (Hashtbl.find_opt model k) ~default:Kvs.not_found
+              | Kvs.Delete k ->
+                Hashtbl.remove model k;
+                Kvs.ok
+            in
+            String.equal result expected
+          | Snapshot -> agrees ()
+          | Restore_fresh ->
+            let fresh = Kvs.create () in
+            Result.is_ok (fresh.State_machine.restore (reference_kvs_snapshot model))
+            && (app := fresh;
+                agrees ())
+          | Restore_self ->
+            Result.is_ok (!app.State_machine.restore (!app.State_machine.snapshot ())) && agrees ())
+        steps
+      && agrees ())
+
 let suites =
   [ ( "app",
       [ Alcotest.test_case "kvs ops" `Quick test_kvs_put_get_delete;
@@ -153,6 +218,7 @@ let suites =
         Alcotest.test_case "kvs canonical" `Quick test_kvs_snapshot_canonical;
         QCheck_alcotest.to_alcotest prop_kvs_op_roundtrip;
         QCheck_alcotest.to_alcotest prop_kvs_deterministic;
+        QCheck_alcotest.to_alcotest prop_kvs_snapshot_matches_reference;
         Alcotest.test_case "ledger blocks" `Quick test_ledger_blocks_close;
         Alcotest.test_case "ledger chain" `Quick test_ledger_chain_verifies;
         Alcotest.test_case "ledger snapshot" `Quick test_ledger_snapshot_restore;

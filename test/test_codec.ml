@@ -161,6 +161,70 @@ let prop_decode_never_crashes =
       match R.parse (fun r -> R.list r R.bytes) junk with
       | Ok _ | Error _ -> true)
 
+(* [to_string] encodes in a reused arena; every result must equal the same
+   encoder run on a fresh writer. *)
+let fresh_encode enc v =
+  let w = W.create () in
+  enc w v;
+  W.contents w
+
+let pairs_enc w xs =
+  W.list w
+    (fun w (a, b) ->
+      W.varint w a;
+      W.bytes w b)
+    xs
+
+let test_arena_nested () =
+  let inner = [ (1, "one"); (300, String.make 200 'x') ] in
+  (* The outer encoder calls [to_string] while the arena is busy. *)
+  let outer w () =
+    W.bytes w "head";
+    W.bytes w (W.to_string pairs_enc inner);
+    W.u64 w 42L
+  in
+  let expected = fresh_encode outer () in
+  Alcotest.(check string) "nested" expected (W.to_string outer ());
+  Alcotest.(check string) "reused after nesting" expected (W.to_string outer ());
+  Alcotest.(check string) "inner alone" (fresh_encode pairs_enc inner) (W.to_string pairs_enc inner)
+
+exception Mid_encode
+
+let test_arena_exception_releases () =
+  let failing w () =
+    W.bytes w (String.make 5000 'a');
+    raise Mid_encode
+  in
+  Alcotest.check_raises "raised through" Mid_encode (fun () -> ignore (W.to_string failing ()));
+  let xs = [ (7, "seven") ] in
+  Alcotest.(check string) "after the exception" (fresh_encode pairs_enc xs)
+    (W.to_string pairs_enc xs);
+  (* A nested encode that raises leaves the outer encode intact. *)
+  let outer w () =
+    W.varint w 9;
+    (try ignore (W.to_string failing ()) with Mid_encode -> ());
+    W.bytes w "tail"
+  in
+  Alcotest.(check string) "outer survives inner exception" (fresh_encode outer ())
+    (W.to_string outer ())
+
+let test_arena_large_then_small () =
+  let big = String.init (3 * 1024 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  let enc w () =
+    W.bytes w big;
+    W.varint w 5
+  in
+  Alcotest.(check string) "multi-MiB" (fresh_encode enc ()) (W.to_string enc ());
+  let xs = [ (1, "a"); (2, "b") ] in
+  Alcotest.(check string) "small after large" (fresh_encode pairs_enc xs)
+    (W.to_string pairs_enc xs);
+  Alcotest.(check string) "empty" "" (W.to_string (fun _ () -> ()) ())
+
+let prop_arena_matches_fresh =
+  QCheck.Test.make ~name:"to_string = fresh writer" ~count:200
+    QCheck.(list (pair small_nat string))
+    (fun xs -> String.equal (W.to_string pairs_enc xs) (fresh_encode pairs_enc xs))
+
 let suites =
   [ ( "codec",
       [ Alcotest.test_case "integers" `Quick test_integers;
@@ -181,4 +245,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_decode_never_crashes;
         QCheck_alcotest.to_alcotest prop_fixed_width;
         Alcotest.test_case "fixed-width extremes" `Quick test_fixed_width_extremes;
-        Alcotest.test_case "fixed-width truncated" `Quick test_fixed_width_truncated ] ) ]
+        Alcotest.test_case "fixed-width truncated" `Quick test_fixed_width_truncated;
+        Alcotest.test_case "arena: nested to_string" `Quick test_arena_nested;
+        Alcotest.test_case "arena: exception releases" `Quick test_arena_exception_releases;
+        Alcotest.test_case "arena: large then small" `Quick test_arena_large_then_small;
+        QCheck_alcotest.to_alcotest prop_arena_matches_fresh ] ) ]

@@ -12,6 +12,13 @@ module Message = Splitbft_types.Message
 module Enclave = Splitbft_tee.Enclave
 module Client = Splitbft_client.Client
 module Kvs = Splitbft_app.Kvs
+module State_machine = Splitbft_app.State_machine
+module Platform = Splitbft_tee.Platform
+module Sealing = Splitbft_tee.Sealing
+module Aead = Splitbft_crypto.Aead
+module Sha256 = Splitbft_crypto.Sha256
+module W = Splitbft_codec.Writer
+module R = Splitbft_codec.Reader
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -54,7 +61,7 @@ type cluster = {
 
 let make ?(n = 4) ?(threading = Config.Per_enclave) ?(checkpoint_interval = 64)
     ?(byz = fun _ -> (Preparation.Prep_honest, Confirmation.Conf_honest, Execution.Exec_honest))
-    () =
+    ?(app = fun _ () -> Kvs.create ()) () =
   let engine = Engine.create ~seed:8L () in
   let net = Network.create engine Network.default_config in
   let replicas =
@@ -66,7 +73,7 @@ let make ?(n = 4) ?(threading = Config.Per_enclave) ?(checkpoint_interval = 64)
             checkpoint_interval;
             suspect_timeout_us = 200_000.0;
             viewchange_timeout_us = 400_000.0 }
-          ~app:(fun () -> Kvs.create ()))
+          ~app:(app i))
   in
   { engine; net; replicas }
 
@@ -465,6 +472,160 @@ let test_conf_exec_reject_forged_viewchange () =
         (view_after_newview compartment forged_vc_newview))
     [ Ids.Confirmation; Ids.Execution ]
 
+(* ----- sealed checkpoint images ----- *)
+
+(* Execution's sealed checkpoint images, oldest first, unsealed. *)
+let exec_images r =
+  let platform = Enclave.platform (Replica.enclave r Ids.Execution) in
+  let key =
+    Aead.prepare
+      (Platform.sealing_key platform
+         (Splitbft_types.Enclave_identity.of_compartment Ids.Execution))
+  in
+  List.filter_map
+    (fun (tag, blob) ->
+      if String.equal tag "ckpt:execution" then
+        match Sealing.unseal ~key blob with
+        | Ok image -> Some image
+        | Error e -> Alcotest.fail e
+      else None)
+    (Replica.persisted r)
+
+type image = {
+  counter : int64;
+  view : int;
+  last : int;
+  snapshot : string;
+  executed : (int * string) list;
+  sessions : (int * string * string) list;
+}
+
+let parse_image s =
+  match
+    R.parse
+      (fun r ->
+        let counter = R.u64 r in
+        let view = R.varint r in
+        let last = R.varint r in
+        let snapshot = R.bytes r in
+        let executed =
+          R.list r (fun r ->
+              let seq = R.varint r in
+              let d = R.bytes r in
+              (seq, d))
+        in
+        let sessions =
+          R.list r (fun r ->
+              let c = R.varint r in
+              let auth = R.bytes r in
+              let enc = R.bytes r in
+              (c, auth, enc))
+        in
+        { counter; view; last; snapshot; executed; sessions })
+      s
+  with
+  | Ok i -> i
+  | Error e -> Alcotest.fail ("recovery image: " ^ e)
+
+(* The recovery image layout, every list through [W.list]. *)
+let reference_image i =
+  W.to_string
+    (fun w () ->
+      W.u64 w i.counter;
+      W.varint w i.view;
+      W.varint w i.last;
+      W.bytes w i.snapshot;
+      W.list w
+        (fun w (seq, d) ->
+          W.varint w seq;
+          W.bytes w d)
+        i.executed;
+      W.list w
+        (fun w (c, auth, enc) ->
+          W.varint w c;
+          W.bytes w auth;
+          W.bytes w enc)
+        i.sessions)
+    ()
+
+(* The newest image of [r] is the reference encoding of its header,
+   snapshot and sessions with the probe's executed log up to the sealed
+   seq in place of the log it carries. *)
+let check_newest_image name r =
+  match List.rev (exec_images r) with
+  | [] -> Alcotest.fail (name ^ ": no sealed image")
+  | newest :: _ ->
+    let i = parse_image newest in
+    let log =
+      List.filter (fun (seq, _) -> seq <= i.last) ((Replica.exec_probe r).Execution.executed_log ())
+    in
+    checkb (name ^ ": log reaches the sealed seq") true
+      (List.exists (fun (seq, _) -> seq = i.last) log);
+    Alcotest.(check string) (name ^ ": image = reference encoding of the probe's log")
+      (Splitbft_util.Hex.encode (reference_image { i with executed = log }))
+      (Splitbft_util.Hex.encode newest)
+
+let counting_app counts i () =
+  let app = Kvs.create () in
+  { app with
+    State_machine.snapshot =
+      (fun () ->
+        counts.(i) <- counts.(i) + 1;
+        app.State_machine.snapshot ()) }
+
+let test_one_snapshot_per_checkpoint () =
+  let counts = Array.make 4 0 in
+  let c = make ~checkpoint_interval:8 ~app:(counting_app counts) () in
+  let _, completed, _ = drive c ~ops:40 in
+  checki "served" 40 completed;
+  List.iteri
+    (fun i r ->
+      let name = Printf.sprintf "replica %d" i in
+      let checkpoints = Replica.last_executed r / 8 in
+      checkb (name ^ ": checkpointed") true (checkpoints >= 5);
+      checki (name ^ ": one sealed image per checkpoint") checkpoints
+        (List.length (exec_images r));
+      checki (name ^ ": one snapshot per checkpoint") checkpoints counts.(i))
+    c.replicas
+
+let test_image_encodes_executed_log () =
+  let c = make ~checkpoint_interval:8 () in
+  let r3 = List.nth c.replicas 3 in
+  let sealed_before_restart = ref [] in
+  ignore
+    (Engine.schedule c.engine ~delay:30_000.0 ~label:"crash-host" (fun () ->
+         Replica.crash_host r3));
+  ignore
+    (Engine.schedule c.engine ~delay:45_000.0 ~label:"restart-host" (fun () ->
+         sealed_before_restart := exec_images r3;
+         Replica.restart_host r3));
+  let _, completed, wrong = drive c ~ops:200 in
+  checki "served" 200 completed;
+  checki "no wrong" 0 wrong;
+  List.iteri (fun i r -> check_newest_image (Printf.sprintf "replica %d" i) r) c.replicas;
+  checkb "replica 3 recovered" true (Replica.recovered r3);
+  let before = List.length !sealed_before_restart in
+  checkb "replica 3 sealed before the crash" true (before > 0);
+  checkb "replica 3 sealed after the restore" true (List.length (exec_images r3) > before);
+  (* The restore rebuilt the log from the image it unsealed (the newest on
+     disk), so every later image still carries those entries. *)
+  let restored = parse_image (List.nth !sealed_before_restart (before - 1)) in
+  let newest = parse_image (List.nth (exec_images r3) (List.length (exec_images r3) - 1)) in
+  checkb "replica 3 kept the restored log" true
+    (List.for_all (fun e -> List.mem e newest.executed) restored.executed)
+
+(* Pins the image bytes: replica 0's first image (seq 8) of a fixed run. *)
+let test_image_golden () =
+  let c = make ~checkpoint_interval:8 () in
+  let _ = drive c ~ops:10 in
+  match exec_images (List.hd c.replicas) with
+  | [] -> Alcotest.fail "no sealed image"
+  | first :: _ ->
+    checki "sealed at seq 8" 8 (parse_image first).last;
+    Alcotest.(check string) "image sha256"
+      "0bbdd7307685a5ded002f19ee81b8b4ddcca7e65c52a3437dca8d4123982ebd7"
+      (Splitbft_util.Hex.encode (Sha256.digest first))
+
 let suites =
   [ ( "splitbft",
       [ Alcotest.test_case "wire codec" `Quick test_wire_roundtrips;
@@ -486,4 +647,8 @@ let suites =
         Alcotest.test_case "newview: preparation checks prepared proofs" `Quick
           test_prep_rejects_forged_prepared_proof;
         Alcotest.test_case "newview: conf/exec check viewchange sigs" `Quick
-          test_conf_exec_reject_forged_viewchange ] ) ]
+          test_conf_exec_reject_forged_viewchange;
+        Alcotest.test_case "checkpoint: one snapshot" `Quick test_one_snapshot_per_checkpoint;
+        Alcotest.test_case "checkpoint: image encodes the executed log" `Quick
+          test_image_encodes_executed_log;
+        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]

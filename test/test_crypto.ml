@@ -449,6 +449,37 @@ let prop_chacha20_into =
       in
       String.equal (Bytes.to_string out) expected)
 
+(* The 4-block kernel (runs of 256 bytes; x86-64 only) and the scalar
+   kernel against the reference: lengths up to 2,000 with the kernel
+   boundaries forced, counters whose low 32 bits wrap inside a group of
+   four blocks, and random offsets into larger buffers. *)
+let prop_chacha20_kernels =
+  QCheck.Test.make ~name:"chacha20 4-block and scalar kernels = reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (_, _, counter, src, soff, len, doff) ->
+          Printf.sprintf "counter %d, src %d bytes at %d, len %d, dst at %d" counter
+            (String.length src) soff len doff)
+        Gen.(
+          string_size (return 32) >>= fun key ->
+          string_size (return 12) >>= fun nonce ->
+          frequency
+            [ (2, counter_gen);
+              (1, map (fun d -> 0x1_0000_0000 - 4 + d) (int_bound 3)) ]
+          >>= fun counter ->
+          frequency [ (1, oneofl [ 255; 256; 257; 511; 1024 ]); (3, int_bound 2000) ]
+          >>= fun len ->
+          pair (int_bound 40) (int_bound 40) >>= fun (soff, doff) ->
+          string_size (return (soff + len + 7)) >|= fun src ->
+          (key, nonce, counter, src, soff, len, doff)))
+    (fun (key, nonce, counter, src, soff, len, doff) ->
+      let pt = String.sub src soff len in
+      let expected = reference_chacha20 ~key ~nonce ~counter pt in
+      let out = Bytes.make (doff + len + 3) '\x00' in
+      Chacha20.encrypt_into ~key ~nonce ~counter src ~src_off:soff out ~dst_off:doff ~len;
+      String.equal (Bytes.sub_string out doff len) expected
+      && String.equal (Chacha20.Private.encrypt_scalar ~key ~nonce ~counter pt) expected)
+
 let test_chacha20_into_bounds () =
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
   let src = String.make 10 's' in
@@ -618,6 +649,7 @@ let suites =
         Alcotest.test_case "sha256 hw kernel = ocaml kernel" `Quick test_sha256_kernels_agree;
         QCheck_alcotest.to_alcotest prop_chacha20_reference;
         QCheck_alcotest.to_alcotest prop_chacha20_into;
+        QCheck_alcotest.to_alcotest prop_chacha20_kernels;
         Alcotest.test_case "chacha20 encrypt_into bounds" `Quick test_chacha20_into_bounds;
         QCheck_alcotest.to_alcotest prop_aead_composition;
         QCheck_alcotest.to_alcotest prop_hmac_sub_into;
