@@ -818,18 +818,11 @@ let restart t =
   end
 
 let is_crashed t = t.crashed
-let view_belief t = t.view
 let persisted t = List.rev t.storage
 let alerts t = List.rev t.alerts
 let recovered t = t.recovered_count > 0 && not t.recovering
-
-let ecalls_to t compartment =
-  int_of_float (Registry.counter_value (t.ecall_counter_of compartment))
 
 let reply_cache_keys t = Lru.fold t.replied ~init:[] ~f:(fun acc k _ -> k :: acc) |> List.rev
 
 let inflight_keys t =
   Req_tbl.fold (fun k _ acc -> k :: acc) t.inflight [] |> List.sort compare
-
-let ecalls_issued t =
-  List.fold_left (fun acc c -> acc + ecalls_to t c) 0 Ids.all_compartments

@@ -61,18 +61,9 @@ val recovered : t -> bool
     no recovery is currently in progress. *)
 
 val is_crashed : t -> bool
-val view_belief : t -> Ids.view
-(** The environment's (liveness-only) belief of the current view. *)
 
 val persisted : t -> (string * string) list
 (** Sealed blobs written by the Execution enclave, oldest first. *)
-
-val ecalls_issued : t -> int
-(** Total ecalls this broker issued, all compartments — read from the
-    per-compartment [broker.ecalls] registry counters. *)
-
-val ecalls_to : t -> Splitbft_types.Ids.compartment -> int
-(** Ecalls issued to one compartment. *)
 
 val reply_cache_keys : t -> string list
 (** Keys (["client:timestamp"]) of the retransmit reply cache, most

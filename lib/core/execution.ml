@@ -26,29 +26,15 @@ module Ledger_entry = Splitbft_storage.Entry
 
 type byz = Exec_honest | Exec_leak | Exec_corrupt | Exec_lie_checkpoint
 
-(* The executed log, kept encoded: [count] entries of (varint seq, bytes
-   batch digest) in seqno order — the body of the list a recovery image
-   carries.  Each executed batch appends its entry once, so a seal embeds
-   the whole log with one blit instead of re-serialising it. *)
-type executed_log = { mutable count : int; entries : W.t }
-
-let log_append log seq digest =
-  W.varint log.entries seq;
-  W.bytes log.entries digest;
-  log.count <- log.count + 1
-
-let write_log w log =
-  W.varint w log.count;
-  W.append w log.entries
-
-let read_log r = R.list r (fun r -> let seq = R.varint r in (seq, R.bytes r))
-let log_entries log = Result.get_ok (R.parse read_log (W.to_string write_log log))
+(* What the test oracle sees of execution, reported as it happens so the
+   history lives outside the compartment state: a fresh incarnation, the
+   seq of the sealed image it accepted, each executed (seq, batch digest). *)
+type report = Started | Restored of Ids.seqno | Executed of Ids.seqno * string
 
 type probe = {
   view : unit -> int;
   last_executed : unit -> Ids.seqno;
   executed_total : unit -> int;
-  executed_log : unit -> (Ids.seqno * string) list;
   app_digest : unit -> string;
   last_stable : unit -> Ids.seqno;
   sessions : unit -> int;
@@ -69,7 +55,6 @@ type state = {
   mutable ahead : Message.commit list;
   decided : string Log.t;  (* seq -> committed digest *)
   mutable last_executed : Ids.seqno;
-  executed_log : executed_log;
   clients : Client_table.t;
   sessions : Session.keys Sessions.t;
   ckpt : Ckpt.t;
@@ -87,9 +72,10 @@ type state = {
   mutable halted : bool;
   (* append-only rollback-protected ledger (None = storage disabled) *)
   mutable ledger : Ledger.t option;
+  report : report -> unit;  (* to the oracle; it keeps the history *)
 }
 
-let create_state (cfg : Config.t) ~app =
+let create_state (cfg : Config.t) ~app ~report =
   { cfg;
     prep_lookup = Config.prep_public ~n:cfg.n;
     conf_lookup = Config.conf_public ~n:cfg.n;
@@ -102,7 +88,6 @@ let create_state (cfg : Config.t) ~app =
     ahead = [];
     decided = Log.create ~window:cfg.watermark_window ();
     last_executed = 0;
-    executed_log = { count = 0; entries = W.create ~initial_size:1024 () };
     clients = Client_table.create ();
     sessions = Sessions.create ();
     ckpt = Ckpt.create ~quorum:(Config.quorum cfg);
@@ -118,7 +103,8 @@ let create_state (cfg : Config.t) ~app =
     halted = false;
     ledger =
       (if cfg.segment_entries > 0 then Some (Ledger.create ~segment_entries:cfg.segment_entries)
-       else None) }
+       else None);
+    report }
 
 let in_window st seq = Log.in_window st.decided seq
 
@@ -135,13 +121,11 @@ type recovery_image = {
   ri_view : Ids.view;
   ri_last_executed : Ids.seqno;
   ri_snapshot : string;
-  ri_executed : (Ids.seqno * string) list;
   ri_sessions : (Ids.client_id * Session.keys) list;
 }
 
-(* The image is written straight from the compartment state: the executed
-   log goes in as its count and one blit of its kept encoding, the bytes
-   [W.list] would give over [ri_executed]. *)
+(* The image carries no history, so it grows only with the application
+   snapshot (DESIGN.md §6a). *)
 let encode_recovery_image st ~counter ~last_executed ~snapshot =
   W.to_string
     (fun w sessions ->
@@ -149,7 +133,6 @@ let encode_recovery_image st ~counter ~last_executed ~snapshot =
       W.varint w st.view;
       W.varint w last_executed;
       W.bytes w snapshot;
-      write_log w st.executed_log;
       W.list w
         (fun w (c, (k : Session.keys)) ->
           W.varint w c;
@@ -165,7 +148,6 @@ let decode_recovery_image s =
       let ri_view = R.varint r in
       let ri_last_executed = R.varint r in
       let ri_snapshot = R.bytes r in
-      let ri_executed = read_log r in
       let ri_sessions =
         R.list r (fun r ->
             let c = R.varint r in
@@ -173,7 +155,7 @@ let decode_recovery_image s =
             let enc = R.bytes r in
             (c, Session.make ~auth ~enc))
       in
-      { ri_counter; ri_view; ri_last_executed; ri_snapshot; ri_executed; ri_sessions })
+      { ri_counter; ri_view; ri_last_executed; ri_snapshot; ri_sessions })
     s
 
 let seal_checkpoint_state env st seq snapshot =
@@ -403,9 +385,9 @@ let rec try_execute env st ~byz =
       end
     | Some batch ->
       st.last_executed <- seq;
-      log_append st.executed_log seq digest;
+      st.report (Executed (seq, digest));
       (* The batch executes as one pool task: state transitions happen
-         here, in sequence order (so executed_log and reply contents are
+         here, in sequence order (so the execution order and replies are
          identical to serial execution by construction); with
          [exec_workers > 1] the batch's metered cost and its replies move
          to a worker thread that waits for any conflicting earlier batch
@@ -660,9 +642,7 @@ let on_recover env st blob_opt =
             ignore (st.app.State_machine.drain_effects ());
             st.view <- ri.ri_view;
             st.last_executed <- ri.ri_last_executed;
-            (* A fresh incarnation's log is empty until this, its first
-               restore, so the kept encoding is rebuilt from the image. *)
-            List.iter (fun (s, d) -> log_append st.executed_log s d) ri.ri_executed;
+            st.report (Restored ri.ri_last_executed);
             List.iter (fun (c, k) -> Sessions.set st.sessions c k) ri.ri_sessions;
             Hashtbl.replace st.snapshots ri.ri_last_executed ri.ri_snapshot;
             Ckpt.force_stable st.ckpt ri.ri_last_executed;
@@ -851,10 +831,11 @@ let handle env st ~byz (input : Wire.input) =
       | Message.Ledger_feed _ | Message.Read_request _ | Message.Read_reply _ ->
         ())
 
-let make ?(byz = Exec_honest) (cfg : Config.t) ~app =
-  let current = ref (create_state cfg ~app) in
+let make ?(byz = Exec_honest) ?(report = ignore) (cfg : Config.t) ~app =
+  let current = ref (create_state cfg ~app ~report:ignore) in
   let program env =
-    let st = create_state cfg ~app in
+    let st = create_state cfg ~app ~report in
+    report Started;
     (* Fresh per incarnation: lets clients tell a recovered enclave (which
        needs re-provisioning) apart from a quote retransmission. *)
     st.instance_nonce <- Rng.bytes (Enclave.env_rng env) 16;
@@ -868,7 +849,6 @@ let make ?(byz = Exec_honest) (cfg : Config.t) ~app =
     { view = (fun () -> !current.view);
       last_executed = (fun () -> !current.last_executed);
       executed_total = (fun () -> !current.executed_total);
-      executed_log = (fun () -> log_entries !current.executed_log);
       app_digest = (fun () -> State_machine.digest !current.app);
       last_stable = (fun () -> Ckpt.last_stable !current.ckpt);
       sessions = (fun () -> Sessions.count !current.sessions) }

@@ -31,14 +31,22 @@ type probe = {
   view : unit -> int;
   last_executed : unit -> Ids.seqno;
   executed_total : unit -> int;
-  executed_log : unit -> (Ids.seqno * string) list;  (** (seq, batch digest) *)
   app_digest : unit -> string;
   last_stable : unit -> Ids.seqno;
   sessions : unit -> int;
 }
 
+(** What the test oracle sees of execution, reported as it happens so the
+    history of executed batches lives outside the compartment state. *)
+type report =
+  | Started  (** a fresh incarnation: nothing executed yet *)
+  | Restored of Ids.seqno
+      (** accepted a sealed image at this seq: the state through it is back *)
+  | Executed of Ids.seqno * string  (** (seq, batch digest), in seq order *)
+
 val make :
   ?byz:byz ->
+  ?report:(report -> unit) ->
   Config.t ->
   app:(unit -> Splitbft_app.State_machine.t) ->
   Enclave.program * probe

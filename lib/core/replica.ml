@@ -17,6 +17,7 @@ type t = {
   conf_program : Enclave.program;
   exec_program : Enclave.program;
   broker : Broker.t;
+  history : (Ids.seqno * string) list ref;  (* executed batches, newest first *)
 }
 
 let create ?(prep_byz = Preparation.Prep_honest) ?(conf_byz = Confirmation.Conf_honest)
@@ -25,7 +26,16 @@ let create ?(prep_byz = Preparation.Prep_honest) ?(conf_byz = Confirmation.Conf_
   let platform = Platform.create engine ~id:cfg.id in
   let prep_program, prep_probe = Preparation.make ~byz:prep_byz cfg in
   let conf_program, conf_probe = Confirmation.make ~byz:conf_byz cfg in
-  let exec_program, exec_probe = Execution.make ~byz:exec_byz cfg ~app in
+  (* The oracle's history of executed batches, outside the enclave: each
+     incarnation starts empty, and an accepted sealed image at seq s brings
+     back the previous incarnation's entries through s. *)
+  let history = ref [] and prior = ref [] in
+  let report = function
+    | Execution.Started -> prior := !history; history := []
+    | Execution.Restored s -> history := List.filter (fun (q, _) -> q <= s) !prior
+    | Execution.Executed (s, d) -> history := (s, d) :: !history
+  in
+  let exec_program, exec_probe = Execution.make ~byz:exec_byz ~report cfg ~app in
   let make_enclave compartment program =
     (* Only Execution hosts a worker pool: it is where application work
        parallelizes; protocol compartments stay single-threaded. *)
@@ -60,7 +70,8 @@ let create ?(prep_byz = Preparation.Prep_honest) ?(conf_byz = Confirmation.Conf_
     prep_program;
     conf_program;
     exec_program;
-    broker }
+    broker;
+    history }
 
 let id t = t.cfg.id
 let config t = t.cfg
@@ -74,7 +85,7 @@ let broker t = t.broker
 let view t = t.exec_probe.Execution.view ()
 let last_executed t = t.exec_probe.Execution.last_executed ()
 let executed_count t = t.exec_probe.Execution.executed_total ()
-let executed_log t = t.exec_probe.Execution.executed_log ()
+let executed_log t = List.rev !(t.history)
 let app_digest t = t.exec_probe.Execution.app_digest ()
 let persisted t = Broker.persisted t.broker
 let prep_probe t = t.prep_probe

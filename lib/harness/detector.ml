@@ -60,7 +60,7 @@ type t = {
   proposals : (int * int * int, string) Hashtbl.t;
       (* (sender, view, seq) -> first proposal digest *)
   prepares_to : (int * int * int, int list ref) Hashtbl.t;
-      (* (view, seq, dst replica) -> prepare senders observed *)
+      (* (view, seq, dst replica) -> senders of prepares delivered there *)
   commits_seen : (int * int * int, unit) Hashtbl.t;
   flood : (string, unit) Hashtbl.t;  (* src>dst:payload already seen once *)
   ckpt_votes : (int, (string * int list ref) list ref) Hashtbl.t;
@@ -138,10 +138,13 @@ let on_prepare t ~src ~dst (p : Message.prepare) =
 (* An honest Commit(v, s) needs a prepare certificate: 2f Prepares from
    replicas other than the proposer, of which at most one is the
    committer's own (supplied host-locally, never on the wire).  Every
-   other certificate member was *sent* to the committer before it was
-   received, and the tap observes sends in global order — so fewer than
-   max 1 (2f-1) distinct wire prepares before the commit is impossible
-   for an honest replica, at any f, with zero false positives. *)
+   other certificate member was *delivered* to the committer before it
+   could count it, and the taps see deliveries and sends in one global
+   order — so fewer than max 1 (2f-1) distinct prepares delivered before
+   the commit is sent is impossible for an honest replica, at any f, with
+   zero false positives.  Counting deliveries rather than sends keeps the
+   rule sharp: a Prepare already sent but still in flight does not vouch
+   for a commit. *)
 let on_commit t ~src (c : Message.commit) =
   if not (Addr.is_client src) then begin
     let r = Addr.replica_of_addr src in
@@ -244,9 +247,7 @@ let on_payload t ~src ~dst payload =
           (Printf.sprintf "unresolvable digest-form proposal at view=%d seq=%d"
              pd.pd_view pd.pd_seq);
         note_flood t ~src ~dst payload
-      | Message.Prepare p ->
-        on_prepare t ~src ~dst p;
-        note_flood t ~src ~dst payload
+      | Message.Prepare _ -> note_flood t ~src ~dst payload
       | Message.Commit c ->
         on_commit t ~src c;
         note_flood t ~src ~dst payload
@@ -420,6 +421,11 @@ let attach ?(config = default_config) cluster =
   in
   Network.add_tap (Cluster.network cluster) (fun ~src ~dst payload ->
       on_payload t ~src ~dst payload);
+  if t.wire then
+    Network.add_delivery_tap (Cluster.network cluster) (fun ~src ~dst payload ->
+        match Message.decode payload with
+        | Ok (Message.Prepare p) -> on_prepare t ~src ~dst p
+        | Ok _ | Error _ -> ());
   (match Cluster.flight cluster with
   | Some fl -> Flight.on_event fl (fun ev -> on_flight t ev)
   | None -> ());

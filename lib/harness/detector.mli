@@ -22,12 +22,13 @@
       digest nobody can ever resolve to a batch is adversary-only
       ([corrupt-digest]).
     - [premature-commit] — a replica's first Commit(v, s) send observed
-      before at least [max 1 (2f - 1)] distinct other replicas sent it a
-      matching Prepare(v, s).  An honest commit requires 2f prepares of
-      which at most one (its own) is locally supplied, and a send is
-      tap-visible no later than its receipt — so the bound holds for
-      every honest commit by causality, and zero false positives follow
-      by construction ([promiscuous-commit]).
+      before Prepare(v, s) from at least [max 1 (2f - 1)] distinct other
+      replicas were delivered to it.  An honest commit requires 2f
+      prepares of which at most one (its own) is locally supplied, and
+      each other one must be delivered before it can count — so the bound
+      holds for every honest commit by causality, and zero false
+      positives follow by construction ([promiscuous-commit]).  A Prepare
+      sent but still in flight does not count.
     - [duplicate-flood] — byte-identical (src, dst, payload) protocol
       sends (PrePrepare/Prepare/Commit only; Reply, ViewChange and
       state-transfer messages legitimately re-send) observed more than

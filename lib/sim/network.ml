@@ -32,10 +32,9 @@ type t = {
   mutable filter : (src:addr -> dst:addr -> string -> action) option;
   mutable tap : (src:addr -> dst:addr -> string -> unit) option;
   mutable taps : (src:addr -> dst:addr -> string -> unit) list;  (* reverse order *)
-  mutable lane_hint : (dst:addr -> string -> int) option;
+  mutable delivery_taps : (src:addr -> dst:addr -> string -> unit) list;
   mutable sent : int;
   mutable delivered : int;
-  mutable bytes : int;
   c_sent : Registry.counter;
   c_delivered : Registry.counter;
   c_bytes : Registry.counter;
@@ -53,10 +52,9 @@ let create engine config =
     filter = None;
     tap = None;
     taps = [];
-    lane_hint = None;
+    delivery_taps = [];
     sent = 0;
     delivered = 0;
-    bytes = 0;
     c_sent = Registry.counter obs "net.messages_sent";
     c_delivered = Registry.counter obs "net.messages_delivered";
     c_bytes = Registry.counter obs "net.bytes_sent";
@@ -91,7 +89,7 @@ let heal t = t.groups <- None
 let set_filter t filter = t.filter <- filter
 let set_tap t tap = t.tap <- tap
 let add_tap t tap = t.taps <- tap :: t.taps
-let set_lane_hint t hint = t.lane_hint <- hint
+let add_delivery_tap t tap = t.delivery_taps <- t.delivery_taps @ [ tap ]
 
 let same_side t src dst =
   match t.groups with
@@ -116,7 +114,6 @@ let send t ~src ~dst payload =
   | taps -> List.iter (fun tap -> tap ~src ~dst payload) (List.rev taps));
   let size = String.length payload in
   t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + size;
   Registry.incr t.c_sent;
   Registry.add t.c_bytes size;
   let link = link t src dst in
@@ -138,10 +135,9 @@ let send t ~src ~dst payload =
     | Deliver | Delay _ ->
       let extra = match verdict with Delay d -> d | Deliver | Drop -> 0.0 in
       let delay = model_delay t size +. extra in
-      let lane = match t.lane_hint with None -> -1 | Some hint -> hint ~dst payload in
       ignore
         (Engine.schedule t.engine
-           ~cls:(Engine.Choice { host = dst; lane })
+           ~cls:(Engine.Choice { host = dst; lane = -1 })
            ~fp:payload ~delay ~label:link.label
            (fun () ->
              match Addr_tbl.find_opt t.handlers dst with
@@ -149,9 +145,9 @@ let send t ~src ~dst payload =
              | Some handler ->
                t.delivered <- t.delivered + 1;
                Registry.incr t.c_delivered;
+               List.iter (fun tap -> tap ~src ~dst payload) t.delivery_taps;
                handler ~src payload))
   end
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-let bytes_sent t = t.bytes

@@ -61,13 +61,11 @@ val add_tap : t -> (src:addr -> dst:addr -> string -> unit) -> unit
     the life of the simulation (the anomaly detector's wire observer
     lives here, coexisting with the safety scanner's slot). *)
 
-val set_lane_hint : t -> (dst:addr -> string -> int) option -> unit
-(** Classifier consulted at send time to tag the delivery event with a
-    consensus lane for the model checker's partial-order reduction
-    ([Engine.Choice]).  Returning [-1] (also the default when no hint is
-    installed) means "unknown lane" — the delivery then conflicts with
-    every other event on the same host. *)
+val add_delivery_tap : t -> (src:addr -> dst:addr -> string -> unit) -> unit
+(** Appends a passive observer of deliveries: it fires (in registration
+    order) when a message reaches a registered handler, just before the
+    handler runs.  Dropped messages and messages to unregistered addresses
+    never reach it.  The detector counts delivered Prepares here. *)
 
 val messages_sent : t -> int
 val messages_delivered : t -> int
-val bytes_sent : t -> int

@@ -61,5 +61,3 @@ let entries t =
 
 let length t = t.length
 let fingerprint t = Printf.sprintf "%016Lx" t.hash
-
-let pp_entry ppf e = Format.fprintf ppf "[%12.1f] %-24s %s" e.time e.label e.detail

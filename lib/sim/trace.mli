@@ -26,5 +26,3 @@ val fingerprint : t -> string
 (** Order-sensitive SHA-free fingerprint (a 64-bit FNV-style fold rendered
     in hex) of {e every} entry ever recorded — unaffected by eviction,
     cheap to compare across runs. *)
-
-val pp_entry : Format.formatter -> entry -> unit

@@ -496,7 +496,6 @@ type image = {
   view : int;
   last : int;
   snapshot : string;
-  executed : (int * string) list;
   sessions : (int * string * string) list;
 }
 
@@ -508,12 +507,6 @@ let parse_image s =
         let view = R.varint r in
         let last = R.varint r in
         let snapshot = R.bytes r in
-        let executed =
-          R.list r (fun r ->
-              let seq = R.varint r in
-              let d = R.bytes r in
-              (seq, d))
-        in
         let sessions =
           R.list r (fun r ->
               let c = R.varint r in
@@ -521,7 +514,7 @@ let parse_image s =
               let enc = R.bytes r in
               (c, auth, enc))
         in
-        { counter; view; last; snapshot; executed; sessions })
+        { counter; view; last; snapshot; sessions })
       s
   with
   | Ok i -> i
@@ -536,11 +529,6 @@ let reference_image i =
       W.varint w i.last;
       W.bytes w i.snapshot;
       W.list w
-        (fun w (seq, d) ->
-          W.varint w seq;
-          W.bytes w d)
-        i.executed;
-      W.list w
         (fun w (c, auth, enc) ->
           W.varint w c;
           W.bytes w auth;
@@ -549,20 +537,16 @@ let reference_image i =
     ()
 
 (* The newest image of [r] is the reference encoding of its header,
-   snapshot and sessions with the probe's executed log up to the sealed
-   seq in place of the log it carries. *)
+   snapshot and sessions, sealed at a seq the replica executed. *)
 let check_newest_image name r =
   match List.rev (exec_images r) with
   | [] -> Alcotest.fail (name ^ ": no sealed image")
   | newest :: _ ->
     let i = parse_image newest in
-    let log =
-      List.filter (fun (seq, _) -> seq <= i.last) ((Replica.exec_probe r).Execution.executed_log ())
-    in
-    checkb (name ^ ": log reaches the sealed seq") true
-      (List.exists (fun (seq, _) -> seq = i.last) log);
-    Alcotest.(check string) (name ^ ": image = reference encoding of the probe's log")
-      (Splitbft_util.Hex.encode (reference_image { i with executed = log }))
+    checkb (name ^ ": history reaches the sealed seq") true
+      (List.mem_assoc i.last (Replica.executed_log r));
+    Alcotest.(check string) (name ^ ": image = reference encoding")
+      (Splitbft_util.Hex.encode (reference_image i))
       (Splitbft_util.Hex.encode newest)
 
 let counting_app counts i () =
@@ -588,16 +572,44 @@ let test_one_snapshot_per_checkpoint () =
       checki (name ^ ": one snapshot per checkpoint") checkpoints counts.(i))
     c.replicas
 
-let test_image_encodes_executed_log () =
+(* The bytes an image holds after its application snapshot (which
+   follows the counter, the view and the sealed seq), read without
+   parsing them, so a growing tail shows as a growing number. *)
+let image_tail image =
+  let r = R.of_string image in
+  ignore (R.u64 r);
+  ignore (R.varint r);
+  ignore (R.varint r);
+  ignore (R.bytes r);
+  R.remaining r
+
+let test_image_is_flat () =
+  let c = make ~checkpoint_interval:8 () in
+  let _, completed, _ = drive c ~ops:200 in
+  checki "served" 200 completed;
+  List.iteri
+    (fun i r ->
+      let name = Printf.sprintf "replica %d" i in
+      match List.map image_tail (exec_images r) with
+      | [] -> Alcotest.fail (name ^ ": no sealed image")
+      | first :: rest as all ->
+        checkb (name ^ ": checkpointed through the run") true (List.length all >= 20);
+        List.iteri
+          (fun k o -> checki (Printf.sprintf "%s: image %d tail = first" name (k + 2)) first o)
+          rest)
+    c.replicas
+
+let test_history_survives_restore () =
   let c = make ~checkpoint_interval:8 () in
   let r3 = List.nth c.replicas 3 in
-  let sealed_before_restart = ref [] in
+  let sealed_before_restart = ref [] and history_before_restart = ref [] in
   ignore
     (Engine.schedule c.engine ~delay:30_000.0 ~label:"crash-host" (fun () ->
          Replica.crash_host r3));
   ignore
     (Engine.schedule c.engine ~delay:45_000.0 ~label:"restart-host" (fun () ->
          sealed_before_restart := exec_images r3;
+         history_before_restart := Replica.executed_log r3;
          Replica.restart_host r3));
   let _, completed, wrong = drive c ~ops:200 in
   checki "served" 200 completed;
@@ -607,12 +619,23 @@ let test_image_encodes_executed_log () =
   let before = List.length !sealed_before_restart in
   checkb "replica 3 sealed before the crash" true (before > 0);
   checkb "replica 3 sealed after the restore" true (List.length (exec_images r3) > before);
-  (* The restore rebuilt the log from the image it unsealed (the newest on
-     disk), so every later image still carries those entries. *)
-  let restored = parse_image (List.nth !sealed_before_restart (before - 1)) in
-  let newest = parse_image (List.nth (exec_images r3) (List.length (exec_images r3) - 1)) in
-  checkb "replica 3 kept the restored log" true
-    (List.for_all (fun e -> List.mem e newest.executed) restored.executed)
+  (* The restore accepted the newest image on disk; the history is the
+     pre-crash one cut at its seq, then what the new incarnation executed,
+     in order and in agreement with replica 0. *)
+  let restored = (parse_image (List.nth !sealed_before_restart (before - 1))).last in
+  let cut, later = List.partition (fun (seq, _) -> seq <= restored) (Replica.executed_log r3) in
+  checkb "replica 3 executed past the crash" true
+    (List.exists (fun (seq, _) -> seq > restored) !history_before_restart);
+  checkb "cut = pre-crash history through the restored seq" true
+    (cut = List.filter (fun (seq, _) -> seq <= restored) !history_before_restart);
+  let seqs = List.map fst later in
+  checkb "replica 3 executed after the restore" true (seqs <> []);
+  checkb "later executions strictly increase" true (seqs = List.sort_uniq compare seqs);
+  let r0 = Replica.executed_log (List.hd c.replicas) in
+  checkb "later executions agree with replica 0" true
+    (List.for_all (fun (seq, d) -> List.assoc_opt seq r0 = Some d) later);
+  checki "history ends at the last executed seq" (Replica.last_executed r3)
+    (List.hd (List.rev seqs))
 
 (* Pins the image bytes: replica 0's first image (seq 8) of a fixed run. *)
 let test_image_golden () =
@@ -623,7 +646,7 @@ let test_image_golden () =
   | first :: _ ->
     checki "sealed at seq 8" 8 (parse_image first).last;
     Alcotest.(check string) "image sha256"
-      "0bbdd7307685a5ded002f19ee81b8b4ddcca7e65c52a3437dca8d4123982ebd7"
+      "a861f191a875d9bbd0befc104a455452fd166ebb472914950a02ad4e37836e4c"
       (Splitbft_util.Hex.encode (Sha256.digest first))
 
 let suites =
@@ -649,6 +672,7 @@ let suites =
         Alcotest.test_case "newview: conf/exec check viewchange sigs" `Quick
           test_conf_exec_reject_forged_viewchange;
         Alcotest.test_case "checkpoint: one snapshot" `Quick test_one_snapshot_per_checkpoint;
-        Alcotest.test_case "checkpoint: image encodes the executed log" `Quick
-          test_image_encodes_executed_log;
+        Alcotest.test_case "checkpoint: image is flat" `Quick test_image_is_flat;
+        Alcotest.test_case "checkpoint: oracle history survives restore" `Quick
+          test_history_survives_restore;
         Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]

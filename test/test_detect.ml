@@ -27,6 +27,8 @@ module Engine = Splitbft_sim.Engine
 module S = Splitbft_core.Replica
 module Broker = Splitbft_core.Broker
 module Ids = Splitbft_types.Ids
+module Addr = Splitbft_types.Addr
+module Message = Splitbft_types.Message
 module Proto_splitbft = Splitbft_proto.Proto_splitbft
 
 let checkb = Alcotest.(check bool)
@@ -363,12 +365,44 @@ let test_crash_resets_gauges () =
           true (v = 0.0))
     Ids.all_compartments
 
+(* premature-commit counts Prepares delivered to the committer, not sent
+   to it: with f = 1 a commit needs one delivered wire Prepare, so one
+   still in flight must not vouch for it.  The messages are hand-made and
+   go straight onto the wire of an idle cluster; the replicas drop them as
+   unsigned, the detector sees them on its taps. *)
+let test_premature_commit_counts_deliveries () =
+  let cluster =
+    H.Cluster.create
+      { (H.Cluster.default_params Proto_splitbft.protocol) with H.Cluster.seed = 5L }
+  in
+  let det = H.Detector.attach cluster in
+  let net = H.Cluster.network cluster in
+  let digest = String.make 32 'd' in
+  let send ~src ~dst msg =
+    Splitbft_sim.Network.send net ~src:(Addr.replica src) ~dst:(Addr.replica dst)
+      (Message.encode msg)
+  in
+  let prepare seq = Message.Prepare { view = 0; seq; digest; sender = 2; p_sig = "" } in
+  let commit seq = Message.Commit { view = 0; seq; digest; sender = 1; c_sig = "" } in
+  let premature () = List.mem "premature-commit" (H.Detector.fired_at det ~replica:1) in
+  (* seq 900: the Prepare reaches replica 1 before its Commit is sent *)
+  send ~src:2 ~dst:1 (prepare 900);
+  H.Cluster.run cluster ~until_us:10_000.0;
+  send ~src:1 ~dst:0 (commit 900);
+  checkb "a delivered Prepare vouches for the commit" false (premature ());
+  (* seq 901: the Prepare was sent but is still on the wire *)
+  send ~src:2 ~dst:1 (prepare 901);
+  send ~src:1 ~dst:0 (commit 901);
+  checkb "a Prepare in flight does not" true (premature ())
+
 let suites =
   [ ( "detect",
       [ Alcotest.test_case "rule catalog fully exercised" `Quick test_catalog_covered;
         Alcotest.test_case "flight recording is inert" `Quick test_flight_recording_is_inert;
         Alcotest.test_case "detection is deterministic" `Slow test_detection_deterministic;
         Alcotest.test_case "flight artifact roundtrip" `Slow test_flight_dump_roundtrip;
-        Alcotest.test_case "crash leaves no stale gauges" `Quick test_crash_resets_gauges ]
+        Alcotest.test_case "crash leaves no stale gauges" `Quick test_crash_resets_gauges;
+        Alcotest.test_case "premature-commit counts deliveries" `Quick
+          test_premature_commit_counts_deliveries ]
       @ coverage_cases );
     ("detect.sweep", sweep_cases) ]

@@ -181,8 +181,8 @@ let test_table2_counts () =
 let table2_ceilings =
   [ ("Preparation Enc.", 2114);
     ("Confirmation Enc.", 1943);
-    ("Execution Enc.", 2598);
-    ("Untrusted Env.", 1267);
+    ("Execution Enc.", 2585);
+    ("Untrusted Env.", 1265);
     ("Trusted Counter", 58) ]
 
 let test_table2_ceilings () =
