@@ -4,6 +4,7 @@ module Validation = Splitbft_types.Validation
 module Enclave = Splitbft_tee.Enclave
 module Signature = Splitbft_crypto.Signature
 module Ckpt = Splitbft_consensus.Ckpt
+module Sealed_image = Splitbft_consensus.Sealed_image
 
 let charge_verify env count =
   Enclave.charge_crypto env
@@ -96,3 +97,22 @@ let newview_shallow_ok env ~f ~n ~prep_lookup ~conf_lookup (nv : Message.newview
        (fun (vc : Message.viewchange) ->
          vc.vc_new_view = nv.nv_view && verify_viewchange env conf_lookup vc)
        nv.nv_viewchanges
+
+(* ----- sealed checkpoints (§4–5, DESIGN.md §6a) -----
+
+   Each compartment binds its image to its own "ckpt" counter (counter
+   names are scoped by measurement).  The enclave bumps the counter inside
+   the seal, but the untrusted host writes the blob asynchronously, so a
+   crash can legitimately lose the newest seal: acceptance tolerates one
+   slot.  A replayed blob is always at least two behind, so the tolerance
+   never masks an attack; it costs at most one checkpoint interval of
+   staleness, which state transfer repairs. *)
+
+let seal_checkpoint env ~tag write body =
+  let counter = Enclave.counter_increment env "ckpt" in
+  let data = Sealed_image.seal ~counter ~seal:(Enclave.seal env) write body in
+  Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag; data }))
+
+let open_checkpoint env ~who blob read =
+  Sealed_image.check ~who ~slack:1 ~counter:(Enclave.counter_read env "ckpt")
+    ~unseal:(Enclave.unseal env) blob read

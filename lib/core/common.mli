@@ -92,3 +92,22 @@ val verify_viewchange_deep :
     verification as it is performed (a failing check stops the charging).
     Nothing is memoized: a NewView's ViewChanges are deep-checked in full
     every time. *)
+
+(** {2 Sealed checkpoints}
+
+    The compartments' use of {!Splitbft_consensus.Sealed_image}: the
+    ["ckpt"] counter, the enclave's sealing key, and a one-slot
+    tolerance because the host persists blobs asynchronously. *)
+
+val seal_checkpoint :
+  Enclave.env -> tag:string -> (Splitbft_codec.Writer.t -> 'a -> unit) -> 'a -> unit
+(** Bumps the counter, seals the image and hands it to the host to
+    persist under [tag]. *)
+
+val open_checkpoint :
+  Enclave.env ->
+  who:string ->
+  string option ->
+  (Splitbft_codec.Reader.t -> 'a) ->
+  'a Splitbft_consensus.Sealed_image.verdict
+(** Judges the blob a restarted enclave was offered. *)

@@ -19,6 +19,7 @@ module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Sessions = Splitbft_consensus.Sessions
+module Catchup = Splitbft_consensus.Catchup
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 module Ledger = Splitbft_storage.Ledger
@@ -61,8 +62,7 @@ type state = {
   fetching : (string, unit) Hashtbl.t;  (* batch digests requested from peers *)
   mutable executed_total : int;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshots at checkpoint seqs *)
-  sync_votes : (Ids.seqno, string * Message.request list) Votes.t;
-  mutable sync_replies : (Ids.replica_id * Ids.seqno * Ids.view) list;
+  sync : Ids.seqno Catchup.t;
   quote_offered : (Ids.client_id, unit) Hashtbl.t;
   mutable instance_nonce : string;
   mutable recovering : bool;
@@ -94,8 +94,7 @@ let create_state (cfg : Config.t) ~app ~report =
     fetching = Hashtbl.create 8;
     executed_total = 0;
     snapshots = Hashtbl.create 4;
-    sync_votes = Votes.create ~size:32 ();
-    sync_replies = [];
+    sync = Catchup.create ~f:(Config.f cfg) ~compare:Int.compare;
     quote_offered = Hashtbl.create 8;
     instance_nonce = "";
     recovering = false;
@@ -110,59 +109,21 @@ let in_window st seq = Log.in_window st.decided seq
 
 (* ----- rollback-protected sealed checkpoints (§4–5) -----
 
-   Every checkpoint, the compartment seals its recoverable state and binds
-   the blob to a fresh value of a named monotonic counter.  A recovering
-   incarnation accepts only the blob matching the current counter value: a
-   host replaying an older blob (or wiping the counter) is detected and
-   recovery aborts loudly instead of silently rejoining with stale state. *)
+   Every checkpoint, the compartment seals its recoverable state bound to
+   its "ckpt" counter (Common.seal_checkpoint).  The image body carries no
+   history, so it grows only with the application snapshot (DESIGN.md
+   §6a). *)
 
-type recovery_image = {
-  ri_counter : int64;
-  ri_view : Ids.view;
-  ri_last_executed : Ids.seqno;
-  ri_snapshot : string;
-  ri_sessions : (Ids.client_id * Session.keys) list;
-}
-
-(* The image carries no history, so it grows only with the application
-   snapshot (DESIGN.md §6a). *)
-let encode_recovery_image st ~counter ~last_executed ~snapshot =
-  W.to_string
-    (fun w sessions ->
-      W.u64 w counter;
-      W.varint w st.view;
-      W.varint w last_executed;
-      W.bytes w snapshot;
-      W.list w
-        (fun w (c, (k : Session.keys)) ->
-          W.varint w c;
-          W.bytes w k.Session.auth;
-          W.bytes w k.Session.enc)
-        sessions)
+let write_image w (st, seq, snapshot) =
+  W.varint w st.view;
+  W.varint w seq;
+  W.bytes w snapshot;
+  W.list w
+    (fun w (c, (k : Session.keys)) ->
+      W.varint w c;
+      W.bytes w k.Session.auth;
+      W.bytes w k.Session.enc)
     (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions [])
-
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let ri_counter = R.u64 r in
-      let ri_view = R.varint r in
-      let ri_last_executed = R.varint r in
-      let ri_snapshot = R.bytes r in
-      let ri_sessions =
-        R.list r (fun r ->
-            let c = R.varint r in
-            let auth = R.bytes r in
-            let enc = R.bytes r in
-            (c, Session.make ~auth ~enc))
-      in
-      { ri_counter; ri_view; ri_last_executed; ri_snapshot; ri_sessions })
-    s
-
-let seal_checkpoint_state env st seq snapshot =
-  let counter = Enclave.counter_increment env "ckpt" in
-  let image = encode_recovery_image st ~counter ~last_executed:seq ~snapshot in
-  let sealed = Enclave.seal env image in
-  Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag = "ckpt:execution"; data = sealed }))
 
 (* Handler (8): originate a Checkpoint every interval.  An
    [Exec_lie_checkpoint] adversary signs checkpoints over a fabricated
@@ -198,7 +159,7 @@ let send_checkpoint_if_due env st ~byz seq =
            when peer checkpoints arrive through [Common.on_checkpoint]. *)
         Ckpt.store st.ckpt ck;
         Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Checkpoint ck)));
-        seal_checkpoint_state env st seq snapshot;
+        Common.seal_checkpoint env ~tag:"ckpt:execution" write_image (st, seq, snapshot);
         ([], []))
 
 let gc st stable =
@@ -477,23 +438,12 @@ let on_state_request env st (sr : Message.state_request) =
          (Wire.Out_send (Addr.replica sr.sr_requester, Message.State_reply reply)))
   end
 
-(* Caught up once we reach the height vouched by f+1 repliers (at least one
-   honest, so the target is a height the cluster genuinely reached). *)
 let finish_recovery_if_caught_up env st =
-  if st.recovering then begin
-    let f1 = Config.f st.cfg + 1 in
-    if List.length st.sync_replies >= f1 then begin
-      let heights =
-        List.map (fun (_, h, _) -> h) st.sync_replies |> List.sort (fun a b -> Int.compare b a)
-      in
-      if st.last_executed >= List.nth heights (f1 - 1) then begin
-        st.recovering <- false;
-        st.recovered_once <- true;
-        st.sync_replies <- [];
-        Votes.reset st.sync_votes;
-        Enclave.emit env (Wire.encode_output Wire.Out_recovered)
-      end
-    end
+  if st.recovering && Catchup.caught_up st.sync st.last_executed then begin
+    st.recovering <- false;
+    st.recovered_once <- true;
+    Catchup.reset st.sync;
+    Enclave.emit env (Wire.encode_output Wire.Out_recovered)
   end
 
 let on_state_reply env st ~byz (sr : Message.state_reply) =
@@ -532,52 +482,20 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
                Log.advance_low_mark st.decided sr.st_stable
            end
      end);
-    (* Log suffix: entries are content-addressed but unsigned, so install a
-       slot only once f+1 distinct repliers vouch for the same digest. *)
-    List.iter
-      (fun (e : Message.state_entry) ->
-        if
-          e.se_seq > st.last_executed
-          && (not (Log.mem st.decided e.se_seq))
-          && String.equal (Message.digest_of_batch e.se_batch) e.se_digest
-          && Votes.add st.sync_votes ~key:e.se_seq ~sender:sr.st_replier
-               (e.se_digest, e.se_batch)
-        then begin
-          let matching =
-            List.filter
-              (fun (d, _) -> String.equal d e.se_digest)
-              (Votes.get st.sync_votes e.se_seq)
-          in
-          if List.length matching >= Config.f st.cfg + 1 then begin
-            Hashtbl.replace st.batches e.se_digest e.se_batch;
-            Log.set st.decided e.se_seq e.se_digest
-          end
-        end)
-      sr.st_entries;
-    let vouched =
-      List.fold_left
-        (fun acc (e : Message.state_entry) -> max acc e.se_seq)
-        sr.st_stable sr.st_entries
-    in
-    (* One live slot per replier: a retry round's reply supersedes the
-       replier's earlier (possibly shorter) one. *)
-    st.sync_replies <-
-      (sr.st_replier, vouched, sr.st_view)
-      :: List.filter (fun (r, _, _) -> r <> sr.st_replier) st.sync_replies;
-    (* Adopt the view vouched by f+1 repliers so commits flowing in the
-       cluster's current view are not discarded. *)
-    let f1 = Config.f st.cfg + 1 in
-    if List.length st.sync_replies >= f1 then begin
-      let views =
-        List.map (fun (_, _, v) -> v) st.sync_replies |> List.sort (fun a b -> Int.compare b a)
-      in
-      let v = List.nth views (f1 - 1) in
-      if v > st.view then begin
-        st.view <- v;
-        Votes.reset st.commits;
-        Enclave.emit env (Wire.encode_output (Wire.Out_entered_view st.view))
-      end
-    end;
+    (* Log suffix: decide a slot once f+1 repliers vouch for its digest. *)
+    Catchup.absorb st.sync sr
+      ~admit:(fun seq -> seq > st.last_executed && not (Log.mem st.decided seq))
+      ~install:(fun (e : Message.state_entry) ->
+        Hashtbl.replace st.batches e.se_digest e.se_batch;
+        Log.set st.decided e.se_seq e.se_digest);
+    (* Adopt the vouched view so commits flowing in the cluster's current
+       view are not discarded. *)
+    (match Catchup.vouched_view st.sync with
+    | Some v when v > st.view ->
+      st.view <- v;
+      Votes.reset st.commits;
+      Enclave.emit env (Wire.encode_output (Wire.Out_entered_view st.view))
+    | _ -> ());
     try_execute env st ~byz;
     finish_recovery_if_caught_up env st
   end
@@ -600,54 +518,33 @@ let on_recover env st blob_opt =
     st.halted <- true;
     Enclave.emit env (Wire.encode_output (Wire.Out_alert reason))
   in
-  (* The enclave bumps the counter *inside* the seal, but the blob reaches
-     disk through the untrusted host asynchronously — a crash can land
-     between the two, legitimately losing the newest seal.  So acceptance
-     tolerates exactly one slot: a blob bound to [counter] or
-     [counter - 1].  A replayed blob is always ≥ 2 behind (or fails the
-     absent-blob check below), so the tolerance never masks an attack; it
-     costs at most one checkpoint interval of staleness, which state
-     transfer repairs anyway. *)
-  let counter = Enclave.counter_read env "ckpt" in
-  (match blob_opt with
-  | None ->
-    (* A counter past 1 proves an earlier seal reached disk (the one-slot
-       window only covers the newest); an absent blob means the host
-       destroyed (or withheld) it — a rollback to the empty state. *)
-    if Int64.compare counter 1L > 0 then
-      refuse
-        (Printf.sprintf
-           "execution: rollback detected — counter at %Ld but no sealed checkpoint offered"
-           counter)
-  | Some sealed -> (
-    match Enclave.unseal env sealed with
-    | Error e -> refuse ("execution: sealed checkpoint rejected: " ^ e)
-    | Ok blob -> (
-      match decode_recovery_image blob with
-      | Error e -> refuse ("execution: sealed checkpoint malformed: " ^ e)
-      | Ok ri ->
-        if
-          Int64.compare ri.ri_counter counter <> 0
-          && Int64.compare ri.ri_counter (Int64.pred counter) <> 0
-        then
-          refuse
-            (Printf.sprintf
-               "execution: rollback detected — sealed checkpoint bound to counter %Ld, \
-                platform counter is %Ld"
-               ri.ri_counter counter)
-        else begin
-          match st.app.State_machine.restore ri.ri_snapshot with
-          | Error e -> refuse ("execution: sealed snapshot rejected by application: " ^ e)
-          | Ok () ->
-            ignore (st.app.State_machine.drain_effects ());
-            st.view <- ri.ri_view;
-            st.last_executed <- ri.ri_last_executed;
-            st.report (Restored ri.ri_last_executed);
-            List.iter (fun (c, k) -> Sessions.set st.sessions c k) ri.ri_sessions;
-            Hashtbl.replace st.snapshots ri.ri_last_executed ri.ri_snapshot;
-            Ckpt.force_stable st.ckpt ri.ri_last_executed;
-            Log.advance_low_mark st.decided ri.ri_last_executed
-        end)));
+  (match
+     Common.open_checkpoint env ~who:"execution" blob_opt (fun r ->
+         let view = R.varint r in
+         let last = R.varint r in
+         let snapshot = R.bytes r in
+         let sessions =
+           R.list r (fun r ->
+               let c = R.varint r in
+               let auth = R.bytes r in
+               (c, Session.make ~auth ~enc:(R.bytes r)))
+         in
+         (view, last, snapshot, sessions))
+   with
+  | Fresh -> ()
+  | Refused reason -> refuse reason
+  | Restored (view, last, snapshot, sessions) -> (
+    match st.app.State_machine.restore snapshot with
+    | Error e -> refuse ("execution: sealed snapshot rejected by application: " ^ e)
+    | Ok () ->
+      ignore (st.app.State_machine.drain_effects ());
+      st.view <- view;
+      st.last_executed <- last;
+      st.report (Restored last);
+      List.iter (fun (c, k) -> Sessions.set st.sessions c k) sessions;
+      Hashtbl.replace st.snapshots last snapshot;
+      Ckpt.force_stable st.ckpt last;
+      Log.advance_low_mark st.decided last));
   if not st.halted then begin
     st.recovering <- true;
     Enclave.emit env
@@ -814,7 +711,6 @@ let handle env st ~byz (input : Wire.input) =
               && stable >= st.last_executed + st.cfg.checkpoint_interval
             then begin
               st.recovering <- true;
-              st.sync_replies <- [];
               Enclave.emit env
                 (Wire.encode_output
                    (Wire.Out_broadcast

@@ -197,16 +197,21 @@ let table2 ?root () =
   in
   let file sub = Filename.concat root sub in
   (* Shared types/crypto/codec compiled into every enclave, plus the
-     in-enclave common logic. *)
+     in-enclave common logic and the sealed-checkpoint envelope every
+     compartment uses. *)
   let shared_files =
     ml_files_under root [ "lib/types"; "lib/crypto"; "lib/codec" ]
-    @ [ file "lib/core/common.ml"; file "lib/core/wire.ml"; file "lib/core/config.ml" ]
+    @ [ file "lib/core/common.ml"; file "lib/core/wire.ml"; file "lib/core/config.ml";
+        file "lib/consensus/sealed_image.ml" ]
   in
   let shared = code_loc shared_files in
   let prep = code_loc [ file "lib/core/preparation.ml" ] in
   let conf = code_loc [ file "lib/core/confirmation.ml" ] in
   let app_loc = code_loc (ml_files_under root [ "lib/app" ]) in
-  let exec = code_loc [ file "lib/core/execution.ml" ] + app_loc in
+  (* State transfer's f+1 rule runs only in Execution. *)
+  let exec =
+    code_loc [ file "lib/core/execution.ml"; file "lib/consensus/catchup.ml" ] + app_loc
+  in
   let untrusted =
     code_loc
       ([ file "lib/core/broker.ml"; file "lib/core/replica.ml" ]

@@ -19,6 +19,8 @@ module State_machine = Splitbft_app.State_machine
 module Quorum = Splitbft_consensus.Quorum
 module Votes = Splitbft_consensus.Votes
 module Client_table = Splitbft_consensus.Client_table
+module Sealed_image = Splitbft_consensus.Sealed_image
+module Catchup = Splitbft_consensus.Catchup
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 
@@ -106,9 +108,7 @@ type t = {
   snapshots : (int64, string) Hashtbl.t;  (* own snapshot at own checkpoint counters *)
   exec_index_at : (int64, int) Hashtbl.t;  (* counter -> exec index after executing it *)
   mutable stable_proof : (int64 * string * Mmsg.checkpoint list) option;
-  sync_votes : (int64, string * Message.request list) Votes.t;
-  mutable sync_replies : (int * int64 * int) list;
-      (* one live slot per replier: (replier, vouched head counter, view) *)
+  sync : int64 Catchup.t;  (* heights are the primary's USIG counters *)
   mutable recovering : bool;
   mutable recovered_count : int;
   mutable alerts : string list;  (* newest first *)
@@ -266,53 +266,26 @@ and maybe_checkpoint t counter =
        assembled from f+1 UI-signed checkpoints including ours. *)
     ignore (Votes.add t.checkpoints ~key:counter ~sender:t.cfg.id signed);
     broadcast t ~cost:(ui_create_cost t) (Mmsg.Checkpoint signed);
-    seal_checkpoint_state t ~counter ~snapshot
+    (* The SplitBFT compartments' rollback defense, for the comparison
+       rows; the blob is on disk before the seal returns. *)
+    let sealed =
+      Sealed_image.seal
+        ~counter:(Platform.counter_increment t.platform "ckpt")
+        ~seal:(Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform))
+        (fun w t ->
+          W.varint w t.view;
+          W.varint w t.exec_index;
+          W.u64 w t.last_exec_counter;
+          W.bytes w snapshot;
+          W.list w
+            (fun w (i, d) ->
+              W.u64 w i;
+              W.bytes w d)
+            !(t.executed_digests))
+        t
+    in
+    t.persist_log <- ("ckpt:minbft", sealed) :: t.persist_log
   end
-
-(* ----- rollback-protected sealed checkpoints ----- *)
-
-and encode_recovery_image t ~counter ~snapshot =
-  W.to_string
-    (fun w () ->
-      W.u64 w counter;
-      W.varint w t.view;
-      W.varint w t.exec_index;
-      W.u64 w t.last_exec_counter;
-      W.bytes w snapshot;
-      W.list w
-        (fun w (i, d) ->
-          W.u64 w i;
-          W.bytes w d)
-        !(t.executed_digests))
-    ()
-
-(* Each seal bumps the platform's monotonic counter and binds the new value
-   into the image — the same rollback defense as the SplitBFT compartments,
-   for the comparison rows. *)
-and seal_checkpoint_state t ~counter:_ ~snapshot =
-  let seal_counter = Platform.counter_increment t.platform "ckpt" in
-  let sealed =
-    Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform)
-      (encode_recovery_image t ~counter:seal_counter ~snapshot)
-  in
-  t.persist_log <- ("ckpt:minbft", sealed) :: t.persist_log
-
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let counter = R.u64 r in
-      let view = R.varint r in
-      let exec_index = R.varint r in
-      let last_exec_counter = R.u64 r in
-      let snapshot = R.bytes r in
-      let executed =
-        R.list r (fun r ->
-            let i = R.u64 r in
-            let d = R.bytes r in
-            (i, d))
-      in
-      (counter, view, exec_index, last_exec_counter, snapshot, executed))
-    s
 
 (* ----- prepare / commit ----- *)
 
@@ -656,37 +629,27 @@ let install_entry t ~counter ~digest ~(batch : Message.request list) =
     Hashtbl.replace t.by_counter counter e;
     t.order <- insert_sorted e t.order
 
+(* Reaching the vouched head means we hold the full executed prefix. *)
 let finish_recovery_if_caught_up t =
-  if t.recovering && List.length t.sync_replies >= t.f + 1 then begin
-    let heads =
-      List.sort (fun a b -> Int64.compare b a) (List.map (fun (_, h, _) -> h) t.sync_replies)
+  if t.recovering && Catchup.caught_up t.sync t.last_exec_counter then begin
+    (match Catchup.vouched_view t.sync with
+    | Some v when v > t.view -> t.view <- v
+    | _ -> ());
+    t.recovering <- false;
+    t.recovered_count <- t.recovered_count + 1;
+    Catchup.reset t.sync;
+    Timer.stop t.recovery_timer;
+    (* Re-derive the executed prefix length over the rebuilt order. *)
+    let rec prefix n = function
+      | (e : entry) :: rest when e.e_executed -> prefix (n + 1) rest
+      | _ -> n
     in
-    (* f+1 repliers vouch for at least this head, so one of them is honest:
-       reaching it means we hold the full executed prefix. *)
-    let target = List.nth heads t.f in
-    if Int64.compare t.last_exec_counter target >= 0 then begin
-      let views =
-        List.sort (fun a b -> Int.compare b a) (List.map (fun (_, _, v) -> v) t.sync_replies)
-      in
-      let v = List.nth views t.f in
-      if v > t.view then t.view <- v;
-      t.recovering <- false;
-      t.recovered_count <- t.recovered_count + 1;
-      t.sync_replies <- [];
-      Votes.reset t.sync_votes;
-      Timer.stop t.recovery_timer;
-      (* Re-derive the executed prefix length over the rebuilt order. *)
-      let rec prefix n = function
-        | (e : entry) :: rest when e.e_executed -> prefix (n + 1) rest
-        | _ -> n
-      in
-      t.executed_upto <- prefix 0 (List.rev t.order);
-      for s = 0 to t.cfg.n - 1 do
-        if s <> t.cfg.id then drain_holdback t s
-      done;
-      refresh_suspect_timer t;
-      try_execute t
-    end
+    t.executed_upto <- prefix 0 (List.rev t.order);
+    for s = 0 to t.cfg.n - 1 do
+      if s <> t.cfg.id then drain_holdback t s
+    done;
+    refresh_suspect_timer t;
+    try_execute t
   end
 
 let on_state_reply t (s : Mmsg.state_reply) =
@@ -731,23 +694,16 @@ let on_state_reply t (s : Mmsg.state_reply) =
               if Int64.compare c s.s_stable_counter <= 0 then Hashtbl.remove t.by_counter c)
             (Hashtbl.copy t.by_counter)
     end;
-    (* 2. Vote in suffix entries — content-addressed, so a single reply's
-       bytes are trusted only once f+1 distinct repliers vouch for the
-       digest.  Each reply lists entries counter-ascending, so installs
-       happen in order. *)
+    (* 2. Install suffix entries once f+1 repliers vouch for their digest.
+       Each reply lists entries counter-ascending, so installs happen in
+       order. *)
     List.iter
       (fun (e : Mmsg.state_entry) ->
-        if String.equal e.t_digest (Message.digest_of_batch e.t_batch) then begin
-          ignore
-            (Votes.add t.sync_votes ~key:e.t_counter ~sender:s.s_replier
-               (e.t_digest, e.t_batch));
-          if Int64.compare e.t_counter t.last_exec_counter > 0 then begin
-            let votes = Votes.get t.sync_votes e.t_counter in
-            let agreeing = List.filter (fun (d, _) -> String.equal d e.t_digest) votes in
-            if List.length agreeing >= t.f + 1 then
-              install_entry t ~counter:e.t_counter ~digest:e.t_digest ~batch:e.t_batch
-          end
-        end)
+        if
+          Int64.compare e.t_counter t.last_exec_counter > 0
+          && Catchup.vote t.sync ~key:e.t_counter ~sender:s.s_replier ~digest:e.t_digest
+               e.t_batch
+        then install_entry t ~counter:e.t_counter ~digest:e.t_digest ~batch:e.t_batch)
       s.s_entries;
     (* 3. Fast-forward per-sender windows past counters the transfer covers
        (forward-only, so a lying replier can cost liveness, never safety). *)
@@ -756,16 +712,12 @@ let on_state_reply t (s : Mmsg.state_reply) =
         if i >= 0 && i < t.cfg.n && i <> t.cfg.id then
           Usig.Window.fast_forward t.windows.(i) c)
       s.s_windows;
-    (* 4. One live slot per replier: a retry round's reply supersedes. *)
-    let head =
-      List.fold_left
-        (fun acc (e : Mmsg.state_entry) ->
-          if Int64.compare e.t_counter acc > 0 then e.t_counter else acc)
-        s.s_stable_counter s.s_entries
-    in
-    t.sync_replies <-
-      (s.s_replier, head, s.s_view)
-      :: List.filter (fun (r, _, _) -> r <> s.s_replier) t.sync_replies;
+    (* 4. The replier's slot: its head counter and view. *)
+    Catchup.offer t.sync ~replier:s.s_replier ~view:s.s_view
+      ~height:
+        (List.fold_left
+           (fun acc (e : Mmsg.state_entry) -> Int64.max acc e.t_counter)
+           s.s_stable_counter s.s_entries);
     finish_recovery_if_caught_up t
   end
 
@@ -943,8 +895,7 @@ let create engine net cfg ~app =
         snapshots = Hashtbl.create 8;
         exec_index_at = Hashtbl.create 64;
         stable_proof = None;
-        sync_votes = Votes.create ();
-        sync_replies = [];
+        sync = Catchup.create ~f:(Ids.f_of_n_hybrid cfg.n) ~compare:Int64.compare;
         recovering = false;
         recovered_count = 0;
         alerts = [];
@@ -1024,37 +975,33 @@ let restart t =
     Hashtbl.reset t.snapshots;
     Hashtbl.reset t.exec_index_at;
     t.stable_proof <- None;
-    Votes.reset t.sync_votes;
-    t.sync_replies <- [];
+    Catchup.reset t.sync;
     t.recovering <- false;
     ignore (t.app.State_machine.restore t.initial_snapshot);
-    let counter = Platform.counter_read t.platform "ckpt" in
     let verdict =
-      match List.assoc_opt "ckpt:minbft" t.persist_log with
-      | None ->
-        if Int64.compare counter 0L > 0 then
-          Error
-            (Printf.sprintf
-               "minbft: rollback detected — counter at %Ld but no sealed checkpoint on disk"
-               counter)
-        else Ok None
-      | Some sealed -> (
-        match Sealing.unseal ~key:t.seal_key sealed with
-        | Error e -> Error ("minbft: sealed checkpoint rejected: " ^ e)
-        | Ok image -> (
-          match decode_recovery_image image with
-          | Error e -> Error ("minbft: sealed checkpoint undecodable: " ^ e)
-          | Ok (sealed_counter, view, exec_index, last_exec_counter, snapshot, executed) ->
-            if Int64.compare sealed_counter counter <> 0 then
-              Error
-                (Printf.sprintf
-                   "minbft: rollback detected — sealed checkpoint bound to counter %Ld, \
-                    platform counter is %Ld"
-                   sealed_counter counter)
-            else (
-              match t.app.State_machine.restore snapshot with
-              | Error e -> Error ("minbft: sealed snapshot rejected by application: " ^ e)
-              | Ok () -> Ok (Some (view, exec_index, last_exec_counter, executed)))))
+      match
+        Sealed_image.check ~who:"minbft" ~slack:0
+          ~counter:(Platform.counter_read t.platform "ckpt")
+          ~unseal:(Sealing.unseal ~key:t.seal_key)
+          (List.assoc_opt "ckpt:minbft" t.persist_log)
+          (fun r ->
+            let view = R.varint r in
+            let exec_index = R.varint r in
+            let last_exec_counter = R.u64 r in
+            let snapshot = R.bytes r in
+            let executed =
+              R.list r (fun r ->
+                  let i = R.u64 r in
+                  (i, R.bytes r))
+            in
+            (view, exec_index, last_exec_counter, snapshot, executed))
+      with
+      | Sealed_image.Fresh -> Ok None
+      | Refused reason -> Error reason
+      | Restored (view, exec_index, last_exec_counter, snapshot, executed) -> (
+        match t.app.State_machine.restore snapshot with
+        | Error e -> Error ("minbft: sealed snapshot rejected by application: " ^ e)
+        | Ok () -> Ok (Some (view, exec_index, last_exec_counter, executed)))
     in
     match verdict with
     | Error reason -> refuse t reason (* refuse loudly and stay down *)

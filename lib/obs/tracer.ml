@@ -24,15 +24,6 @@ type span = {
   mutable args : (string * float) list;
 }
 
-type instant = {
-  i_name : string;
-  i_cat : string;
-  i_pid : int;
-  i_tid : string;
-  i_at : float;
-  i_detail : string;
-}
-
 type t = {
   sample_every : int;
   record_orphans : bool;
@@ -41,8 +32,6 @@ type t = {
   mutable len : int;
   mutable dropped : int;
   mutable synth : int64;  (* allocator for synthetic (non-client) trace ids *)
-  mutable instants : instant list;  (* newest first *)
-  mutable instant_count : int;
 }
 
 let dummy =
@@ -57,9 +46,7 @@ let create ?(sample_every = 1) ?(record_orphans = true) ?(capacity = 1 lsl 20) (
     spans = Array.make (min capacity 1024) dummy;
     len = 0;
     dropped = 0;
-    synth = 0L;
-    instants = [];
-    instant_count = 0 }
+    synth = 0L }
 
 let sample_every t = t.sample_every
 let record_orphans t = t.record_orphans
@@ -124,16 +111,6 @@ let add_arg t id key v =
     | None -> s.args <- (key, v) :: s.args)
   | None -> ()
 
-let instant t ~name ~cat ~pid ~tid ?(detail = "") ~at () =
-  if t.instant_count < t.capacity then begin
-    t.instants <-
-      { i_name = name; i_cat = cat; i_pid = pid; i_tid = tid; i_at = at;
-        i_detail = detail }
-      :: t.instants;
-    t.instant_count <- t.instant_count + 1
-  end
-  else t.dropped <- t.dropped + 1
-
 (* ----- inspection (analyzer) ----- *)
 
 let span_count t = t.len
@@ -191,17 +168,7 @@ let to_json ?(process_name = Printf.sprintf "pid %d") t =
         ("ts", Json.Float s.start); ("dur", Json.Float (Float.max 0.0 s.dur));
         ("args", Json.Obj args) ]
   in
-  let instant_event i =
-    Json.Obj
-      [ ("ph", Json.Str "i"); ("name", Json.Str i.i_name); ("cat", Json.Str i.i_cat);
-        ("pid", Json.Int i.i_pid); ("tid", Json.Int (tid_of i.i_pid i.i_tid));
-        ("ts", Json.Float i.i_at); ("s", Json.Str "t");
-        ("args", Json.Obj [ ("detail", Json.Str i.i_detail) ]) ]
-  in
-  let events =
-    List.init t.len (fun i -> span_event t.spans.(i))
-    @ List.rev_map instant_event t.instants
-  in
+  let events = List.init t.len (fun i -> span_event t.spans.(i)) in
   Json.Obj
     [ ("traceEvents", Json.List (List.rev !meta @ events));
       ("displayTimeUnit", Json.Str "ms");

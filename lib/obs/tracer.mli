@@ -86,18 +86,6 @@ val set_start : t -> int -> at:float -> unit
 val add_arg : t -> int -> string -> float -> unit
 (** Accumulates [v] into the span's [key] argument (adds if present). *)
 
-val instant :
-  t ->
-  name:string ->
-  cat:string ->
-  pid:int ->
-  tid:string ->
-  ?detail:string ->
-  at:float ->
-  unit ->
-  unit
-(** Structured point event (the [Sim.Trace] debug log feeds these). *)
-
 (** {2 Inspection (trace analyzer)} *)
 
 val span_count : t -> int
@@ -109,7 +97,7 @@ val spans : t -> span list
 
 val to_json : ?process_name:(int -> string) -> t -> Json.t
 (** Chrome Trace Event Format: ["X"] complete events (ts/dur in µs of
-    virtual time), ["i"] instants, ["M"] process/thread-name metadata;
+    virtual time) and ["M"] process/thread-name metadata;
     span args carry the trace id, span id, parent id and cost
     attribution, which is what the analyzer and the CI validator read
     back. *)

@@ -25,6 +25,8 @@ module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Proofs = Splitbft_consensus.Proofs
 module Newview = Splitbft_consensus.Newview
+module Sealed_image = Splitbft_consensus.Sealed_image
+module Catchup = Splitbft_consensus.Catchup
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module Ledger_entry = Splitbft_storage.Entry
@@ -135,8 +137,7 @@ type t = {
   seal_key : Aead.key;
   initial_snapshot : string;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshot at checkpoint seqs *)
-  sync_votes : (Ids.seqno, string * Message.request list) Votes.t;
-  mutable sync_replies : (Ids.replica_id * Ids.seqno * Ids.view) list;
+  sync : Ids.seqno Catchup.t;
   mutable recovering : bool;
   mutable recovered_count : int;
   mutable alerts : string list;  (* newest first *)
@@ -344,65 +345,12 @@ let refresh_suspect_timer t =
   if Hashtbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
   else Timer.restart t.suspect_timer
 
-(* ----- rollback-protected sealed checkpoints ----- *)
-
-let encode_recovery_image t ~counter ~snapshot =
-  W.to_string
-    (fun w () ->
-      W.u64 w counter;
-      W.varint w t.view;
-      W.varint w t.last_executed;
-      W.bytes w snapshot;
-      W.list w
-        (fun w (seq, d) ->
-          W.varint w seq;
-          W.bytes w d)
-        (Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.executed_digests []))
-    ()
-
-let decode_recovery_image s =
-  R.parse
-    (fun r ->
-      let counter = R.u64 r in
-      let view = R.varint r in
-      let last_executed = R.varint r in
-      let snapshot = R.bytes r in
-      let executed =
-        R.list r (fun r ->
-            let seq = R.varint r in
-            let d = R.bytes r in
-            (seq, d))
-      in
-      (counter, view, last_executed, snapshot, executed))
-    s
-
-(* Each seal bumps the platform's monotonic counter and binds the new value
-   into the image, so recovery can tell the newest blob from a replayed
-   older one (the baseline gets the same rollback defense as the SplitBFT
-   compartments, for comparison rows). *)
-let seal_checkpoint_state t ~snapshot =
-  let counter = Platform.counter_increment t.platform "ckpt" in
-  let sealed =
-    Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform)
-      (encode_recovery_image t ~counter ~snapshot)
-  in
-  t.persist_log <- ("ckpt:pbft", sealed) :: t.persist_log
-
 let finish_recovery t =
-  let f1 = t.f + 1 in
-  if t.recovering && List.length t.sync_replies >= f1 then begin
-    let heights =
-      List.map (fun (_, h, _) -> h) t.sync_replies |> List.sort (fun a b -> Int.compare b a)
-    in
-    (* Caught up once we reach the (f+1)-th highest vouched height: at
-       least one honest replica was at or below it. *)
-    if t.last_executed >= List.nth heights (f1 - 1) then begin
-      t.recovering <- false;
-      t.recovered_count <- t.recovered_count + 1;
-      t.sync_replies <- [];
-      Votes.reset t.sync_votes;
-      Timer.stop t.recovery_timer
-    end
+  if t.recovering && Catchup.caught_up t.sync t.last_executed then begin
+    t.recovering <- false;
+    t.recovered_count <- t.recovered_count + 1;
+    Catchup.reset t.sync;
+    Timer.stop t.recovery_timer
   end
 
 let send_checkpoint_if_due t seq =
@@ -415,7 +363,24 @@ let send_checkpoint_if_due t seq =
     let ck = make_checkpoint t ~seq ~state_digest in
     broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Checkpoint ck);
     Ckpt.store t.ckpt ck;
-    seal_checkpoint_state t ~snapshot
+    (* The baseline gets the SplitBFT compartments' rollback defense, for
+       comparison rows; its blob is on disk before the seal returns. *)
+    let sealed =
+      Sealed_image.seal
+        ~counter:(Platform.counter_increment t.platform "ckpt")
+        ~seal:(Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform))
+        (fun w t ->
+          W.varint w t.view;
+          W.varint w t.last_executed;
+          W.bytes w snapshot;
+          W.list w
+            (fun w (seq, d) ->
+              W.varint w seq;
+              W.bytes w d)
+            (Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.executed_digests []))
+        t
+    in
+    t.persist_log <- ("ckpt:pbft", sealed) :: t.persist_log
   end
 
 let resolve_batch t (s : slot) =
@@ -934,59 +899,28 @@ let on_state_reply t (sr : Message.state_reply) =
            Log.advance_low_mark t.slots sr.st_stable;
            Log.prune t.slots ~upto:sr.st_stable
      end);
-    (* Log suffix: entries are content-addressed but unsigned, so install a
-       slot only once f+1 distinct repliers vouch for the same digest. *)
-    List.iter
-      (fun (e : Message.state_entry) ->
-        if
-          e.se_seq > t.last_executed
-          && String.equal (Message.digest_of_batch e.se_batch) e.se_digest
-          && Votes.add t.sync_votes ~key:e.se_seq ~sender:sr.st_replier
-               (e.se_digest, e.se_batch)
-        then begin
-          let matching =
-            List.filter
-              (fun (d, _) -> String.equal d e.se_digest)
-              (Votes.get t.sync_votes e.se_seq)
-          in
-          if List.length matching >= t.f + 1 then begin
-            let s = slot t e.se_seq in
-            s.proposal <-
-              Some
-                { Message.pd_view = sr.st_view;
-                  pd_seq = e.se_seq;
-                  pd_digest = e.se_digest;
-                  pd_sender = Ids.primary_of_view ~n:t.cfg.n sr.st_view;
-                  pd_sig = "" };
-            s.batch <- Some e.se_batch;
-            Hashtbl.replace t.batches_by_digest e.se_digest e.se_batch;
-            s.committed <- true
-          end
-        end)
-      sr.st_entries;
-    let vouched =
-      List.fold_left
-        (fun acc (e : Message.state_entry) -> max acc e.se_seq)
-        sr.st_stable sr.st_entries
-    in
-    (* One live slot per replier: the recovery timer re-requests, and a
-       newer reply supersedes the older one. *)
-    t.sync_replies <-
-      (sr.st_replier, vouched, sr.st_view)
-      :: List.filter (fun (r, _, _) -> r <> sr.st_replier) t.sync_replies;
-    (* Adopt the view vouched by f+1 repliers so current-view traffic is
-       not discarded after the catch-up. *)
-    let f1 = t.f + 1 in
-    if List.length t.sync_replies >= f1 then begin
-      let views =
-        List.map (fun (_, _, v) -> v) t.sync_replies |> List.sort (fun a b -> Int.compare b a)
-      in
-      let v = List.nth views (f1 - 1) in
-      if v > t.view && not t.in_view_change then begin
-        t.view <- v;
-        t.next_seq <- max t.next_seq (t.last_executed + 1)
-      end
-    end;
+    (* Log suffix: install a slot once f+1 repliers vouch for its digest. *)
+    Catchup.absorb t.sync sr
+      ~admit:(fun seq -> seq > t.last_executed)
+      ~install:(fun (e : Message.state_entry) ->
+        let s = slot t e.se_seq in
+        s.proposal <-
+          Some
+            { Message.pd_view = sr.st_view;
+              pd_seq = e.se_seq;
+              pd_digest = e.se_digest;
+              pd_sender = Ids.primary_of_view ~n:t.cfg.n sr.st_view;
+              pd_sig = "" };
+        s.batch <- Some e.se_batch;
+        Hashtbl.replace t.batches_by_digest e.se_digest e.se_batch;
+        s.committed <- true);
+    (* Adopt the vouched view so current-view traffic is not discarded
+       after the catch-up. *)
+    (match Catchup.vouched_view t.sync with
+    | Some v when v > t.view && not t.in_view_change ->
+      t.view <- v;
+      t.next_seq <- max t.next_seq (t.last_executed + 1)
+    | _ -> ());
     try_execute t;
     finish_recovery t
   end
@@ -1136,8 +1070,7 @@ let create engine net cfg ~app =
         seal_key = Aead.prepare (Platform.sealing_key platform measurement);
         initial_snapshot = app.State_machine.snapshot ();
         snapshots = Hashtbl.create 4;
-        sync_votes = Votes.create ~size:32 ();
-        sync_replies = [];
+        sync = Catchup.create ~f:(Ids.f_of_n cfg.n) ~compare:Int.compare;
         recovering = false;
         recovered_count = 0;
         alerts = [];
@@ -1216,55 +1149,47 @@ let restart t =
     t.in_view_change <- false;
     t.vc_target <- 0;
     Votes.reset t.viewchanges;
-    Votes.reset t.sync_votes;
-    t.sync_replies <- [];
+    Catchup.reset t.sync;
     (* The reply cache must not survive either: stale "already executed"
        entries would make re-execution skip operations and diverge. *)
     t.clients <- Client_table.create ();
     (match t.app.State_machine.restore t.initial_snapshot with
     | Ok () -> ignore (t.app.State_machine.drain_effects ())
     | Error _ -> ());
-    (* Rollback check: the newest sealed checkpoint must carry the exact
-       platform counter value, and a moved counter proves a seal exists. *)
-    let counter = Platform.counter_read t.platform "ckpt" in
-    let refused = ref None in
-    (match List.assoc_opt "ckpt:pbft" t.persist_log with
-    | None ->
-      if Int64.compare counter 0L > 0 then
-        refused :=
-          Some
-            (Printf.sprintf
-               "pbft: rollback detected — counter at %Ld but no sealed checkpoint on disk"
-               counter)
-    | Some sealed -> (
-      match Sealing.unseal ~key:t.seal_key sealed with
-      | Error e -> refused := Some ("pbft: sealed checkpoint rejected: " ^ e)
-      | Ok blob -> (
-        match decode_recovery_image blob with
-        | Error e -> refused := Some ("pbft: sealed checkpoint malformed: " ^ e)
-        | Ok (sealed_counter, view, last_executed, snapshot, executed) ->
-          if Int64.compare sealed_counter counter <> 0 then
-            refused :=
-              Some
-                (Printf.sprintf
-                   "pbft: rollback detected — sealed checkpoint bound to counter %Ld, \
-                    platform counter is %Ld"
-                   sealed_counter counter)
-          else (
-            match t.app.State_machine.restore snapshot with
-            | Error e -> refused := Some ("pbft: sealed snapshot rejected: " ^ e)
-            | Ok () ->
-              ignore (t.app.State_machine.drain_effects ());
-              t.view <- view;
-              t.next_seq <- last_executed + 1;
-              t.last_executed <- last_executed;
-              List.iter
-                (fun (seq, d) -> Hashtbl.replace t.executed_digests seq d)
-                executed;
-              Hashtbl.replace t.snapshots last_executed snapshot;
-              Ckpt.force_stable t.ckpt last_executed;
-              Log.advance_low_mark t.slots last_executed))));
-    match !refused with
+    let refused =
+      match
+        Sealed_image.check ~who:"pbft" ~slack:0
+          ~counter:(Platform.counter_read t.platform "ckpt")
+          ~unseal:(Sealing.unseal ~key:t.seal_key)
+          (List.assoc_opt "ckpt:pbft" t.persist_log)
+          (fun r ->
+            let view = R.varint r in
+            let last_executed = R.varint r in
+            let snapshot = R.bytes r in
+            let executed =
+              R.list r (fun r ->
+                  let seq = R.varint r in
+                  (seq, R.bytes r))
+            in
+            (view, last_executed, snapshot, executed))
+      with
+      | Sealed_image.Fresh -> None
+      | Refused reason -> Some reason
+      | Restored (view, last_executed, snapshot, executed) -> (
+        match t.app.State_machine.restore snapshot with
+        | Error e -> Some ("pbft: sealed snapshot rejected: " ^ e)
+        | Ok () ->
+          ignore (t.app.State_machine.drain_effects ());
+          t.view <- view;
+          t.next_seq <- last_executed + 1;
+          t.last_executed <- last_executed;
+          List.iter (fun (seq, d) -> Hashtbl.replace t.executed_digests seq d) executed;
+          Hashtbl.replace t.snapshots last_executed snapshot;
+          Ckpt.force_stable t.ckpt last_executed;
+          Log.advance_low_mark t.slots last_executed;
+          None)
+    in
+    match refused with
     | Some reason -> t.alerts <- reason :: t.alerts  (* stay down, loudly *)
     | None ->
       (* Feed cache and subscriptions were host memory: gone with the

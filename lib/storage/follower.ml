@@ -43,8 +43,7 @@ let bad_op_result = "REFUSED"
    committed — the reference point for staleness. *)
 let vouched_tip t =
   let tips = Hashtbl.fold (fun _ v acc -> v :: acc) t.tips [] in
-  if List.length tips < t.f + 1 then 0
-  else List.nth (List.sort (fun a b -> Int.compare b a) tips) t.f
+  Option.value ~default:0 (Splitbft_consensus.Catchup.vouched ~f:t.f Int.compare tips)
 
 let lag t = max 0 (vouched_tip t - t.applied)
 

@@ -305,7 +305,7 @@ let recover ~segment_entries ~counter ~unseal records =
        {e newer} than the platform counter (a wiped counter) — is a
        rollback and the ledger is refused loudly. *)
     let x = !newest_counter in
-    if Int64.equal x counter || Int64.equal x (Int64.pred counter) then
+    if Splitbft_consensus.Sealed_image.fresh ~slack:1 ~counter x then
       Ok
         { ledger = t;
           entries = List.rev !entries_rev;

@@ -474,22 +474,24 @@ let test_conf_exec_reject_forged_viewchange () =
 
 (* ----- sealed checkpoint images ----- *)
 
-(* Execution's sealed checkpoint images, oldest first, unsealed. *)
-let exec_images r =
-  let platform = Enclave.platform (Replica.enclave r Ids.Execution) in
+(* One compartment's sealed checkpoint images, oldest first, unsealed. *)
+let images compartment ~tag r =
+  let platform = Enclave.platform (Replica.enclave r compartment) in
   let key =
     Aead.prepare
       (Platform.sealing_key platform
-         (Splitbft_types.Enclave_identity.of_compartment Ids.Execution))
+         (Splitbft_types.Enclave_identity.of_compartment compartment))
   in
   List.filter_map
-    (fun (tag, blob) ->
-      if String.equal tag "ckpt:execution" then
+    (fun (t, blob) ->
+      if String.equal t tag then
         match Sealing.unseal ~key blob with
         | Ok image -> Some image
         | Error e -> Alcotest.fail e
       else None)
     (Replica.persisted r)
+
+let exec_images = images Ids.Execution ~tag:"ckpt:execution"
 
 type image = {
   counter : int64;
@@ -649,6 +651,25 @@ let test_image_golden () =
       "a861f191a875d9bbd0befc104a455452fd166ebb472914950a02ad4e37836e4c"
       (Splitbft_util.Hex.encode (Sha256.digest first))
 
+(* The same pin for the ordering compartments' images (view, cursors,
+   stable mark and, for Preparation, the request-authentication keys). *)
+let test_ordering_images_golden () =
+  let c = make ~checkpoint_interval:8 () in
+  let _ = drive c ~ops:10 in
+  List.iter
+    (fun (compartment, tag, hash) ->
+      match images compartment ~tag (List.hd c.replicas) with
+      | [] -> Alcotest.fail (tag ^ ": no sealed image")
+      | first :: _ ->
+        Alcotest.(check string) (tag ^ " image sha256") hash
+          (Splitbft_util.Hex.encode (Sha256.digest first)))
+    [ ( Ids.Preparation,
+        "ckpt:preparation",
+        "5c182a160e785af0dcd9f46f9b44aa8f81796db513fd760dcc455f46f5342c20" );
+      ( Ids.Confirmation,
+        "ckpt:confirmation",
+        "713614b660f2127331514997412b727cc9b9231ebe86ac41b67c84dd0d3aa2f7" ) ]
+
 let suites =
   [ ( "splitbft",
       [ Alcotest.test_case "wire codec" `Quick test_wire_roundtrips;
@@ -675,4 +696,6 @@ let suites =
         Alcotest.test_case "checkpoint: image is flat" `Quick test_image_is_flat;
         Alcotest.test_case "checkpoint: oracle history survives restore" `Quick
           test_history_survives_restore;
-        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]
+        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden;
+        Alcotest.test_case "checkpoint: ordering images golden" `Quick
+          test_ordering_images_golden ] ) ]

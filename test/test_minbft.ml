@@ -73,13 +73,17 @@ type cluster = {
   replicas : Replica.t list;
 }
 
-let make ?(n = 3) () =
+let make ?(n = 3) ?checkpoint_interval () =
   let engine = Engine.create ~seed:6L () in
   let net = Network.create engine Network.default_config in
   let replicas =
     List.init n (fun i ->
+        let cfg = Replica.default_config ~n ~id:i in
         Replica.create engine net
-          { (Replica.default_config ~n ~id:i) with Replica.suspect_timeout_us = 200_000.0 }
+          { cfg with
+            Replica.suspect_timeout_us = 200_000.0;
+            checkpoint_interval =
+              Option.value ~default:cfg.Replica.checkpoint_interval checkpoint_interval }
           ~app:(Kvs.create ()))
   in
   { engine; net; replicas }
@@ -148,6 +152,32 @@ let test_faulty_tee_breaks_safety () =
   let honest = [ List.nth c.replicas 1; List.nth c.replicas 2 ] in
   checkb "single compromised USIG diverges the honest backups" false (agreement honest)
 
+(* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
+   run, unsealed with the key the replica derives from its platform. *)
+let test_image_golden () =
+  let c = make ~checkpoint_interval:8 () in
+  let _ = drive c ~ops:10 in
+  let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:0 in
+  let key =
+    Splitbft_crypto.Aead.prepare
+      (Splitbft_tee.Platform.sealing_key platform
+         (Splitbft_tee.Measurement.of_source ~name:"minbft-replica" ~version:"1"
+            ~code:"baseline minbft replica checkpoint state"))
+  in
+  let images =
+    List.filter_map
+      (fun (tag, blob) -> if String.equal tag "ckpt:minbft" then Some blob else None)
+      (Replica.persisted (List.hd c.replicas))
+  in
+  match images with
+  | [] -> Alcotest.fail "no sealed image"
+  | blob :: _ -> (
+    match Splitbft_tee.Sealing.unseal ~key blob with
+    | Error e -> Alcotest.fail e
+    | Ok image ->
+      Alcotest.(check string) "image sha256" "c1ef8c02f369f0344777ae570884db7b3a19c100d1c4279c2a5545c1fa4c42bd"
+        (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image)))
+
 let suites =
   [ ( "minbft",
       [ Alcotest.test_case "usig certificates" `Quick test_usig_certificates;
@@ -158,4 +188,5 @@ let suites =
         Alcotest.test_case "normal operation" `Quick test_normal_operation;
         Alcotest.test_case "backup crash" `Quick test_backup_crash;
         Alcotest.test_case "byz execution masked" `Quick test_byz_execution_masked;
-        Alcotest.test_case "faulty TEE breaks safety" `Quick test_faulty_tee_breaks_safety ] ) ]
+        Alcotest.test_case "faulty TEE breaks safety" `Quick test_faulty_tee_breaks_safety;
+        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]

@@ -201,6 +201,27 @@ let test_pipelined_client_windows () =
   checki "no wrong" 0 wrong;
   checkb "agreement" true (agreement c.replicas)
 
+(* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
+   run, unsealed with the key the replica derives from its platform. *)
+let test_image_golden () =
+  let c = make ~checkpoint_interval:8 () in
+  let _ = drive c ~ops:10 in
+  let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:0 in
+  let key =
+    Splitbft_crypto.Aead.prepare
+      (Splitbft_tee.Platform.sealing_key platform
+         (Splitbft_tee.Measurement.of_source ~name:"pbft-replica" ~version:"1"
+            ~code:"baseline pbft replica checkpoint state"))
+  in
+  match List.assoc_opt "ckpt:pbft" (Replica.persisted (List.hd c.replicas)) with
+  | None -> Alcotest.fail "no sealed image"
+  | Some blob -> (
+    match Splitbft_tee.Sealing.unseal ~key blob with
+    | Error e -> Alcotest.fail e
+    | Ok image ->
+      Alcotest.(check string) "image sha256" "5e0ee0a99485cea61e772c82a3f7d1114818ab954f8dae93833c6859172e295b"
+        (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image)))
+
 let suites =
   [ ( "pbft",
       [ Alcotest.test_case "normal operation" `Quick test_normal_operation;
@@ -213,4 +234,5 @@ let suites =
         Alcotest.test_case "f+1 equivocation diverges" `Quick test_equivocation_beyond_f_diverges;
         Alcotest.test_case "lossy network" `Slow test_lossy_network_retransmission;
         Alcotest.test_case "duplicates execute once" `Quick test_duplicate_requests_execute_once;
-        Alcotest.test_case "pipelined windows" `Quick test_pipelined_client_windows ] ) ]
+        Alcotest.test_case "pipelined windows" `Quick test_pipelined_client_windows;
+        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]

@@ -2,7 +2,7 @@ module Engine = Splitbft_sim.Engine
 module Timer = Splitbft_sim.Timer
 module Network = Splitbft_sim.Network
 module Resource = Splitbft_sim.Resource
-module Trace = Splitbft_sim.Trace
+module Sha256 = Splitbft_crypto.Sha256
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -483,13 +483,15 @@ let test_resource_negative_cost () =
 
 (* ----- determinism ----- *)
 
+(* A digest of every delivery: its time, source and payload, in order. *)
 let trace_of_run seed =
   let e = Engine.create ~seed () in
   let net = Network.create e Network.default_config in
-  let trace = Trace.create () in
+  let trace = Sha256.init () in
   for node = 0 to 3 do
     Network.register net node (fun ~src payload ->
-        Trace.record trace ~time:(Engine.now e) ~label:(string_of_int src) payload)
+        Sha256.update trace
+          (Printf.sprintf "%h %d %d:%s" (Engine.now e) src (String.length payload) payload))
   done;
   let rng = Engine.rng e in
   for i = 0 to 200 do
@@ -501,7 +503,7 @@ let trace_of_run seed =
          (fun () -> Network.send net ~src ~dst (Printf.sprintf "m%d" i)))
   done;
   Engine.run e;
-  Trace.fingerprint trace
+  Sha256.finalize trace
 
 let test_determinism_same_seed () =
   Alcotest.(check string) "same seed, same trace" (trace_of_run 42L) (trace_of_run 42L)

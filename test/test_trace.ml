@@ -7,7 +7,6 @@ module Trace_ctx = Splitbft_obs.Trace_ctx
 module Json = Splitbft_obs.Json
 module Message = Splitbft_types.Message
 module Stats = Splitbft_util.Stats
-module Sim_trace = Splitbft_sim.Trace
 module Network = Splitbft_sim.Network
 module H = Splitbft_harness
 
@@ -167,50 +166,6 @@ let test_sampling_and_trace_ids () =
     (Int64.logand (Tracer.fresh_forced_trace tr) 0x4000_0000_0000_0000L <> 0L);
   checkb "orphan ids tagged" true
     (Int64.logand (Tracer.fresh_orphan_trace tr) 0x2000_0000_0000_0000L <> 0L)
-
-(* ----- sim trace ring buffer ----- *)
-
-let test_ring_eviction_and_fingerprint () =
-  let record n t =
-    for i = 1 to n do
-      Sim_trace.record t ~time:(float_of_int i) ~label:"e" (string_of_int i)
-    done
-  in
-  let small = Sim_trace.create ~capacity:4 () in
-  let large = Sim_trace.create ~capacity:1000 () in
-  record 10 small;
-  record 10 large;
-  checki "ring retains the newest window" 4 (Sim_trace.length small);
-  checki "unbounded-enough keeps all" 10 (Sim_trace.length large);
-  (match Sim_trace.entries small with
-  | { Sim_trace.detail = d; _ } :: _ -> checks "oldest retained is #7" "7" d
-  | [] -> Alcotest.fail "empty ring");
-  checks "fingerprint unaffected by eviction" (Sim_trace.fingerprint large)
-    (Sim_trace.fingerprint small);
-  let reordered = Sim_trace.create ~capacity:4 () in
-  Sim_trace.record reordered ~time:2.0 ~label:"e" "2";
-  Sim_trace.record reordered ~time:1.0 ~label:"e" "1";
-  checkb "fingerprint is order-sensitive" false
-    (String.equal
-       (Sim_trace.fingerprint reordered)
-       (let t = Sim_trace.create ~capacity:4 () in
-        Sim_trace.record t ~time:1.0 ~label:"e" "1";
-        Sim_trace.record t ~time:2.0 ~label:"e" "2";
-        Sim_trace.fingerprint t))
-
-let test_ring_mirrors_instants () =
-  let tracer = Tracer.create () in
-  let t = Sim_trace.create ~tracer ~pid:7 () in
-  Sim_trace.record t ~time:5.0 ~label:"net" "delivered";
-  match Json.member "traceEvents" (Tracer.to_json tracer) with
-  | Some (Json.List events) ->
-    checkb "instant mirrored into the trace export" true
-      (List.exists
-         (fun ev ->
-           Json.member "ph" ev = Some (Json.Str "i")
-           && Json.member "name" ev = Some (Json.Str "net"))
-         events)
-  | _ -> Alcotest.fail "no traceEvents"
 
 (* ----- stats reservoir bound ----- *)
 
@@ -504,10 +459,6 @@ let suites =
         Alcotest.test_case "set_start and arg accumulation" `Quick test_set_start_and_args;
         Alcotest.test_case "capacity bound" `Quick test_capacity_bound;
         Alcotest.test_case "sampling and trace ids" `Quick test_sampling_and_trace_ids ] );
-    ( "trace.simlog",
-      [ Alcotest.test_case "ring eviction keeps fingerprint" `Quick
-          test_ring_eviction_and_fingerprint;
-        Alcotest.test_case "records mirror as instants" `Quick test_ring_mirrors_instants ] );
     ( "trace.stats",
       [ Alcotest.test_case "reservoir stays bounded" `Quick test_stats_reservoir_bounded ] );
     ( "trace.e2e",
