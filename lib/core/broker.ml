@@ -40,11 +40,20 @@ type t = {
   lanes : int;
   mutable next_batch_lane : int;  (* round-robin stripe for In_batch ecalls *)
   c_lane_ecalls : Registry.counter array;  (* per-lane; empty when lanes = 1 *)
-  mutable view : Ids.view;  (* belief, liveness-only *)
+  mutable view : Ids.view;
+      (* belief, liveness-only: the highest view any compartment entered;
+         suspicion names it *)
+  mutable prep_view : Ids.view;
+      (* the view Preparation entered, which is the view batches are
+         ordered in: Confirmation enters a view when it starts the view
+         change, Preparation only once the NewView is out *)
   pending : Message.request Queue.t;  (* batch queue, FIFO *)
   queued : unit Req_tbl.t;  (* membership of [pending] *)
   batch_timer : Timer.t;
-  awaiting : unit Req_tbl.t;
+  awaiting : (int * Message.request) Req_tbl.t;
+      (* every unanswered request with its arrival stamp, held on every
+         replica: a backup that becomes primary proposes them at once *)
+  mutable arrivals : int;  (* the next arrival stamp *)
   suspect_timer : Timer.t;
   mutable suspect_delay_us : float;
       (* current suspicion delay.  The first suspicion of a view fires
@@ -117,8 +126,10 @@ let retx_key client ts =
   Decimal.add_int64 key_buf ts;
   Buffer.contents key_buf
 
-let primary t = Ids.primary_of_view ~n:t.cfg.n t.view
-let is_primary t = primary t = t.cfg.id
+(* Batch only in a view this replica leads, that Preparation has entered,
+   and that no compartment has already left for a view change. *)
+let batching t =
+  t.prep_view = t.view && Ids.primary_of_view ~n:t.cfg.n t.view = t.cfg.id
 
 (* Static routing: which compartments log each incoming message type.  The
    Confirmation compartment receives PrePrepares in digest form. *)
@@ -416,13 +427,12 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
     if v > t.view then begin
       t.view <- v;
       flight t ~kind:"view" ~detail:(string_of_int v);
-      (* Batches in flight under the deposed primary may never commit;
-         drop the suppression state so retransmissions reach the new
-         primary's queue. *)
-      Req_tbl.reset t.inflight;
       (* Give the new primary a full timeout before suspecting it too. *)
-      if Req_tbl.length t.awaiting > 0 then Timer.restart t.suspect_timer;
-      flush_batch t
+      if Req_tbl.length t.awaiting > 0 then Timer.restart t.suspect_timer
+    end;
+    if origin = Ids.Preparation && v > t.prep_view then begin
+      t.prep_view <- v;
+      if batching t then propose_backlog t
     end
   | Wire.Out_alert msg ->
     t.alerts <- msg :: t.alerts;
@@ -460,8 +470,24 @@ and request_replied t (rp : Message.reply) ~sent =
   if Req_tbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
   else Timer.restart t.suspect_timer
 
+(* A new primary orders the backlog at once (PBFT §4.4): batches in flight
+   under the deposed primary may never commit, so their suppression state
+   goes, and every unanswered request joins the queue in arrival order.
+   Requests the NewView re-proposes too execute once: Execution's client
+   table drops the second copy. *)
+and propose_backlog t =
+  Req_tbl.reset t.inflight;
+  Req_tbl.fold
+    (fun key e acc -> if Req_tbl.mem t.queued key then acc else e :: acc)
+    t.awaiting []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (_, (r : Message.request)) ->
+         Req_tbl.replace t.queued (r.client, r.timestamp) ();
+         Queue.push r t.pending);
+  flush_batch t
+
 and flush_batch t =
-  if is_primary t && not (Queue.is_empty t.pending) then begin
+  if batching t && not (Queue.is_empty t.pending) then begin
     (* O(batch): dequeue the head of the FIFO and retire its membership
        keys; nothing ever re-walks the whole queue. *)
     let take = min t.cfg.batch_size (Queue.length t.pending) in
@@ -510,9 +536,15 @@ let on_request t ?ctx (r : Message.request) =
     (match ctx with
     | Some c -> Req_tbl.replace t.req_ctx key c
     | None -> ());
-    Req_tbl.replace t.awaiting key ();
+    (* A later copy replaces the body, so a junk copy that arrived first
+       cannot pin it; the first arrival keeps its place in the backlog. *)
+    (match Req_tbl.find_opt t.awaiting key with
+    | Some (stamp, _) -> Req_tbl.replace t.awaiting key (stamp, r)
+    | None ->
+      Req_tbl.replace t.awaiting key (t.arrivals, r);
+      t.arrivals <- t.arrivals + 1);
     Timer.start t.suspect_timer;
-    if is_primary t then begin
+    if batching t then begin
       let suppressed =
         match Req_tbl.find_opt t.inflight key with
         | None -> false
@@ -639,6 +671,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
         next_batch_lane = 0;
         c_lane_ecalls;
         view = 0;
+        prep_view = 0;
         pending = Queue.create ();
         queued = Req_tbl.create 64;
         batch_timer =
@@ -648,6 +681,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
             ~delay:cfg.batch_timeout_us
             ~callback:(fun () -> flush_batch (Lazy.force t));
         awaiting = Req_tbl.create 64;
+        arrivals = 0;
         suspect_delay_us = cfg.suspect_timeout_us;
         suspect_timer =
           Timer.create engine
@@ -775,6 +809,7 @@ let restart t =
   if t.crashed then begin
     t.crashed <- false;
     t.view <- 0;  (* belief only; re-learned from Out_entered_view *)
+    t.prep_view <- 0;
     t.recovering <- true;
     t.recovery_started_at <- Engine.now t.engine;
     Registry.incr t.c_restarts;

@@ -56,4 +56,3 @@ let table compartment ~n =
 let prep_public ~n = table Ids.Preparation ~n
 let conf_public ~n = table Ids.Confirmation ~n
 let exec_public ~n = table Ids.Execution ~n
-let lookup_for ~n compartment = table compartment ~n

@@ -74,4 +74,3 @@ val primary_of_view : t -> Ids.view -> Ids.replica_id
 val prep_public : n:int -> Validation.key_lookup
 val conf_public : n:int -> Validation.key_lookup
 val exec_public : n:int -> Validation.key_lookup
-val lookup_for : n:int -> Ids.compartment -> Validation.key_lookup

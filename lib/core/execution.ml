@@ -49,7 +49,9 @@ type state = {
   box : Box.keypair;
   app : State_machine.t;
   mutable view : Ids.view;
-  batches : (string, Message.request list) Hashtbl.t;  (* by digest *)
+  batches : (string, Ids.seqno * Message.request list) Hashtbl.t;
+      (* by digest: the body and the highest seq it was pre-prepared or
+         decided at, which decides when [gc] drops it *)
   commits : (Ids.seqno, Message.commit) Votes.t;  (* current view *)
   (* commits addressed just above the window's high edge, parked until
      our own checkpoint stabilises (see Preparation.ahead) *)
@@ -59,7 +61,7 @@ type state = {
   clients : Client_table.t;
   sessions : Session.keys Sessions.t;
   ckpt : Ckpt.t;
-  fetching : (string, unit) Hashtbl.t;  (* batch digests requested from peers *)
+  fetching : (string, Ids.seqno) Hashtbl.t;  (* batch digests requested from peers *)
   mutable executed_total : int;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshots at checkpoint seqs *)
   sync : Ids.seqno Catchup.t;
@@ -162,14 +164,27 @@ let send_checkpoint_if_due env st ~byz seq =
         Common.seal_checkpoint env ~tag:"ckpt:execution" write_image (st, seq, snapshot);
         ([], []))
 
+(* Stores [digest]'s body if it is new, and raises the seq it is kept for. *)
+let keep_batch st digest seq body =
+  match (Hashtbl.find_opt st.batches digest, body) with
+  | Some (s, b), _ -> if seq > s then Hashtbl.replace st.batches digest (seq, b)
+  | None, Some b -> Hashtbl.replace st.batches digest (seq, b)
+  | None, None -> ()
+
+let find_batch st digest = Option.map snd (Hashtbl.find_opt st.batches digest)
+
 let gc st stable =
   Votes.prune st.commits ~keep:(fun seq -> seq > stable);
   Log.advance_low_mark st.decided stable;
   Log.prune st.decided ~upto:stable;
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s < stable then s :: acc else acc) st.snapshots []
-  in
-  List.iter (Hashtbl.remove st.snapshots) stale
+  Hashtbl.filter_map_inplace (fun s snap -> if s < stable then None else Some snap) st.snapshots;
+  (* Bodies outlive their slot by one checkpoint interval, so a laggard's
+     [Batch_fetch] and a digest-only NewView re-proposal are still served;
+     a replica a whole interval behind catches up by state transfer. *)
+  let cut = stable - st.cfg.checkpoint_interval in
+  Hashtbl.filter_map_inplace
+    (fun _ (seq, b) -> if seq <= cut then None else Some (seq, b))
+    st.batches
 
 let send_session_quote env st client =
   Hashtbl.replace st.quote_offered client ();
@@ -331,14 +346,14 @@ let rec try_execute env st ~byz =
   | Some digest ->
     let batch =
       if String.equal digest Message.empty_batch_digest then Some []
-      else Hashtbl.find_opt st.batches digest
+      else find_batch st digest
     in
     (match batch with
     | None ->
       (* Committed a digest without the bodies (re-proposed across a view
          change): fetch them, content-addressed, from peer Executions. *)
       if not (Hashtbl.mem st.fetching digest) then begin
-        Hashtbl.replace st.fetching digest ();
+        Hashtbl.replace st.fetching digest seq;
         Enclave.emit env
           (Wire.encode_output
              (Wire.Out_broadcast
@@ -415,7 +430,7 @@ let on_state_request env st (sr : Message.state_request) =
           if seq >= sr.sr_from && seq <= st.last_executed then
             match
               if String.equal digest Message.empty_batch_digest then Some []
-              else Hashtbl.find_opt st.batches digest
+              else find_batch st digest
             with
             | Some batch ->
               { Message.se_seq = seq; se_digest = digest; se_batch = batch } :: acc
@@ -437,6 +452,15 @@ let on_state_request env st (sr : Message.state_request) =
       (Wire.encode_output
          (Wire.Out_send (Addr.replica sr.sr_requester, Message.State_reply reply)))
   end
+
+(* Enters state transfer, or re-asks in it, from the first slot not yet
+   executed. *)
+let request_state env st =
+  st.recovering <- true;
+  Enclave.emit env
+    (Wire.encode_output
+       (Wire.Out_broadcast
+          (Message.State_request { sr_requester = st.cfg.id; sr_from = st.last_executed + 1 })))
 
 let finish_recovery_if_caught_up env st =
   if st.recovering && Catchup.caught_up st.sync st.last_executed then begin
@@ -486,7 +510,7 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
     Catchup.absorb st.sync sr
       ~admit:(fun seq -> seq > st.last_executed && not (Log.mem st.decided seq))
       ~install:(fun (e : Message.state_entry) ->
-        Hashtbl.replace st.batches e.se_digest e.se_batch;
+        keep_batch st e.se_digest e.se_seq (Some e.se_batch);
         Log.set st.decided e.se_seq e.se_digest);
     (* Adopt the vouched view so commits flowing in the cluster's current
        view are not discarded. *)
@@ -507,10 +531,7 @@ let on_recover env st blob_opt =
     (* Retry round from the broker: commits in flight during the crash are
        lost, so one request can leave a gap.  Re-ask from where we are —
        re-unsealing now would roll freshly transferred state backward. *)
-    Enclave.emit env
-      (Wire.encode_output
-         (Wire.Out_broadcast
-            (Message.State_request { sr_requester = st.cfg.id; sr_from = st.last_executed + 1 })))
+    request_state env st
   else if st.recovered_once then ()
     (* stale retry prompt delivered after recovery completed *)
   else begin
@@ -545,13 +566,7 @@ let on_recover env st blob_opt =
       Hashtbl.replace st.snapshots last snapshot;
       Ckpt.force_stable st.ckpt last;
       Log.advance_low_mark st.decided last));
-  if not st.halted then begin
-    st.recovering <- true;
-    Enclave.emit env
-      (Wire.encode_output
-         (Wire.Out_broadcast
-            (Message.State_request { sr_requester = st.cfg.id; sr_from = st.last_executed + 1 })))
-  end
+  if not st.halted then request_state env st
   end
 
 (* Second phase of the restart handshake: the broker replays the
@@ -585,7 +600,7 @@ let on_preprepare env st ~byz (pp : Message.preprepare) =
      signature is still verified where it gates protocol steps
      (Preparation/Confirmation). *)
   let digest = Message.digest_of_batch pp.batch in
-  if not (Hashtbl.mem st.batches digest) then Hashtbl.replace st.batches digest pp.batch;
+  keep_batch st digest pp.seq (Some pp.batch);
   try_execute env st ~byz
 
 (* Handler (4): a commit certificate decides a sequence number. *)
@@ -602,6 +617,7 @@ let on_commit env st ~byz (c : Message.commit) =
           ~seq:c.seq ~digest:c.digest commits
       then begin
         Log.set st.decided c.seq c.digest;
+        keep_batch st c.digest c.seq None;
         try_execute env st ~byz;
         finish_recovery_if_caught_up env st
       end
@@ -661,7 +677,7 @@ let on_session_key env st (sk : Message.session_key) =
 
 let on_batch_fetch env st (bf : Message.batch_fetch) =
   Enclave.charge_exec env 1.0;
-  match Hashtbl.find_opt st.batches bf.bf_digest with
+  match find_batch st bf.bf_digest with
   | Some batch when bf.bf_requester <> st.cfg.id ->
     Enclave.emit env
       (Wire.encode_output
@@ -672,11 +688,12 @@ let on_batch_fetch env st (bf : Message.batch_fetch) =
 let on_batch_data env st ~byz (bd : Message.batch_data) =
   Enclave.charge_exec env 1.0;
   let digest = Message.digest_of_batch bd.bd_batch in
-  if Hashtbl.mem st.fetching digest then begin
+  match Hashtbl.find_opt st.fetching digest with
+  | None -> ()
+  | Some seq ->
     Hashtbl.remove st.fetching digest;
-    Hashtbl.replace st.batches digest bd.bd_batch;
+    keep_batch st digest seq (Some bd.bd_batch);
     try_execute env st ~byz
-  end
 
 let handle env st ~byz (input : Wire.input) =
   if st.halted then ()
@@ -709,14 +726,7 @@ let handle env st ~byz (input : Wire.input) =
             if
               (not st.recovering)
               && stable >= st.last_executed + st.cfg.checkpoint_interval
-            then begin
-              st.recovering <- true;
-              Enclave.emit env
-                (Wire.encode_output
-                   (Wire.Out_broadcast
-                      (Message.State_request
-                         { sr_requester = st.cfg.id; sr_from = st.last_executed + 1 })))
-            end)
+            then request_state env st)
       | Message.Session_init si -> on_session_init env st si
       | Message.Session_key sk -> on_session_key env st sk
       | Message.State_request sr -> on_state_request env st sr

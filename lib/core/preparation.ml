@@ -337,7 +337,9 @@ let on_recover env st blob_opt =
     realign_lanes st (next_seq - 1);
     List.iter (fun (c, auth) -> Sessions.set st.sessions c (auth, Hmac.prepare auth)) sessions;
     Ckpt.force_stable st.ckpt last_stable;
-    Log.advance_low_mark st.preprepares last_stable
+    Log.advance_low_mark st.preprepares last_stable;
+    (* The broker batches in the view Preparation is in. *)
+    Enclave.emit env (Wire.encode_output (Wire.Out_entered_view view))
 
 let enter_view env st ~view ~max_s =
   st.view <- view;
@@ -355,9 +357,11 @@ let enter_view env st ~view ~max_s =
   Client_table.reset_assignments st.assigned;
   Enclave.emit env (Wire.encode_output (Wire.Out_entered_view view))
 
-(* Handler (6): quorum of ViewChanges — the new primary emits a NewView. *)
+(* Handler (6): quorum of ViewChanges — the new primary emits a NewView,
+   once per view: a ViewChange arriving after the quorum must not re-enter
+   the view, which would reset its log and hand out its seqnos again. *)
 let maybe_send_newview env st target =
-  if Config.primary_of_view st.cfg target = st.cfg.id && target >= st.view then begin
+  if Config.primary_of_view st.cfg target = st.cfg.id && target > st.view then begin
     let vcs = Votes.get st.viewchanges target in
     if List.length vcs >= Config.quorum st.cfg then begin
       let min_s, max_s, pds =

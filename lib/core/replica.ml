@@ -7,15 +7,11 @@ module Platform = Splitbft_tee.Platform
 type t = {
   cfg : Config.t;
   platform : Platform.t;
-  prep : Enclave.t;
-  conf : Enclave.t;
-  exec : Enclave.t;
+  enclave_of : Ids.compartment -> Enclave.t;
   prep_probe : Preparation.probe;
   conf_probe : Confirmation.probe;
   exec_probe : Execution.probe;
-  prep_program : Enclave.program;
-  conf_program : Enclave.program;
-  exec_program : Enclave.program;
+  program_of : Ids.compartment -> Enclave.program;  (* to restart an enclave with *)
   broker : Broker.t;
   history : (Ids.seqno * string) list ref;  (* executed batches, newest first *)
 }
@@ -58,28 +54,24 @@ let create ?(prep_byz = Preparation.Prep_honest) ?(conf_byz = Confirmation.Conf_
     | Ids.Confirmation -> conf
     | Ids.Execution -> exec
   in
+  let program_of = function
+    | Ids.Preparation -> prep_program
+    | Ids.Confirmation -> conf_program
+    | Ids.Execution -> exec_program
+  in
   let broker = Broker.create engine net cfg ~enclave_of in
   { cfg;
     platform;
-    prep;
-    conf;
-    exec;
+    enclave_of;
     prep_probe;
     conf_probe;
     exec_probe;
-    prep_program;
-    conf_program;
-    exec_program;
+    program_of;
     broker;
     history }
 
 let id t = t.cfg.id
-let config t = t.cfg
-
-let enclave t = function
-  | Ids.Preparation -> t.prep
-  | Ids.Confirmation -> t.conf
-  | Ids.Execution -> t.exec
+let enclave t = t.enclave_of
 
 let broker t = t.broker
 let view t = t.exec_probe.Execution.view ()
@@ -100,13 +92,8 @@ let host_crashed t = Broker.is_crashed t.broker
 let set_env_fault t fault = Broker.set_fault t.broker fault
 let crash_enclave t compartment = Enclave.crash (enclave t compartment)
 
-let program_of t = function
-  | Ids.Preparation -> t.prep_program
-  | Ids.Confirmation -> t.conf_program
-  | Ids.Execution -> t.exec_program
-
 let restart_enclave t compartment =
-  Enclave.restart (enclave t compartment) ~program:(program_of t compartment)
+  Enclave.restart (enclave t compartment) ~program:(t.program_of compartment)
 
 let restart_host t =
   (* Fresh enclave incarnations first (handlers cleared, programs re-armed),
@@ -120,13 +107,8 @@ let tamper_counter t compartment name =
 let recovery_alerts t = Broker.alerts t.broker
 let recovered t = Broker.recovered t.broker
 
-let subvert_enclave t compartment program = Enclave.subvert (enclave t compartment) program
-
 let ecall_stats t compartment =
   let e = enclave t compartment in
   (Enclave.ecall_count e, Enclave.ecall_total_us e, Enclave.ecall_durations e)
 
-let reset_ecall_stats t =
-  Enclave.reset_stats t.prep;
-  Enclave.reset_stats t.conf;
-  Enclave.reset_stats t.exec
+let reset_ecall_stats t = List.iter (fun c -> Enclave.reset_stats (enclave t c)) Ids.all_compartments

@@ -25,7 +25,6 @@ val create :
     start (a compromised-at-deployment enclave, keeping its own keys). *)
 
 val id : t -> Ids.replica_id
-val config : t -> Config.t
 val enclave : t -> Ids.compartment -> Enclave.t
 val broker : t -> Broker.t
 
@@ -72,8 +71,6 @@ val recovery_alerts : t -> string list
 
 val recovered : t -> bool
 (** True once a host restart finished recovery and caught up. *)
-
-val subvert_enclave : t -> Ids.compartment -> Enclave.program -> unit
 
 (** {2 Per-enclave ecall accounting (Figure 4)} *)
 

@@ -82,9 +82,7 @@ let decode_input_exact s =
 
 let encode_input ?ctx input = Trace_ctx.append ctx (W.to_string input_into input)
 
-let decode_input_traced = Message.decode_traced_with decode_input_exact
-
-let decode_input s = Result.map fst (decode_input_traced s)
+let decode_input s = Result.map fst (Message.decode_traced_with decode_input_exact s)
 
 let encode_output_plain output =
   W.to_string

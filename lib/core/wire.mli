@@ -48,9 +48,6 @@ type output =
 val encode_input : ?ctx:Splitbft_obs.Trace_ctx.t -> input -> string
 val decode_input : string -> (input, string) result
 
-val decode_input_traced :
-  string -> (input * Splitbft_obs.Trace_ctx.t option, string) result
-
 val encode_output : ?ctx:Splitbft_obs.Trace_ctx.t -> output -> string
 val decode_output : string -> (output, string) result
 

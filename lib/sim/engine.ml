@@ -224,7 +224,6 @@ let cancel ev =
     if t.size >= 1024 && 2 * t.live < t.size then compact t
   end
 
-let live t = t.live
 let pending t = t.live
 
 let fire t ev time =

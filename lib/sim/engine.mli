@@ -101,10 +101,6 @@ val pending : t -> int
     engine's live-event counter (decremented on fire and on cancel, never
     by walking the heap). *)
 
-val live : t -> int
-(** Synonym of {!pending}: the exact live-event counter, exposed for the
-    metrics layer ([sim.events_live]). *)
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Processes events in time order until the queue is empty, virtual time
     would pass [until], or [max_events] have fired.  When stopped by

@@ -33,8 +33,6 @@ type t = {
   mutable tap : (src:addr -> dst:addr -> string -> unit) option;
   mutable taps : (src:addr -> dst:addr -> string -> unit) list;  (* reverse order *)
   mutable delivery_taps : (src:addr -> dst:addr -> string -> unit) list;
-  mutable sent : int;
-  mutable delivered : int;
   c_sent : Registry.counter;
   c_delivered : Registry.counter;
   c_bytes : Registry.counter;
@@ -53,8 +51,6 @@ let create engine config =
     tap = None;
     taps = [];
     delivery_taps = [];
-    sent = 0;
-    delivered = 0;
     c_sent = Registry.counter obs "net.messages_sent";
     c_delivered = Registry.counter obs "net.messages_delivered";
     c_bytes = Registry.counter obs "net.bytes_sent";
@@ -113,7 +109,6 @@ let send t ~src ~dst payload =
   | [] -> ()
   | taps -> List.iter (fun tap -> tap ~src ~dst payload) (List.rev taps));
   let size = String.length payload in
-  t.sent <- t.sent + 1;
   Registry.incr t.c_sent;
   Registry.add t.c_bytes size;
   let link = link t src dst in
@@ -143,11 +138,7 @@ let send t ~src ~dst payload =
              match Addr_tbl.find_opt t.handlers dst with
              | None -> ()
              | Some handler ->
-               t.delivered <- t.delivered + 1;
                Registry.incr t.c_delivered;
                List.iter (fun tap -> tap ~src ~dst payload) t.delivery_taps;
                handler ~src payload))
   end
-
-let messages_sent t = t.sent
-let messages_delivered t = t.delivered

@@ -66,6 +66,3 @@ val add_delivery_tap : t -> (src:addr -> dst:addr -> string -> unit) -> unit
     order) when a message reaches a registered handler, just before the
     handler runs.  Dropped messages and messages to unregistered addresses
     never reach it.  The detector counts delivered Prepares here. *)
-
-val messages_sent : t -> int
-val messages_delivered : t -> int

@@ -12,7 +12,6 @@ type t = {
   name : string;
   label : string;  (* the label of this server's completion events *)
   times : times;
-  mutable jobs : int;
   c_busy_us : Registry.counter;
   c_jobs : Registry.counter;
   g_queue_us : Registry.gauge;
@@ -25,12 +24,9 @@ let create engine ~name =
     name;
     label = "cpu:" ^ name;
     times = { free_at = 0.0; busy = 0.0 };
-    jobs = 0;
     c_busy_us = Registry.counter obs ~labels "resource.busy_us";
     c_jobs = Registry.counter obs ~labels "resource.jobs";
     g_queue_us = Registry.gauge obs ~labels "resource.queue_us" }
-
-let name t = t.name
 
 (* [earliest] lifts the job's start time past data dependencies the server
    itself does not know about (e.g. a conflicting write still in flight on
@@ -42,7 +38,6 @@ let submit_after t ~earliest ~cost callback =
   let finish = start +. cost in
   t.times.free_at <- finish;
   t.times.busy <- t.times.busy +. cost;
-  t.jobs <- t.jobs + 1;
   Registry.add_f t.c_busy_us cost;
   Registry.incr t.c_jobs;
   Registry.set t.g_queue_us (finish -. now);
@@ -52,15 +47,15 @@ let submit t ~cost callback = submit_after t ~earliest:0.0 ~cost callback
 
 let free_at t = t.times.free_at
 let busy_time t = t.times.busy
-let jobs t = t.jobs
 
 (* Crash-path gauge reset: a crashed host's resources are abandoned (their
    queued callbacks are cancelled by the owner), but the queue-depth gauge
    would otherwise keep the dead incarnation's last value — the restarted
    host re-registers the same (name, labels) gauge and only overwrites it
    on its first submit, so a dashboard sampled in between reads stale
-   backlog.  Cumulative counters (busy/jobs) are left alone: they are
-   totals across incarnations by design. *)
+   backlog.  Cumulative counters (busy time, the [resource.jobs]
+   counter) are left alone: they are totals across incarnations by
+   design. *)
 let quiesce t =
   t.times.free_at <- Engine.now t.engine;
   Registry.set t.g_queue_us 0.0
@@ -81,8 +76,4 @@ module Pool = struct
     let best = ref p.servers.(0) in
     Array.iter (fun s -> if s.times.free_at < !best.times.free_at then best := s) p.servers;
     submit !best ~cost callback
-
-  let busy_time p = Array.fold_left (fun acc s -> acc +. s.times.busy) 0.0 p.servers
-  let workers p = Array.to_list p.servers
-  let quiesce p = Array.iter quiesce p.servers
 end

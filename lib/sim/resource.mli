@@ -10,7 +10,6 @@
 type t
 
 val create : Engine.t -> name:string -> t
-val name : t -> string
 
 val submit : t -> cost:float -> (unit -> unit) -> unit
 (** Enqueues a job with service time [cost] µs; the callback runs at its
@@ -27,13 +26,11 @@ val free_at : t -> float
 val busy_time : t -> float
 (** Cumulative service time performed. *)
 
-val jobs : t -> int
-
 val quiesce : t -> unit
 (** Crash-path reset: marks the resource idle as of now and zeroes its
     [resource.queue_us] gauge so a dashboard never reads a dead
-    incarnation's backlog.  Cumulative counters ([busy_time], [jobs]) are
-    preserved — they are totals across incarnations.  Call when the
+    incarnation's backlog.  Cumulative counters ([busy_time], the
+    [resource.jobs] counter) are preserved — they are totals across incarnations.  Call when the
     owning host crashes or restarts. *)
 
 module Pool : sig
@@ -41,9 +38,4 @@ module Pool : sig
 
   val create : Engine.t -> name:string -> workers:int -> pool
   val submit : pool -> cost:float -> (unit -> unit) -> unit
-  val busy_time : pool -> float
-  val workers : pool -> t list
-
-  val quiesce : pool -> unit
-  (** {!quiesce} every worker. *)
 end

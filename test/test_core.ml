@@ -9,6 +9,7 @@ module Execution = Splitbft_core.Execution
 module Wire = Splitbft_core.Wire
 module Ids = Splitbft_types.Ids
 module Message = Splitbft_types.Message
+module Addr = Splitbft_types.Addr
 module Enclave = Splitbft_tee.Enclave
 module Client = Splitbft_client.Client
 module Kvs = Splitbft_app.Kvs
@@ -197,6 +198,236 @@ let test_host_crash_view_change () =
     (fun r -> checkb "new view" true (Replica.view r >= 1))
     (subset c [ 1; 2; 3 ]);
   checkb "agreement" true (agreement (subset c [ 1; 2; 3 ]))
+
+(* An open-loop client that submits [ops] Puts, one every [every_us] from
+   the moment it is ready, with no retry jitter so its retry times are
+   exact.  [on_ready] runs first.  Returns, per request, its submission
+   time and latency (both nan until answered). *)
+let open_loop c ~retry_timeout_us ~every_us ~ops ~on_ready =
+  let cl =
+    Client.create c.engine c.net
+      { (Client.default_config (Client.Splitbft { ready_quorum = 4 }) ~n:4 ~id:0) with
+        Client.window = ops;
+        retry_timeout_us;
+        retry_jitter = 0.0 }
+  in
+  let results = Array.make ops (nan, nan) in
+  Client.start cl ~on_ready:(fun () ->
+      on_ready ();
+      for i = 0 to ops - 1 do
+        ignore
+          (Engine.schedule c.engine ~delay:(float_of_int i *. every_us) ~label:"submit"
+             (fun () ->
+               let submitted = Engine.now c.engine in
+               Client.submit cl
+                 ~op:(Kvs.encode_op (Kvs.Put (Printf.sprintf "k%d" i, "v")))
+                 ~on_result:(fun ~latency_us ~result:_ -> results.(i) <- (submitted, latency_us))))
+      done);
+  results
+
+let crash_primary_after c delay =
+  ignore
+    (Engine.schedule c.engine ~delay ~label:"crash" (fun () ->
+         Replica.crash_host (List.nth c.replicas 0)))
+
+(* The new primary proposes the requests its broker already holds when it
+   enters the view, so a request submitted while the old primary is down
+   waits for the view change, not for a retransmission that happens to
+   land after it.  The first retry (150 ms) fires before the backups
+   suspect (200 ms after the last reply), so without the backlog the
+   outage's first requests wait at least for the second retry, at
+   150 + 300 ms. *)
+let test_view_change_serves_backlog () =
+  let c = make () in
+  let crash_after = 100_000.0 and retry_timeout_us = 150_000.0 in
+  let crashed_at = ref nan in
+  let results =
+    open_loop c ~retry_timeout_us ~every_us:5_000.0 ~ops:80 ~on_ready:(fun () ->
+        crashed_at := Engine.now c.engine +. crash_after;
+        crash_primary_after c crash_after)
+  in
+  Engine.run ~until:3_000_000.0 c.engine;
+  let second_retry = retry_timeout_us *. 3.0 in
+  let outage = ref 0 in
+  Array.iter
+    (fun (submitted, latency) ->
+      checkb "answered" false (Float.is_nan latency);
+      let into = submitted -. !crashed_at in
+      if into >= 0.0 && into < 200_000.0 then begin
+        incr outage;
+        if latency >= second_retry then
+          Alcotest.failf "request submitted %.0f us into the outage took %.0f us" into latency
+      end)
+    results;
+  checki "requests submitted during the outage" 40 !outage;
+  List.iter (fun r -> checkb "new view" true (Replica.view r >= 1)) (subset c [ 1; 2; 3 ]);
+  checkb "agreement" true (agreement (subset c [ 1; 2; 3 ]))
+
+(* A request that reaches the next primary after its Confirmation started
+   the view change but before its Preparation entered the new view is
+   ordered as soon as the NewView is out.  Batched into the old view's
+   Preparation instead, it would be dropped there, and its inflight entry
+   would suppress the client's retries for [inflight_ttl_us]. *)
+let test_request_during_view_change_ordered () =
+  let c = make () in
+  (* Holding the ViewChanges to replica 1 back 50 ms opens the window:
+     replica 1 starts the view change when its own suspect timer fires,
+     200 ms after request 0, and sends the NewView about 50 ms later.
+     Request 1 arrives 220 ms after request 0. *)
+  Network.set_filter c.net
+    (Some
+       (fun ~src:_ ~dst payload ->
+         match Message.decode_traced payload with
+         | Ok (Message.Viewchange _, _) when dst = Addr.replica 1 ->
+           Network.Delay 50_000.0
+         | _ -> Network.Deliver));
+  let results =
+    open_loop c ~retry_timeout_us:300_000.0 ~every_us:220_000.0 ~ops:2 ~on_ready:(fun () ->
+        crash_primary_after c 0.0)
+  in
+  Engine.run ~until:3_000_000.0 c.engine;
+  let _, latency = results.(1) in
+  checkb "answered" false (Float.is_nan latency);
+  let ttl = (Config.default ~n:4 ~id:1).Config.inflight_ttl_us in
+  if latency >= ttl then Alcotest.failf "request took %.0f us (inflight TTL %.0f us)" latency ttl;
+  List.iter (fun r -> checki "view" 1 (Replica.view r)) (subset c [ 1; 2; 3 ])
+
+(* A ViewChange that reaches the new primary after its NewView is out and
+   the new view has executed slots must not make it enter the view again:
+   re-entry would reset its log and give the seqnos it already proposed to
+   the requests that arrive next, which every replica then drops as
+   decided, so the view stalls.  All four replicas stay up: replica 0
+   stops proposing 100 ms in, replica 3's ViewChange to replica 1 is held
+   back 150 ms, and requests keep arriving for 600 ms. *)
+let test_late_viewchange_keeps_view () =
+  let c = make () in
+  let cut = ref infinity in
+  Network.set_filter c.net
+    (Some
+       (fun ~src ~dst payload ->
+         match Message.decode_traced payload with
+         | Ok ((Message.Preprepare _ | Message.Preprepare_digest _), _)
+           when src = Addr.replica 0 && Engine.now c.engine >= !cut ->
+           Network.Drop
+         | Ok (Message.Viewchange _, _) when src = Addr.replica 3 && dst = Addr.replica 1 ->
+           Network.Delay 150_000.0
+         | _ -> Network.Deliver));
+  let retry_timeout_us = 1_000_000.0 and ops = 120 in
+  let results =
+    open_loop c ~retry_timeout_us ~every_us:5_000.0 ~ops ~on_ready:(fun () ->
+        cut := Engine.now c.engine +. 100_000.0)
+  in
+  Engine.run ~until:1_500_000.0 c.engine;
+  Array.iter
+    (fun (_, latency) ->
+      checkb "answered" false (Float.is_nan latency);
+      if latency >= retry_timeout_us then Alcotest.failf "a request waited %.0f us" latency)
+    results;
+  List.iter
+    (fun r ->
+      checki "view" 1 (Replica.view r);
+      checki "each request once" ops (Replica.executed_count r))
+    c.replicas;
+  checkb "agreement" true (agreement c.replicas)
+
+(* A forged copy of a request that reaches a backup first does not pin the
+   body it keeps: the client's own copy replaces it, so the backup, once it
+   leads view 1, proposes the real request there.  Proposing the junk body
+   instead would leave view 1 idle until the backups moved on to view 2. *)
+let test_backlog_keeps_latest_copy () =
+  let c = make () in
+  let forged = ref false in
+  Network.set_filter c.net
+    (Some
+       (fun ~src ~dst payload ->
+         match Message.decode_traced payload with
+         | Ok (Message.Request r, _) when dst = Addr.replica 1 && not !forged ->
+           forged := true;
+           Network.send c.net ~src ~dst
+             (Message.encode (Message.Request { r with payload = "junk" }));
+           Network.Delay 5_000.0
+         | _ -> Network.Deliver));
+  let retry_timeout_us = 1_000_000.0 in
+  let results =
+    open_loop c ~retry_timeout_us ~every_us:0.0 ~ops:1 ~on_ready:(fun () ->
+        crash_primary_after c 0.0)
+  in
+  Engine.run ~until:900_000.0 c.engine;
+  checkb "forged copy sent" true !forged;
+  let _, latency = results.(0) in
+  checkb "answered before the retry" false (Float.is_nan latency);
+  List.iter (fun r -> checki "view" 1 (Replica.view r)) (subset c [ 1; 2; 3 ])
+
+(* ----- batch bodies in Execution ----- *)
+
+(* Which of [digests] replica 0's Execution still holds: each is asked for
+   in a Batch_fetch from replica 3, and a held body comes back as
+   Batch_data. *)
+let served_bodies c digests =
+  let served = Hashtbl.create 64 in
+  Network.add_tap c.net (fun ~src ~dst payload ->
+      if src = Addr.replica 0 && dst = Addr.replica 3 then
+        match Message.decode_traced payload with
+        | Ok (Message.Batch_data bd, _) ->
+          Hashtbl.replace served (Message.digest_of_batch bd.bd_batch) ()
+        | _ -> ());
+  List.iter
+    (fun d ->
+      Network.send c.net ~src:(Addr.replica 3) ~dst:(Addr.replica 0)
+        (Message.encode (Message.Batch_fetch { bf_digest = d; bf_requester = 3 })))
+    digests;
+  Engine.run ~until:(Engine.now c.engine +. 1_000_000.0) c.engine;
+  Hashtbl.mem served
+
+(* Over a long run the body table holds about one checkpoint interval:
+   bodies of slots more than an interval below the stable checkpoint are
+   dropped, and a laggard's fetch inside that interval is still served. *)
+let test_batch_bodies_pruned () =
+  let interval = 8 and ops = 200 in
+  let c = make ~checkpoint_interval:interval () in
+  let _, completed, _ = drive c ~ops in
+  checki "complete" ops completed;
+  let r0 = List.hd c.replicas in
+  let stable = (Replica.exec_probe r0).Execution.last_stable () in
+  checki "stable at the last checkpoint" ops stable;
+  let log = Replica.executed_log r0 in
+  let served = served_bodies c (List.map snd log) in
+  List.iter
+    (fun (seq, d) ->
+      if seq > stable - interval then checkb "inside the slack: served" true (served d)
+      else checkb "an interval below stable: dropped" false (served d))
+    log;
+  checki "bodies held" interval (List.length (List.filter (fun (_, d) -> served d) log))
+
+(* A slot prepared in view 0 whose Commits are lost is re-proposed by the
+   NewView in digest form; every Execution runs it from the body it kept,
+   well after several checkpoints have pruned older bodies, and the copy
+   the new primary proposes again from its backlog executes only once. *)
+let test_reproposed_digest_executes () =
+  let c = make ~checkpoint_interval:4 () in
+  let stalled = 30 and ops = 40 in
+  Network.set_filter c.net
+    (Some
+       (fun ~src:_ ~dst:_ payload ->
+         match Message.decode_traced payload with
+         | Ok (Message.Commit { view = 0; seq; _ }, _) when seq = stalled -> Network.Drop
+         | _ -> Network.Deliver));
+  let fetches = ref 0 in
+  Network.add_tap c.net (fun ~src:_ ~dst:_ payload ->
+      match Message.decode_traced payload with
+      | Ok (Message.Batch_fetch _, _) -> incr fetches
+      | _ -> ());
+  let _, completed, wrong = drive ~until:10_000_000.0 c ~ops in
+  checki "complete" ops completed;
+  checki "no wrong" 0 wrong;
+  checki "no body fetched" 0 !fetches;
+  List.iter
+    (fun r ->
+      checkb "new view" true (Replica.view r >= 1);
+      checkb "stalled slot executed" true (List.mem_assoc stalled (Replica.executed_log r));
+      checki "each request once" ops (Replica.executed_count r))
+    c.replicas;
+  checkb "agreement" true (agreement c.replicas)
 
 let test_env_starve_conf_loses_liveness_not_safety () =
   let c = make () in
@@ -678,6 +909,14 @@ let suites =
         Alcotest.test_case "wire confidentiality" `Quick test_confidentiality_on_the_wire;
         Alcotest.test_case "checkpoint GC" `Quick test_checkpoint_gc;
         Alcotest.test_case "host crash / view change" `Quick test_host_crash_view_change;
+        Alcotest.test_case "view change serves the backlog" `Quick test_view_change_serves_backlog;
+        Alcotest.test_case "request during view change ordered" `Quick
+          test_request_during_view_change_ordered;
+        Alcotest.test_case "late view change keeps the view" `Quick
+          test_late_viewchange_keeps_view;
+        Alcotest.test_case "backlog keeps the latest copy" `Quick test_backlog_keeps_latest_copy;
+        Alcotest.test_case "batch bodies pruned" `Quick test_batch_bodies_pruned;
+        Alcotest.test_case "re-proposed digest executes" `Quick test_reproposed_digest_executes;
         Alcotest.test_case "starved confirmation" `Quick test_env_starve_conf_loses_liveness_not_safety;
         Alcotest.test_case "delaying environments" `Quick test_env_delay_degrades_only;
         Alcotest.test_case "mute environment" `Quick test_env_mute_is_a_crash;

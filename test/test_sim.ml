@@ -3,6 +3,7 @@ module Timer = Splitbft_sim.Timer
 module Network = Splitbft_sim.Network
 module Resource = Splitbft_sim.Resource
 module Sha256 = Splitbft_crypto.Sha256
+module Registry = Splitbft_obs.Registry
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -335,6 +336,10 @@ let test_timer_stop () =
 
 let quiet_net = { Network.default_config with Network.jitter_mean_us = 0.0 }
 
+(* The network counts into its engine's registry. *)
+let net_count e name =
+  int_of_float (Registry.counter_value (Registry.counter (Engine.obs e) name))
+
 let test_network_delivery () =
   let e = Engine.create () in
   let net = Network.create e quiet_net in
@@ -343,15 +348,15 @@ let test_network_delivery () =
   Network.send net ~src:0 ~dst:1 "hello";
   Engine.run e;
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hello") ] !got;
-  checki "stats sent" 1 (Network.messages_sent net);
-  checki "stats delivered" 1 (Network.messages_delivered net)
+  checki "stats sent" 1 (net_count e "net.messages_sent");
+  checki "stats delivered" 1 (net_count e "net.messages_delivered")
 
 let test_network_unregistered_dropped () =
   let e = Engine.create () in
   let net = Network.create e quiet_net in
   Network.send net ~src:0 ~dst:9 "void";
   Engine.run e;
-  checki "nothing delivered" 0 (Network.messages_delivered net)
+  checki "nothing delivered" 0 (net_count e "net.messages_delivered")
 
 let test_network_partition_and_heal () =
   let e = Engine.create () in
