@@ -1,5 +1,7 @@
 module Ids = Splitbft_types.Ids
 module Message = Splitbft_types.Message
+module Validation = Splitbft_types.Validation
+module Sha256 = Splitbft_crypto.Sha256
 
 type 'k t = {
   f : int;
@@ -44,3 +46,41 @@ let caught_up t height =
 let reset t =
   Votes.reset t.votes;
   t.slots <- []
+
+(* Walks down from [upto], so the entries come out ascending. *)
+let entries ~from ~upto ~decided ~body =
+  let rec walk seq acc =
+    if seq < max 1 from then acc
+    else
+      let entry =
+        match decided seq with
+        | None -> None
+        | Some d ->
+          let batch = if String.equal d Message.empty_batch_digest then Some [] else body d in
+          Option.map (fun b -> { Message.se_seq = seq; se_digest = d; se_batch = b }) batch
+      in
+      walk (seq - 1) (match entry with Some e -> e :: acc | None -> acc)
+  in
+  walk upto []
+
+let serve (sr : Message.state_request) ~replier ~view ~ckpt ~snapshot ~upto ~decided ~body =
+  let stable = Ckpt.last_stable ckpt in
+  { Message.st_replier = replier;
+    st_requester = sr.sr_requester;
+    st_stable = stable;
+    st_proof = Ckpt.proof ckpt;
+    st_snapshot = (if stable > 0 && sr.sr_from <= stable then snapshot stable else "");
+    st_view = view;
+    st_entries = entries ~from:sr.sr_from ~upto ~decided ~body }
+
+let certified_snapshot ~quorum ~verify ~above ~open_ (sr : Message.state_reply) =
+  if
+    String.length sr.st_snapshot > 0
+    && sr.st_stable > above
+    && Validation.checkpoint_quorum_seq ~quorum sr.st_proof = Some sr.st_stable
+    && List.for_all verify sr.st_proof
+  then
+    match (open_ sr.st_snapshot, sr.st_proof) with
+    | Some snap, ck :: _ when String.equal (Sha256.digest snap) ck.Message.state_digest -> Some snap
+    | _ -> None
+  else None

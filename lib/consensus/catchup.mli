@@ -54,3 +54,47 @@ val caught_up : 'k t -> 'k -> bool
     (f+1)-th highest height they vouched for. *)
 
 val reset : 'k t -> unit
+
+(** {2 Serving and installing a snapshot}
+
+    Sequence-number form only (PBFT and Execution): MinBFT keys its
+    entries by USIG counter and certifies them differently. *)
+
+val entries :
+  from:Ids.seqno ->
+  upto:Ids.seqno ->
+  decided:(Ids.seqno -> string option) ->
+  body:(string -> Message.request list option) ->
+  Message.state_entry list
+(** The decided entries in [[max 1 from, upto]], ascending: [decided]
+    gives a slot's batch digest, [body] the batch behind a digest.  The
+    empty-batch digest is served as [[]]; a slot whose body is unknown is
+    left out. *)
+
+val serve :
+  Message.state_request ->
+  replier:Ids.replica_id ->
+  view:Ids.view ->
+  ckpt:Ckpt.t ->
+  snapshot:(Ids.seqno -> string) ->
+  upto:Ids.seqno ->
+  decided:(Ids.seqno -> string option) ->
+  body:(string -> Message.request list option) ->
+  Message.state_reply
+(** The reply to a [State_request]: the stable checkpoint and its proof,
+    [snapshot stable] when the requester asks from at or below a stable
+    point above 0 (else [""]), and the {!entries} from the requested
+    sequence number up to [upto] (the last executed one). *)
+
+val certified_snapshot :
+  quorum:int ->
+  verify:(Message.checkpoint -> bool) ->
+  above:Ids.seqno ->
+  open_:(string -> string option) ->
+  Message.state_reply ->
+  string option
+(** The reply's snapshot, opened with [open_], if it may be installed: it
+    is non-empty and moves the receiver past [above]; the checkpoint quorum
+    in [st_proof] is at [st_stable]; every checkpoint passes [verify]
+    (checked in order, stopping at the first failure); and the opened
+    snapshot hashes to the certified state digest. *)

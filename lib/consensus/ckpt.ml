@@ -58,5 +58,4 @@ let absorb_newview t (nv : Message.newview) =
            List.map (fun (ck : Message.checkpoint) -> ck.seq) vc.vc_checkpoint_proof)
          nv.nv_viewchanges)
   in
-  List.iter (fun seq -> try_advance t seq ~on_stable:(fun _ -> ())) seqs;
-  t.stable
+  List.iter (fun seq -> try_advance t seq ~on_stable:(fun _ -> ())) seqs

@@ -34,7 +34,6 @@ val force_stable : t -> Ids.seqno -> unit
 (** Raises the stable mark without a proving quorum (view entry adopting a
     NewView's stable point); keeps the previous proof. *)
 
-val absorb_newview : t -> Message.newview -> Ids.seqno
+val absorb_newview : t -> Message.newview -> unit
 (** Adopts the highest checkpoint certificate proven inside the NewView's
-    ViewChanges; returns the (possibly unchanged) stable sequence
-    number. *)
+    ViewChanges. *)

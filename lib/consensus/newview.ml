@@ -38,3 +38,23 @@ let matches ~expected ~actual =
        (fun (a : Message.preprepare_digest) (b : Message.preprepare_digest) ->
          a.pd_seq = b.pd_seq && String.equal a.pd_digest b.pd_digest)
        expected actual
+
+let build ~view ~sender ~sign vcs =
+  let min_s, max_s, pds = compute ~view ~sender vcs in
+  let sign_pd (pd : Message.preprepare_digest) =
+    { pd with Message.pd_sig = sign (Message.preprepare_digest_signing_bytes pd) }
+  in
+  let nv =
+    { Message.nv_view = view;
+      nv_viewchanges = vcs;
+      nv_preprepares = List.map sign_pd pds;
+      nv_sender = sender;
+      nv_sig = "" }
+  in
+  (min_s, max_s, { nv with nv_sig = sign (Message.newview_signing_bytes nv) })
+
+let plan (nv : Message.newview) =
+  let min_s, max_s, expected =
+    compute ~view:nv.nv_view ~sender:nv.nv_sender nv.nv_viewchanges
+  in
+  if matches ~expected ~actual:nv.nv_preprepares then Some (min_s, max_s) else None

@@ -28,3 +28,18 @@ val matches :
   actual:Message.preprepare_digest list ->
   bool
 (** Positional comparison on (seq, digest). *)
+
+val build :
+  view:Ids.view ->
+  sender:Ids.replica_id ->
+  sign:(string -> string) ->
+  Message.viewchange list ->
+  Ids.seqno * Ids.seqno * Message.newview
+(** The new primary's NewView: {!compute}'s PrePrepares, each signed with
+    [sign], then the NewView itself; also returns [(min_s, max_s)].  The
+    caller charges the [1 + List.length nv_preprepares] signatures. *)
+
+val plan : Message.newview -> (Ids.seqno * Ids.seqno) option
+(** The plan check of a validator that recomputes the NewView:
+    [Some (min_s, max_s)] when the NewView's PrePrepares are exactly the
+    ones {!compute} derives from its ViewChanges. *)

@@ -1,5 +1,4 @@
 module Message = Splitbft_types.Message
-module Validation = Splitbft_types.Validation
 
 let count_sigs proofs =
   List.fold_left
@@ -13,11 +12,3 @@ let newview_sig_count (nv : Message.newview) =
   1
   + List.fold_left (fun acc vc -> acc + viewchange_sig_count vc) 0 nv.nv_viewchanges
   + List.length nv.nv_preprepares
-
-let assemble ~f slots =
-  List.filter_map
-    (fun ((pd : Message.preprepare_digest), prepares) ->
-      if Validation.prepare_cert_complete ~f pd prepares then
-        Some { Message.proof_preprepare = pd; proof_prepares = prepares }
-      else None)
-    slots

@@ -1,16 +1,8 @@
-(** Prepared-certificate assembly and signature counting for ViewChange /
-    NewView messages — the arithmetic every replica needs both to build its
-    own ViewChange and to price verifying someone else's. *)
+(** Signature counting for ViewChange / NewView messages: the arithmetic
+    that prices verifying someone else's (the PBFT baseline's cost
+    model). *)
 
 module Message = Splitbft_types.Message
-
-val assemble :
-  f:int ->
-  (Message.preprepare_digest * Message.prepare list) list ->
-  Message.prepared_proof list
-(** Keeps the slots whose prepare certificate is complete ([2f] matching
-    Prepares behind the accepted proposal) and packages each as the
-    prepared proof carried in a ViewChange. *)
 
 val count_sigs : Message.prepared_proof list -> int
 (** Signatures embedded in a list of prepared proofs: one PrePrepare digest

@@ -5,6 +5,7 @@ module Enclave = Splitbft_tee.Enclave
 module Log = Splitbft_consensus.Log
 module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
+module View_change = Splitbft_consensus.View_change
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 
@@ -37,13 +38,14 @@ type state = {
   proposals : slot Log.t;
   prepares : (Ids.seqno, Message.prepare) Votes.t;
   prepared : Message.prepared_proof Log.t;  (* for ViewChange; survives suspicion *)
-  viewchanges_seen : (Ids.view, Message.viewchange) Votes.t;
-      (* peers' ViewChanges, for the join rule: f+1 of them for a higher
-         view prove a correct replica suspects, so this one joins without
-         waiting for its own timer.  Without it a replica that already
-         answered the stalled request (e.g. from the broker's replay
-         cache) never suspects, and the remaining live replicas can be
-         one short of the 2f+1 ViewChange quorum forever. *)
+  vc : View_change.t;
+      (* the views entered, and peers' ViewChanges for the join rule:
+         f+1 of them for a higher view prove a correct replica suspects,
+         so this one joins without waiting for its own timer.  Without it
+         a replica that already answered the stalled request (e.g. from
+         the broker's replay cache) never suspects, and the remaining live
+         replicas can be one short of the 2f+1 ViewChange quorum
+         forever. *)
   (* messages addressed just above the window's high edge, parked until
      our own checkpoint stabilises (see Preparation.ahead) *)
   mutable ahead : Message.t list;
@@ -61,7 +63,7 @@ let create_state (cfg : Config.t) =
     proposals = Log.create ~window:cfg.watermark_window ();
     prepares = Votes.create ~size:128 ();
     prepared = Log.create ~window:cfg.watermark_window ();
-    viewchanges_seen = Votes.create ~size:4 ();
+    vc = View_change.create ();
     ahead = [];
     ckpt = Ckpt.create ~quorum:(Config.quorum cfg);
     commit_count = 0;
@@ -117,7 +119,9 @@ let on_proposal env st ~byz (pd : Message.preprepare_digest) =
     (match byz with
     | Conf_promiscuous -> promiscuous_commit env st pd
     | Conf_honest | Conf_stale_proof -> ());
-    if proposal_plausible st pd && Common.verify_preprepare_digest env st.prep_lookup pd
+    if
+      proposal_plausible st pd
+      && Validation.verify_preprepare_digest (Common.metered env st.prep_lookup) pd
     then begin
       Log.set st.proposals pd.pd_seq { pd; committed = false };
       try_commit env st pd.pd_seq
@@ -138,7 +142,7 @@ let on_prepare env st (p : Message.prepare) =
       && in_window st p.seq
       && (not committed)
       && (not (Votes.mem st.prepares ~key:p.seq ~sender:p.sender))
-      && Common.verify_prepare env st.prep_lookup p
+      && Validation.verify_prepare (Common.metered env st.prep_lookup) p
     then begin
       if Votes.add st.prepares ~key:p.seq ~sender:p.sender p then try_commit env st p.seq
     end
@@ -184,6 +188,18 @@ let on_recover env st blob_opt =
     Log.advance_low_mark st.proposals last_stable;
     Log.advance_low_mark st.prepared last_stable
 
+(* Stops work in the current view.  Prepared certificates are kept: a
+   later NewView must still see them, or it could re-propose different
+   content at seqs already committed under them.  [gc] prunes what a
+   checkpoint covers; a higher view's re-prepare overwrites an entry. *)
+let move_to_view st view =
+  st.view <- view;
+  Log.reset st.proposals;
+  Votes.reset st.prepares;
+  if !mutate_drop_prepared_on_view_entry then Log.reset st.prepared;
+  st.ahead <- [];
+  View_change.forget st.vc ~upto:view
+
 (* Broadcast our own ViewChange targeting [new_view] and stop working in
    the old view.  A [Conf_stale_proof] adversary replays its initial
    (stale) state instead of the current one: genesis checkpoint, no
@@ -194,24 +210,12 @@ let on_recover env st blob_opt =
 let send_viewchange env st ~byz new_view =
   let stale = match byz with Conf_stale_proof -> true | _ -> false in
   let vc =
-    { Message.vc_new_view = new_view;
-      vc_last_stable = (if stale then 0 else Ckpt.last_stable st.ckpt);
-      vc_checkpoint_proof = (if stale then [] else Ckpt.proof st.ckpt);
-      vc_prepared =
-        (if stale then [] else Log.fold (fun _ proof acc -> proof :: acc) st.prepared []);
-      vc_sender = st.cfg.id;
-      vc_sig = "" }
+    View_change.make ~new_view ~sender:st.cfg.id ~sign:(Common.sign_with env)
+      ~last_stable:(if stale then 0 else Ckpt.last_stable st.ckpt)
+      ~proof:(if stale then [] else Ckpt.proof st.ckpt)
+      ~prepared:(if stale then [] else Log.fold (fun _ proof acc -> proof :: acc) st.prepared [])
   in
-  let vc = { vc with vc_sig = Common.sign_with env (Message.viewchange_signing_bytes vc) } in
-  (* Advancing the view stops Prepare processing and Commits in the old
-     view from this point on.  Prepared certificates are kept: a
-     cascading view change must still be able to carry them. *)
-  st.view <- new_view;
-  Log.reset st.proposals;
-  Votes.reset st.prepares;
-  if !mutate_drop_prepared_on_view_entry then Log.reset st.prepared;
-  st.ahead <- [];
-  Votes.prune st.viewchanges_seen ~keep:(fun v -> v > new_view);
+  move_to_view st new_view;
   Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Viewchange vc)));
   Enclave.emit env (Wire.encode_output (Wire.Out_entered_view new_view))
 
@@ -223,38 +227,28 @@ let on_suspect env st ~byz suspected_view =
    least one correct replica's timer expired; join the smallest such view
    without waiting for our own. *)
 let on_viewchange env st ~byz (vc : Message.viewchange) =
-  let deep_ok =
+  if
     vc.vc_new_view > st.view
-    && Common.verify_viewchange_deep env ~f:(Config.f st.cfg) ~vc_lookup:st.conf_lookup
-         ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup vc
-  in
-  if deep_ok && vc.vc_sender <> st.cfg.id then begin
-    if Votes.add st.viewchanges_seen ~key:vc.vc_new_view ~sender:vc.vc_sender vc then begin
-      let joiners = List.length (Votes.get st.viewchanges_seen vc.vc_new_view) in
-      if joiners >= Config.f st.cfg + 1 then send_viewchange env st ~byz vc.vc_new_view
-    end
-  end
+    && View_change.verify_deep ~f:(Config.f st.cfg)
+         ~vc_lookup:(Common.metered env st.conf_lookup)
+         ~ckpt_lookup:(Common.metered env st.exec_lookup)
+         ~proof_lookup:(Common.metered env st.prep_lookup) vc
+    && vc.vc_sender <> st.cfg.id
+    && View_change.tally st.vc vc
+    && List.length (View_change.viewchanges st.vc vc.vc_new_view) >= Config.f st.cfg + 1
+  then send_viewchange env st ~byz vc.vc_new_view
 
 (* Handler (7'): checkpoint-and-view part of a NewView — the embedded
-   Prepares are not validated here (§4). *)
+   Prepares are not validated here (§4), only the ViewChange signatures. *)
 let on_newview env st (nv : Message.newview) =
   if
-    nv.nv_view >= st.view
-    && Common.newview_shallow_ok env ~f:(Config.f st.cfg) ~n:st.cfg.n
-         ~prep_lookup:st.prep_lookup ~conf_lookup:st.conf_lookup nv
+    View_change.acceptable st.vc ~n:st.cfg.n ~current:st.view nv
+    && View_change.verify_newview ~nv_lookup:(Common.metered env st.prep_lookup)
+         ~vc_ok:(Validation.verify_viewchange (Common.metered env st.conf_lookup)) nv
   then begin
-    ignore (Ckpt.absorb_newview st.ckpt nv);
-    st.view <- nv.nv_view;
-    Log.reset st.proposals;
-    Votes.reset st.prepares;
-    st.ahead <- [];
-    Votes.prune st.viewchanges_seen ~keep:(fun v -> v > nv.nv_view);
-    (* [st.prepared] is deliberately kept (as in on_suspect): dropping the
-       certificates for unstable seqs here would let a still-later NewView
-       re-propose different content at seqs already committed under them.
-       Stability-driven [gc] below prunes whatever the checkpoint covers;
-       per-seq entries are overwritten when a higher view re-prepares. *)
-    if !mutate_drop_prepared_on_view_entry then Log.reset st.prepared;
+    Ckpt.absorb_newview st.ckpt nv;
+    View_change.enter st.vc nv.nv_view;
+    move_to_view st nv.nv_view;
     gc st (Ckpt.last_stable st.ckpt);
     Enclave.emit env (Wire.encode_output (Wire.Out_entered_view st.view))
   end

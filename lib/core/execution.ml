@@ -20,6 +20,7 @@ module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Sessions = Splitbft_consensus.Sessions
 module Catchup = Splitbft_consensus.Catchup
+module View_change = Splitbft_consensus.View_change
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 module Ledger = Splitbft_storage.Ledger
@@ -49,6 +50,7 @@ type state = {
   box : Box.keypair;
   app : State_machine.t;
   mutable view : Ids.view;
+  vc : View_change.t;  (* the views entered through a NewView *)
   batches : (string, Ids.seqno * Message.request list) Hashtbl.t;
       (* by digest: the body and the highest seq it was pre-prepared or
          decided at, which decides when [gc] drops it *)
@@ -85,6 +87,7 @@ let create_state (cfg : Config.t) ~app ~report =
     box = Box.derive ~seed:(Keys.enclave_box_seed cfg.id Ids.Execution);
     app = app ();
     view = 0;
+    vc = View_change.create ();
     batches = Hashtbl.create 256;
     commits = Votes.create ~size:128 ();
     ahead = [];
@@ -410,43 +413,19 @@ let transfer_nonce ~replier ~stable =
 let on_state_request env st (sr : Message.state_request) =
   Enclave.charge_exec env 2.0;
   if sr.sr_requester <> st.cfg.id then begin
-    let stable = Ckpt.last_stable st.ckpt in
-    let snapshot =
-      if stable > 0 && sr.sr_from <= stable then
-        match Hashtbl.find_opt st.snapshots stable with
-        | Some snap ->
-          let c = Enclave.cost_model env in
-          Enclave.charge_crypto env
-            (c.seal_per_byte_us *. float_of_int (String.length snap));
-          Aead.encrypt_with (Lazy.force transfer_key)
-            ~nonce:(transfer_nonce ~replier:st.cfg.id ~stable)
-            ~aad:transfer_aad snap
-        | None -> ""
-      else ""
-    in
-    let entries =
-      Log.fold
-        (fun seq digest acc ->
-          if seq >= sr.sr_from && seq <= st.last_executed then
-            match
-              if String.equal digest Message.empty_batch_digest then Some []
-              else find_batch st digest
-            with
-            | Some batch ->
-              { Message.se_seq = seq; se_digest = digest; se_batch = batch } :: acc
-            | None -> acc
-          else acc)
-        st.decided []
-      |> List.sort (fun a b -> Int.compare a.Message.se_seq b.Message.se_seq)
+    let snapshot stable =
+      match Hashtbl.find_opt st.snapshots stable with
+      | Some snap ->
+        let c = Enclave.cost_model env in
+        Enclave.charge_crypto env (c.seal_per_byte_us *. float_of_int (String.length snap));
+        Aead.encrypt_with (Lazy.force transfer_key)
+          ~nonce:(transfer_nonce ~replier:st.cfg.id ~stable)
+          ~aad:transfer_aad snap
+      | None -> ""
     in
     let reply =
-      { Message.st_replier = st.cfg.id;
-        st_requester = sr.sr_requester;
-        st_stable = stable;
-        st_proof = Ckpt.proof st.ckpt;
-        st_snapshot = snapshot;
-        st_view = st.view;
-        st_entries = entries }
+      Catchup.serve sr ~replier:st.cfg.id ~view:st.view ~ckpt:st.ckpt ~snapshot
+        ~upto:st.last_executed ~decided:(Log.find st.decided) ~body:(find_batch st)
     in
     Enclave.emit env
       (Wire.encode_output
@@ -474,38 +453,28 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
   Enclave.charge_exec env (1.0 +. float_of_int (List.length sr.st_entries));
   if st.recovering && sr.st_requester = st.cfg.id && sr.st_replier <> st.cfg.id
   then begin
-    let quorum = Config.quorum st.cfg in
     (* Certified snapshot: install only if it moves us forward and its
        digest matches the checkpoint-quorum certificate. *)
-    (if String.length sr.st_snapshot > 0 && sr.st_stable > st.last_executed then begin
-       let proof_ok =
-         Validation.checkpoint_quorum_seq ~quorum sr.st_proof = Some sr.st_stable
-         && List.for_all (Common.verify_checkpoint env st.exec_lookup) sr.st_proof
-       in
-       if proof_ok then
-         match
-           Aead.decrypt_with (Lazy.force transfer_key)
-             ~nonce:(transfer_nonce ~replier:sr.st_replier ~stable:sr.st_stable)
-             ~aad:transfer_aad sr.st_snapshot
-         with
-         | Error _ -> ()
-         | Ok snap ->
-           let certified_digest =
-             match sr.st_proof with
-             | ck :: _ -> ck.Message.state_digest
-             | [] -> ""
-           in
-           if String.equal (Sha256.digest snap) certified_digest then begin
-             match st.app.State_machine.restore snap with
-             | Error _ -> ()
-             | Ok () ->
-               ignore (st.app.State_machine.drain_effects ());
-               st.last_executed <- sr.st_stable;
-               Hashtbl.replace st.snapshots sr.st_stable snap;
-               Ckpt.force_stable st.ckpt sr.st_stable;
-               Log.advance_low_mark st.decided sr.st_stable
-           end
-     end);
+    (match
+       Catchup.certified_snapshot ~quorum:(Config.quorum st.cfg)
+         ~verify:(Validation.verify_checkpoint (Common.metered env st.exec_lookup))
+         ~above:st.last_executed sr
+         ~open_:(fun blob ->
+           Result.to_option
+             (Aead.decrypt_with (Lazy.force transfer_key)
+                ~nonce:(transfer_nonce ~replier:sr.st_replier ~stable:sr.st_stable)
+                ~aad:transfer_aad blob))
+     with
+    | None -> ()
+    | Some snap -> (
+      match st.app.State_machine.restore snap with
+      | Error _ -> ()
+      | Ok () ->
+        ignore (st.app.State_machine.drain_effects ());
+        st.last_executed <- sr.st_stable;
+        Hashtbl.replace st.snapshots sr.st_stable snap;
+        Ckpt.force_stable st.ckpt sr.st_stable;
+        Log.advance_low_mark st.decided sr.st_stable));
     (* Log suffix: decide a slot once f+1 repliers vouch for its digest. *)
     Catchup.absorb st.sync sr
       ~admit:(fun seq -> seq > st.last_executed && not (Log.mem st.decided seq))
@@ -629,18 +598,19 @@ let on_commit env st ~byz (c : Message.commit) =
     c.view = st.view && in_window st c.seq
     && (not (Log.mem st.decided c.seq))
     && (not (Votes.mem st.commits ~key:c.seq ~sender:c.sender))
-    && Common.verify_commit env st.conf_lookup c
+    && Validation.verify_commit (Common.metered env st.conf_lookup) c
   then accept env st ~byz c
 
 (* Handler (7'): checkpoint-and-view part of a NewView. *)
 let on_newview env st (nv : Message.newview) =
   if
-    nv.nv_view >= st.view
-    && Common.newview_shallow_ok env ~f:(Config.f st.cfg) ~n:st.cfg.n
-         ~prep_lookup:st.prep_lookup ~conf_lookup:st.conf_lookup nv
+    View_change.acceptable st.vc ~n:st.cfg.n ~current:st.view nv
+    && View_change.verify_newview ~nv_lookup:(Common.metered env st.prep_lookup)
+         ~vc_ok:(Validation.verify_viewchange (Common.metered env st.conf_lookup)) nv
   then begin
-    ignore (Ckpt.absorb_newview st.ckpt nv);
+    Ckpt.absorb_newview st.ckpt nv;
     st.view <- nv.nv_view;
+    View_change.enter st.vc nv.nv_view;
     Votes.reset st.commits;
     st.ahead <- [];
     let stable = Ckpt.last_stable st.ckpt in

@@ -13,7 +13,8 @@ module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
 module Client_table = Splitbft_consensus.Client_table
 module Sessions = Splitbft_consensus.Sessions
-module Newview_logic = Splitbft_consensus.Newview
+module Newview = Splitbft_consensus.Newview
+module View_change = Splitbft_consensus.View_change
 module Rng = Splitbft_util.Rng
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
@@ -27,6 +28,7 @@ type probe = {
   sessions : unit -> int;
   parked : unit -> int;
   lane_cursors : unit -> int list;
+  tallied_views : unit -> int list;
 }
 
 type state = {
@@ -57,7 +59,7 @@ type state = {
   prepares : (Ids.seqno, Message.prepare) Votes.t;
   assigned : Client_table.t;  (* client timestamps already given a seqno *)
   sessions : (string * Hmac.key) Sessions.t;  (* client auth keys, raw and prepared *)
-  viewchanges : (Ids.view, Message.viewchange) Votes.t;
+  vc : View_change.t;
   ckpt : Ckpt.t;
   mutable instance_nonce : string;
   mutable halted : bool;
@@ -79,7 +81,7 @@ let create_state (cfg : Config.t) =
     prepares = Votes.create ~size:128 ();
     assigned = Client_table.create ();
     sessions = Sessions.create ();
-    viewchanges = Votes.create ~size:4 ();
+    vc = View_change.create ();
     ckpt = Ckpt.create ~quorum:(Config.quorum cfg);
     instance_nonce = "";
     halted = false }
@@ -117,6 +119,10 @@ let request_ok st (r : Message.request) =
   | None -> false
   | Some (_, auth_key) ->
     Hmac.verify_with auth_key ~msg:(Message.request_auth_bytes r) ~tag:r.auth
+
+(* Signs without charging: for callers that charge a run of signatures
+   at once. *)
+let sign env = Signature.sign (Enclave.env_keypair env).Signature.secret
 
 let sign_pp env pp =
   { pp with Message.pp_sig = Common.sign_with env (Message.preprepare_signing_bytes pp) }
@@ -228,16 +234,19 @@ let drain_parked env st ~byz =
   in
   go ()
 
+let send_prepare env st ~sign ~seq ~digest =
+  let p = { Message.view = st.view; seq; digest; sender = st.cfg.id; p_sig = "" } in
+  let p = { p with p_sig = sign (Message.prepare_signing_bytes p) } in
+  ignore (Votes.add st.prepares ~key:seq ~sender:st.cfg.id p);
+  Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Prepare p)))
+
 (* Handler (2): PrePrepare from the primary — backups answer with a
    Prepare.  Authentication of the batched client requests is charged; an
    individual corrupted operation is still ordered and later no-oped by
    Execution (§4), so it does not invalidate the proposal. *)
 let accept_preprepare env st (pp : Message.preprepare) ~digest =
   Log.set st.preprepares pp.seq pp;
-  let p = { Message.view = st.view; seq = pp.seq; digest; sender = st.cfg.id; p_sig = "" } in
-  let p = { p with p_sig = Common.sign_with env (Message.prepare_signing_bytes p) } in
-  ignore (Votes.add st.prepares ~key:pp.seq ~sender:st.cfg.id p);
-  Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Prepare p)))
+  send_prepare env st ~sign:(Common.sign_with env) ~seq:pp.seq ~digest
 
 let preprepare_plausible st (pp : Message.preprepare) =
   pp.view = st.view
@@ -258,8 +267,11 @@ let on_preprepare env st (pp : Message.preprepare) =
        hashed once and the digest reused for signature check and Prepare. *)
     charge_client_auth env st (List.length pp.batch);
     let digest = Message.digest_of_batch pp.batch in
-    if Common.verify_preprepare env st.prep_lookup pp ~digest then
-      accept_preprepare env st pp ~digest
+    let bytes =
+      Message.signing_bytes_of_proposal ~view:pp.view ~seq:pp.seq ~digest ~sender:pp.sender
+    in
+    if Validation.verify_with (Common.metered env st.prep_lookup) pp.sender bytes pp.pp_sig
+    then accept_preprepare env st pp ~digest
   end
 
 (* Prepares are duplicated into this compartment's input log (P3). *)
@@ -270,7 +282,7 @@ let on_prepare env st (p : Message.prepare) =
     p.view = st.view
     && in_window st p.seq
     && (not (Votes.mem st.prepares ~key:p.seq ~sender:p.sender))
-    && Common.verify_prepare env st.prep_lookup p
+    && Validation.verify_prepare (Common.metered env st.prep_lookup) p
   then ignore (Votes.add st.prepares ~key:p.seq ~sender:p.sender p)
 
 (* Re-inject messages that were ahead of the window before it slid; any
@@ -343,6 +355,7 @@ let on_recover env st blob_opt =
 
 let enter_view env st ~view ~max_s =
   st.view <- view;
+  View_change.enter st.vc view;
   st.next_seq <- max max_s (Ckpt.last_stable st.ckpt) + 1;
   realign_lanes st (st.next_seq - 1);
   (* Parked batches belong to the dead view's primary; the clients'
@@ -362,93 +375,53 @@ let enter_view env st ~view ~max_s =
    the view, which would reset its log and hand out its seqnos again. *)
 let maybe_send_newview env st target =
   if Config.primary_of_view st.cfg target = st.cfg.id && target > st.view then begin
-    let vcs = Votes.get st.viewchanges target in
+    let vcs = View_change.viewchanges st.vc target in
     if List.length vcs >= Config.quorum st.cfg then begin
-      let min_s, max_s, pds =
-        Newview_logic.compute ~view:target ~sender:st.cfg.id vcs
+      let _min_s, max_s, nv =
+        Newview.build ~view:target ~sender:st.cfg.id ~sign:(sign env) vcs
       in
-      Common.charge_sign env (List.length pds);
-      let signed_pds =
-        List.map
-          (fun (pd : Message.preprepare_digest) ->
-            { pd with
-              Message.pd_sig =
-                Signature.sign (Enclave.env_keypair env).Signature.secret
-                  (Message.preprepare_digest_signing_bytes pd) })
-          pds
-      in
-      let nv =
-        { Message.nv_view = target;
-          nv_viewchanges = vcs;
-          nv_preprepares = signed_pds;
-          nv_sender = st.cfg.id;
-          nv_sig = "" }
-      in
-      let nv = { nv with nv_sig = Common.sign_with env (Message.newview_signing_bytes nv) } in
-      ignore min_s;
+      Common.charge_sign env (List.length nv.nv_preprepares);
+      Common.charge_sign env 1;
       Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Newview nv)));
       enter_view env st ~view:target ~max_s
     end
   end
 
+let verify_deep env st =
+  View_change.verify_deep ~f:(Config.f st.cfg)
+    ~vc_lookup:(Common.metered env st.conf_lookup)
+    ~ckpt_lookup:(Common.metered env st.exec_lookup)
+    ~proof_lookup:(Common.metered env st.prep_lookup)
+
 let on_viewchange env st (vc : Message.viewchange) =
-  let deep_ok =
-    vc.vc_new_view >= st.view
-    && Common.verify_viewchange_deep env ~f:(Config.f st.cfg) ~vc_lookup:st.conf_lookup
-         ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup vc
-  in
-  if deep_ok then begin
-    if Votes.add st.viewchanges ~key:vc.vc_new_view ~sender:vc.vc_sender vc then
-      maybe_send_newview env st vc.vc_new_view
-  end
+  if vc.vc_new_view >= st.view && verify_deep env st vc && View_change.tally st.vc vc then
+    maybe_send_newview env st vc.vc_new_view
 
 (* Handler (7): full NewView validation — including recomputing the
    re-issued PrePrepares, the logic the paper notes is repeated here.  Each
    embedded ViewChange is deep-checked in full, even if this compartment
-   already verified it on individual arrival. *)
+   already verified it on individual arrival.  This replica's own NewView
+   is never re-entered: a restarted primary that replayed it would hand
+   out its view's seqnos a second time. *)
 let on_newview env st (nv : Message.newview) =
-  let f = Config.f st.cfg in
-  let valid =
-    nv.nv_view >= st.view
-    && nv.nv_sender = Config.primary_of_view st.cfg nv.nv_view
+  if
+    View_change.acceptable st.vc ~n:st.cfg.n ~current:st.view nv
     && nv.nv_sender <> st.cfg.id
-    && List.length nv.nv_viewchanges >= Config.quorum st.cfg
-    && Common.verify_newview env st.prep_lookup nv
-    && List.for_all
-         (Common.verify_viewchange_deep env ~f ~vc_lookup:st.conf_lookup
-            ~ckpt_lookup:st.exec_lookup ~proof_lookup:st.prep_lookup)
-         nv.nv_viewchanges
-  in
-  if valid then begin
-    let _min_s, max_s, expected =
-      Newview_logic.compute ~view:nv.nv_view ~sender:nv.nv_sender nv.nv_viewchanges
-    in
-    if Newview_logic.matches ~expected ~actual:nv.nv_preprepares then begin
-      ignore (Ckpt.absorb_newview st.ckpt nv);
+    && View_change.verify_newview ~nv_lookup:(Common.metered env st.prep_lookup)
+         ~vc_ok:(verify_deep env st) nv
+  then
+    match Newview.plan nv with
+    | None -> ()
+    | Some (_min_s, max_s) ->
+      Ckpt.absorb_newview st.ckpt nv;
       enter_view env st ~view:nv.nv_view ~max_s;
       gc st (Ckpt.last_stable st.ckpt);
       (* Re-issue Prepares for the NewView's proposals (backup role). *)
       Common.charge_sign env (List.length nv.nv_preprepares);
       List.iter
         (fun (pd : Message.preprepare_digest) ->
-          let p =
-            { Message.view = st.view;
-              seq = pd.pd_seq;
-              digest = pd.pd_digest;
-              sender = st.cfg.id;
-              p_sig = "" }
-          in
-          let p =
-            { p with
-              p_sig =
-                Signature.sign (Enclave.env_keypair env).Signature.secret
-                  (Message.prepare_signing_bytes p) }
-          in
-          ignore (Votes.add st.prepares ~key:p.seq ~sender:st.cfg.id p);
-          Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Prepare p))))
+          send_prepare env st ~sign:(sign env) ~seq:pd.pd_seq ~digest:pd.pd_digest)
         nv.nv_preprepares
-    end
-  end
 
 (* Session establishment: the client attests this enclave and provisions
    its request-authentication key. *)
@@ -526,6 +499,7 @@ let make ?(byz = Prep_honest) (cfg : Config.t) =
       last_stable = (fun () -> Ckpt.last_stable !current.ckpt);
       sessions = (fun () -> Sessions.count !current.sessions);
       parked = (fun () -> List.length !current.parked);
-      lane_cursors = (fun () -> Array.to_list !current.lane_next) }
+      lane_cursors = (fun () -> Array.to_list !current.lane_next);
+      tallied_views = (fun () -> View_change.tallied_views !current.vc) }
   in
   (program, probe)

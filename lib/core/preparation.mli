@@ -30,6 +30,7 @@ type probe = {
   sessions : unit -> int;
   parked : unit -> int;  (** batches waiting for window space *)
   lane_cursors : unit -> int list;  (** per-lane next unissued seqno *)
+  tallied_views : unit -> int list;  (** target views with a ViewChange tally *)
 }
 
 val make : ?byz:byz -> Config.t -> Enclave.program * probe

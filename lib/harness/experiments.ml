@@ -205,12 +205,19 @@ let table2 ?root () =
         file "lib/consensus/sealed_image.ml" ]
   in
   let shared = code_loc shared_files in
-  let prep = code_loc [ file "lib/core/preparation.ml" ] in
-  let conf = code_loc [ file "lib/core/confirmation.ml" ] in
+  (* The shared view change runs in every compartment; the NewView plan
+     is built and recomputed only in Preparation. *)
+  let view_change = file "lib/consensus/view_change.ml" in
+  let prep =
+    code_loc [ file "lib/core/preparation.ml"; file "lib/consensus/newview.ml"; view_change ]
+  in
+  let conf = code_loc [ file "lib/core/confirmation.ml"; view_change ] in
   let app_loc = code_loc (ml_files_under root [ "lib/app" ]) in
-  (* State transfer's f+1 rule runs only in Execution. *)
+  (* State transfer (the f+1 rule, serving, the snapshot certificate) runs
+     only in Execution. *)
   let exec =
-    code_loc [ file "lib/core/execution.ml"; file "lib/consensus/catchup.ml" ] + app_loc
+    code_loc [ file "lib/core/execution.ml"; file "lib/consensus/catchup.ml"; view_change ]
+    + app_loc
   in
   let untrusted =
     code_loc

@@ -27,6 +27,7 @@ module Proofs = Splitbft_consensus.Proofs
 module Newview = Splitbft_consensus.Newview
 module Sealed_image = Splitbft_consensus.Sealed_image
 module Catchup = Splitbft_consensus.Catchup
+module View_change = Splitbft_consensus.View_change
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
 module Ledger_entry = Splitbft_storage.Entry
@@ -123,7 +124,7 @@ type t = {
   suspect_timer : Timer.t;
   mutable in_view_change : bool;
   mutable vc_target : Ids.view;
-  viewchanges : (Ids.view, Message.viewchange) Votes.t;
+  vc : View_change.t;
   vc_timer : Timer.t;
   mutable persist_log : (string * string) list;  (* newest first *)
   mutable crashed : bool;
@@ -200,6 +201,9 @@ let request_auth_ok (r : Message.request) ~replica =
   Keys.check_authenticator ~protocol:protocol_name ~client:r.client ~replica
     ~msg:(Message.request_auth_bytes r) ~auth:r.auth
 
+let verify_viewchange t =
+  View_change.verify_deep ~f:t.f ~vc_lookup:t.lookup ~ckpt_lookup:t.lookup ~proof_lookup:t.lookup
+
 let verify_ok t (msg : Message.t) =
   match msg with
   | Message.Request r -> request_auth_ok r ~replica:t.cfg.id
@@ -210,15 +214,9 @@ let verify_ok t (msg : Message.t) =
   | Message.Commit c -> Validation.verify_commit t.lookup c
   | Message.Checkpoint ck -> Validation.verify_checkpoint t.lookup ck
   | Message.Preprepare_digest pd -> Validation.verify_preprepare_digest t.lookup pd
-  | Message.Viewchange vc ->
-    Validation.verify_viewchange_deep ~f:t.f ~vc_lookup:t.lookup ~ckpt_lookup:t.lookup
-      ~proof_lookup:t.lookup vc
+  | Message.Viewchange vc -> verify_viewchange t vc
   | Message.Newview nv ->
-    Validation.verify_newview t.lookup nv
-    && List.for_all
-         (Validation.verify_viewchange_deep ~f:t.f ~vc_lookup:t.lookup
-            ~ckpt_lookup:t.lookup ~proof_lookup:t.lookup)
-         nv.nv_viewchanges
+    View_change.verify_newview ~nv_lookup:t.lookup ~vc_ok:(verify_viewchange t) nv
   | Message.Batch_fetch _ | Message.Batch_data _ ->
     (* content-addressed: the handler checks the digest *)
     true
@@ -353,6 +351,15 @@ let finish_recovery t =
     Timer.stop t.recovery_timer
   end
 
+(* Enters state transfer, or re-asks in it, from the first slot not yet
+   executed. *)
+let request_state t =
+  t.cur_ctx <- forced_ctx t ~name:"recovery";
+  broadcast t ~sign_cost:0.0
+    (Message.State_request { sr_requester = t.cfg.id; sr_from = t.last_executed + 1 });
+  t.cur_ctx <- None;
+  Timer.restart t.recovery_timer
+
 let send_checkpoint_if_due t seq =
   if seq mod t.cfg.checkpoint_interval = 0 then begin
     let snapshot = t.app.State_machine.snapshot () in
@@ -382,6 +389,9 @@ let send_checkpoint_if_due t seq =
     in
     t.persist_log <- ("ckpt:pbft", sealed) :: t.persist_log
   end
+
+let drop_prepared_certs t ~upto =
+  Hashtbl.filter_map_inplace (fun s p -> if s <= upto then None else Some p) t.prepared_certs
 
 let resolve_batch t (s : slot) =
   match s.batch with
@@ -481,9 +491,7 @@ and check_checkpoint_stability t seq =
       (* Keep the proving quorum, advance the low watermark, drop old state. *)
       Log.advance_low_mark t.slots stable;
       Log.prune t.slots ~upto:stable;
-      Hashtbl.iter
-        (fun s _ -> if s <= stable then Hashtbl.remove t.prepared_certs s)
-        (Hashtbl.copy t.prepared_certs);
+      drop_prepared_certs t ~upto:stable;
       Hashtbl.iter
         (fun s _ -> if s < stable then Hashtbl.remove t.snapshots s)
         (Hashtbl.copy t.snapshots);
@@ -554,21 +562,16 @@ let rec try_send_commit t seq =
   match s.proposal with
   | None -> ()
   | Some pd ->
-    if
-      (not s.own_commit_sent)
-      && Validation.prepare_cert_complete ~f:t.f pd (Quorum.votes s.prepares)
-    then begin
+    let prepares = Quorum.votes s.prepares in
+    if (not s.own_commit_sent) && Validation.prepare_cert_complete ~f:t.f pd prepares then begin
       s.own_commit_sent <- true;
       (* Retain the completed certificate (per seq, highest view wins) so
          view changes can still prove it after the slots are reset. *)
-      (match Proofs.assemble ~f:t.f [ (pd, Quorum.votes s.prepares) ] with
-      | [ proof ] -> (
-        match Hashtbl.find_opt t.prepared_certs seq with
-        | Some old when old.Message.proof_preprepare.Message.pd_view >= pd.Message.pd_view
-          ->
-          ()
-        | Some _ | None -> Hashtbl.replace t.prepared_certs seq proof)
-      | _ -> ());
+      (match Hashtbl.find_opt t.prepared_certs seq with
+      | Some old when old.Message.proof_preprepare.Message.pd_view >= pd.Message.pd_view -> ()
+      | Some _ | None ->
+        Hashtbl.replace t.prepared_certs seq
+          { Message.proof_preprepare = pd; proof_prepares = prepares });
       match t.byz with
       | Mute_commits -> ()
       | Honest | Equivocate _ | Collude | Corrupt_execution ->
@@ -683,24 +686,11 @@ let on_checkpoint t (ck : Message.checkpoint) =
 
 let prepared_proofs t =
   let low = Log.low_mark t.slots in
-  Hashtbl.fold
-    (fun seq proof acc -> if seq > low then proof :: acc else acc)
-    t.prepared_certs []
-
-let make_viewchange t ~new_view : Message.viewchange =
-  let vc =
-    { Message.vc_new_view = new_view;
-      vc_last_stable = Log.low_mark t.slots;
-      vc_checkpoint_proof = Ckpt.proof t.ckpt;
-      vc_prepared = prepared_proofs t;
-      vc_sender = t.cfg.id;
-      vc_sig = "" }
-  in
-  { vc with
-    vc_sig = Signature.sign t.keypair.Signature.secret (Message.viewchange_signing_bytes vc) }
+  Hashtbl.fold (fun seq proof acc -> if seq > low then proof :: acc else acc) t.prepared_certs []
 
 let enter_view t ~view ~min_s ~max_s (pps : Message.preprepare_digest list) ~as_primary =
   t.view <- view;
+  View_change.enter t.vc view;
   t.in_view_change <- false;
   Timer.stop t.vc_timer;
   Log.advance_low_mark t.slots min_s;
@@ -710,9 +700,7 @@ let enter_view t ~view ~min_s ~max_s (pps : Message.preprepare_digest list) ~as_
   (* Resetting the slots is safe only because prepared certificates live in
      [prepared_certs]; prune the ones the NewView's stable point covers. *)
   Log.reset t.slots;
-  Hashtbl.iter
-    (fun s _ -> if s <= Log.low_mark t.slots then Hashtbl.remove t.prepared_certs s)
-    (Hashtbl.copy t.prepared_certs);
+  drop_prepared_certs t ~upto:(Log.low_mark t.slots);
   t.next_seq <- max_s + 1;
   (* Requests assigned in the dead view may have been lost with it; allow
      client retransmissions to be ordered again (execution deduplicates by
@@ -756,69 +744,51 @@ let rec start_view_change t ~target =
     Timer.stop t.batch_timer;
     Timer.stop t.suspect_timer;
     Timer.restart t.vc_timer;
-    let vc = make_viewchange t ~new_view:target in
-    ignore (Votes.add t.viewchanges ~key:target ~sender:t.cfg.id vc);
+    let vc =
+      View_change.make ~new_view:target ~last_stable:(Log.low_mark t.slots)
+        ~proof:(Ckpt.proof t.ckpt) ~prepared:(prepared_proofs t) ~sender:t.cfg.id
+        ~sign:(Signature.sign t.keypair.Signature.secret)
+    in
+    ignore (View_change.tally t.vc vc);
     broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Viewchange vc);
     maybe_send_newview t ~target
   end
 
 and maybe_send_newview t ~target =
   if Ids.primary_of_view ~n:t.cfg.n target = t.cfg.id then begin
-    let vcs = Votes.get t.viewchanges target in
+    let vcs = View_change.viewchanges t.vc target in
     if List.length vcs >= t.quorum && t.view = target && t.in_view_change then begin
-      let min_s, max_s, pps = Newview.compute ~view:target ~sender:t.cfg.id vcs in
-      let signed_pps =
-        List.map
-          (fun (pd : Message.preprepare_digest) ->
-            { pd with
-              Message.pd_sig =
-                Signature.sign t.keypair.Signature.secret
-                  (Message.preprepare_digest_signing_bytes pd) })
-          pps
-      in
-      let nv =
-        { Message.nv_view = target;
-          nv_viewchanges = vcs;
-          nv_preprepares = signed_pps;
-          nv_sender = t.cfg.id;
-          nv_sig = "" }
-      in
-      let nv =
-        { nv with
-          nv_sig =
-            Signature.sign t.keypair.Signature.secret (Message.newview_signing_bytes nv) }
-      in
+      let sign = Signature.sign t.keypair.Signature.secret in
+      let min_s, max_s, nv = Newview.build ~view:target ~sender:t.cfg.id ~sign vcs in
       broadcast t
-        ~sign_cost:(t.cfg.cost.sign_us *. float_of_int (1 + List.length signed_pps))
+        ~sign_cost:(t.cfg.cost.sign_us *. float_of_int (1 + List.length nv.nv_preprepares))
         (Message.Newview nv);
-      enter_view t ~view:target ~min_s ~max_s signed_pps ~as_primary:true
+      enter_view t ~view:target ~min_s ~max_s nv.nv_preprepares ~as_primary:true
     end
   end
 
 let on_viewchange t (vc : Message.viewchange) =
-  if vc.vc_new_view > t.view || (t.in_view_change && vc.vc_new_view = t.vc_target) then begin
-    if Votes.add t.viewchanges ~key:vc.vc_new_view ~sender:vc.vc_sender vc then begin
-      let count = Votes.count t.viewchanges vc.vc_new_view in
-      (* Join a view change supported by f+1 peers (liveness rule). *)
-      if vc.vc_new_view > t.view && count >= t.f + 1 && not (t.in_view_change && t.vc_target >= vc.vc_new_view)
-      then start_view_change t ~target:vc.vc_new_view;
-      maybe_send_newview t ~target:vc.vc_new_view
-    end
+  if
+    (vc.vc_new_view > t.view || (t.in_view_change && vc.vc_new_view = t.vc_target))
+    && View_change.tally t.vc vc
+  then begin
+    let count = List.length (View_change.viewchanges t.vc vc.vc_new_view) in
+    (* Join a view change supported by f+1 peers (liveness rule). *)
+    if
+      vc.vc_new_view > t.view && count >= t.f + 1
+      && not (t.in_view_change && t.vc_target >= vc.vc_new_view)
+    then start_view_change t ~target:vc.vc_new_view;
+    maybe_send_newview t ~target:vc.vc_new_view
   end
 
+(* The replica's own NewView is never re-entered: after a restart it
+   would hand out the view's seqnos a second time. *)
 let on_newview t (nv : Message.newview) =
-  if
-    nv.nv_view >= t.view
-    && nv.nv_sender = Ids.primary_of_view ~n:t.cfg.n nv.nv_view
-    && nv.nv_sender <> t.cfg.id
-    && List.length nv.nv_viewchanges >= t.quorum
-  then begin
-    let min_s, max_s, expected =
-      Newview.compute ~view:nv.nv_view ~sender:nv.nv_sender nv.nv_viewchanges
-    in
-    if Newview.matches ~expected ~actual:nv.nv_preprepares then
+  if View_change.acceptable t.vc ~n:t.cfg.n ~current:t.view nv && nv.nv_sender <> t.cfg.id then
+    match Newview.plan nv with
+    | Some (min_s, max_s) ->
       enter_view t ~view:nv.nv_view ~min_s ~max_s nv.nv_preprepares ~as_primary:false
-  end
+    | None -> ()
 
 (* ----- dispatch ----- *)
 
@@ -840,65 +810,37 @@ let on_batch_data t (bd : Message.batch_data) =
 (* ----- state transfer ----- *)
 
 let on_state_request t (sr : Message.state_request) =
-  if sr.sr_requester <> t.cfg.id && not t.recovering then begin
-    let stable = Ckpt.last_stable t.ckpt in
-    let snapshot =
-      if stable > 0 && sr.sr_from <= stable then
-        Option.value ~default:"" (Hashtbl.find_opt t.snapshots stable)
-      else ""
-    in
-    let entries = ref [] in
-    for seq = t.last_executed downto max 1 sr.sr_from do
-      match Hashtbl.find_opt t.executed_digests seq with
-      | None -> ()
-      | Some d ->
-        let batch =
-          if String.equal d Message.empty_batch_digest then Some []
-          else Hashtbl.find_opt t.batches_by_digest d
-        in
-        (match batch with
-        | Some b ->
-          entries := { Message.se_seq = seq; se_digest = d; se_batch = b } :: !entries
-        | None -> ())
-    done;
+  if sr.sr_requester <> t.cfg.id && not t.recovering then
     send_to t ~sign_cost:0.0
       (Addr.replica sr.sr_requester)
       (Message.encode
          (Message.State_reply
-            { st_replier = t.cfg.id;
-              st_requester = sr.sr_requester;
-              st_stable = stable;
-              st_proof = Ckpt.proof t.ckpt;
-              st_snapshot = snapshot;
-              st_view = t.view;
-              st_entries = !entries }))
-  end
+            (Catchup.serve sr ~replier:t.cfg.id ~view:t.view ~ckpt:t.ckpt
+               ~snapshot:(fun stable ->
+                 Option.value ~default:"" (Hashtbl.find_opt t.snapshots stable))
+               ~upto:t.last_executed
+               ~decided:(Hashtbl.find_opt t.executed_digests)
+               ~body:(Hashtbl.find_opt t.batches_by_digest))))
 
 let on_state_reply t (sr : Message.state_reply) =
   if t.recovering && sr.st_requester = t.cfg.id && sr.st_replier <> t.cfg.id then begin
     (* Certified snapshot: install only if it moves us forward and matches
        its checkpoint-quorum certificate. *)
-    (if String.length sr.st_snapshot > 0 && sr.st_stable > t.last_executed then begin
-       let proof_ok =
-         Validation.checkpoint_quorum_seq ~quorum:t.quorum sr.st_proof = Some sr.st_stable
-         && List.for_all (Validation.verify_checkpoint t.lookup) sr.st_proof
-       in
-       let digest_ok =
-         match sr.st_proof with
-         | ck :: _ -> String.equal (Sha256.digest sr.st_snapshot) ck.Message.state_digest
-         | [] -> false
-       in
-       if proof_ok && digest_ok then
-         match t.app.State_machine.restore sr.st_snapshot with
-         | Error _ -> ()
-         | Ok () ->
-           ignore (t.app.State_machine.drain_effects ());
-           t.last_executed <- sr.st_stable;
-           Hashtbl.replace t.snapshots sr.st_stable sr.st_snapshot;
-           Ckpt.force_stable t.ckpt sr.st_stable;
-           Log.advance_low_mark t.slots sr.st_stable;
-           Log.prune t.slots ~upto:sr.st_stable
-     end);
+    (match
+       Catchup.certified_snapshot ~quorum:t.quorum ~verify:(Validation.verify_checkpoint t.lookup)
+         ~above:t.last_executed ~open_:Option.some sr
+     with
+    | None -> ()
+    | Some snapshot -> (
+      match t.app.State_machine.restore snapshot with
+      | Error _ -> ()
+      | Ok () ->
+        ignore (t.app.State_machine.drain_effects ());
+        t.last_executed <- sr.st_stable;
+        Hashtbl.replace t.snapshots sr.st_stable snapshot;
+        Ckpt.force_stable t.ckpt sr.st_stable;
+        Log.advance_low_mark t.slots sr.st_stable;
+        Log.prune t.slots ~upto:sr.st_stable));
     (* Log suffix: install a slot once f+1 repliers vouch for its digest. *)
     Catchup.absorb t.sync sr
       ~admit:(fun seq -> seq > t.last_executed)
@@ -1050,7 +992,7 @@ let create engine net cfg ~app =
               t.cur_ctx <- None);
         in_view_change = false;
         vc_target = 0;
-        viewchanges = Votes.create ();
+        vc = View_change.create ();
         vc_timer =
           Timer.create engine
             ~label:(Printf.sprintf "pbft%d-vc" cfg.id)
@@ -1085,14 +1027,7 @@ let create engine net cfg ~app =
               let t = Lazy.force t in
               (* Re-request: commits in flight during the crash are gone,
                  so a single round can leave a gap below the cluster head. *)
-              if t.recovering && not t.crashed then begin
-                t.cur_ctx <- forced_ctx t ~name:"recovery";
-                broadcast t ~sign_cost:0.0
-                  (Message.State_request
-                     { sr_requester = t.cfg.id; sr_from = t.last_executed + 1 });
-                t.cur_ctx <- None;
-                Timer.restart t.recovery_timer
-              end);
+              if t.recovering && not t.crashed then request_state t);
         cur_ctx = None }
   in
   let t = Lazy.force t in
@@ -1106,6 +1041,7 @@ let id t = t.cfg.id
 let view t = t.view
 let last_executed t = t.last_executed
 let low_watermark t = Log.low_mark t.slots
+let viewchange_tallies t = View_change.tallied_views t.vc
 let executed_count t = t.executed_total
 
 let committed_digest t seq = Hashtbl.find_opt t.executed_digests seq
@@ -1148,7 +1084,7 @@ let restart t =
     Hashtbl.reset t.snapshots;
     t.in_view_change <- false;
     t.vc_target <- 0;
-    Votes.reset t.viewchanges;
+    View_change.reset t.vc;
     Catchup.reset t.sync;
     (* The reply cache must not survive either: stale "already executed"
        entries would make re-execution skip operations and diverge. *)
@@ -1203,11 +1139,7 @@ let restart t =
       t.recovering <- true;
       Network.register t.net (Addr.replica t.cfg.id) (fun ~src payload ->
           on_payload t ~src payload);
-      t.cur_ctx <- forced_ctx t ~name:"recovery";
-      broadcast t ~sign_cost:0.0
-        (Message.State_request { sr_requester = t.cfg.id; sr_from = t.last_executed + 1 });
-      t.cur_ctx <- None;
-      Timer.restart t.recovery_timer
+      request_state t
   end
 
 let is_crashed t = t.crashed

@@ -50,6 +50,10 @@ val id : t -> Ids.replica_id
 val view : t -> Ids.view
 val last_executed : t -> Ids.seqno
 val low_watermark : t -> Ids.seqno
+
+val viewchange_tallies : t -> Ids.view list
+(** Target views this replica holds a ViewChange tally for, ascending. *)
+
 val executed_count : t -> int
 
 val committed_digest : t -> Ids.seqno -> string option

@@ -44,11 +44,6 @@ let prepare_cert_complete ~f (pd : Message.preprepare_digest) prepares =
   let senders = List.map (fun (p : Message.prepare) -> p.sender) matching in
   distinct_senders senders && List.length matching >= 2 * f
 
-let verify_prepared_proof ~f lookup (proof : Message.prepared_proof) =
-  verify_preprepare_digest lookup proof.proof_preprepare
-  && List.for_all (verify_prepare lookup) proof.proof_prepares
-  && prepare_cert_complete ~f proof.proof_preprepare proof.proof_prepares
-
 let commit_quorum_complete ~quorum ~view ~seq ~digest commits =
   let matching =
     List.filter
@@ -84,14 +79,3 @@ let checkpoint_quorum_seq ~quorum checkpoints =
         | _ -> Some seq
       else acc)
     table None
-
-let verify_viewchange_deep ~f ~vc_lookup ~ckpt_lookup ~proof_lookup
-    (vc : Message.viewchange) =
-  verify_viewchange vc_lookup vc
-  && List.for_all (verify_checkpoint ckpt_lookup) vc.vc_checkpoint_proof
-  && List.for_all (verify_prepared_proof ~f proof_lookup) vc.vc_prepared
-  && (vc.vc_last_stable = 0
-     ||
-     match checkpoint_quorum_seq ~quorum:((2 * f) + 1) vc.vc_checkpoint_proof with
-     | Some seq -> seq >= vc.vc_last_stable
-     | None -> false)

@@ -35,9 +35,6 @@ val prepare_cert_complete :
     senders, all matching (view, seq, batch digest) and none sent by the
     PrePrepare's sender. *)
 
-val verify_prepared_proof : f:int -> key_lookup -> Message.prepared_proof -> bool
-(** {!prepare_cert_complete} plus signature checks on every element. *)
-
 val commit_quorum_complete :
   quorum:int -> view:Ids.view -> seq:Ids.seqno -> digest:string ->
   Message.commit list -> bool
@@ -48,17 +45,3 @@ val checkpoint_quorum_complete : quorum:int -> Message.checkpoint list -> bool
 
 val checkpoint_quorum_seq : quorum:int -> Message.checkpoint list -> Ids.seqno option
 (** The sequence number proven stable by the given set, if any. *)
-
-val verify_viewchange_deep :
-  f:int ->
-  vc_lookup:key_lookup ->
-  ckpt_lookup:key_lookup ->
-  proof_lookup:key_lookup ->
-  Message.viewchange ->
-  bool
-(** Signature of the ViewChange itself ([vc_lookup] — Confirmation enclaves
-    in SplitBFT), of every checkpoint in its proof ([ckpt_lookup] —
-    Execution enclaves), and of every nested prepared proof
-    ([proof_lookup] — Preparation enclaves); checks the checkpoint quorum
-    covers [vc_last_stable].  The PBFT baseline passes the same replica
-    table for all three. *)

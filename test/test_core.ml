@@ -572,9 +572,9 @@ let test_ledger_blocks_sealed_in_storage () =
 
 (* ----- NewView validation inside each compartment -----
 
-   One enclave per compartment, driven by a single ecall carrying a
-   NewView for view 1 (primary: replica 1) built and signed here with the
-   deployment's enclave keys.  Accepting the NewView moves the
+   One enclave per compartment, driven by one ecall per message; the
+   NewViews (view 1 unless stated: primary replica 1) are built and signed
+   here with the deployment's enclave keys.  Accepting the NewView moves the
    compartment's view to 1; rejecting it leaves view 0.  Each forgery is
    re-signed by every enclave above it (the ViewChange's sender, the new
    primary), as colluding compromised enclaves could, so only the
@@ -614,19 +614,13 @@ let honest_vc sender =
       vc_sender = sender;
       vc_sig = "" }
 
-let newview_of vcs =
-  let _, _, pds = Splitbft_consensus.Newview.compute ~view:1 ~sender:1 vcs in
-  let pds =
-    List.map
-      (fun (pd : Message.preprepare_digest) ->
-        { pd with
-          Message.pd_sig = sign_as 1 Ids.Preparation (Message.preprepare_digest_signing_bytes pd) })
-      pds
+let newview_of ?(view = 1) vcs =
+  let primary = view mod 4 in
+  let _, _, nv =
+    Splitbft_consensus.Newview.build ~view ~sender:primary ~sign:(sign_as primary Ids.Preparation)
+      vcs
   in
-  let nv =
-    { Message.nv_view = 1; nv_viewchanges = vcs; nv_preprepares = pds; nv_sender = 1; nv_sig = "" }
-  in
-  { nv with nv_sig = sign_as 1 Ids.Preparation (Message.newview_signing_bytes nv) }
+  nv
 
 let honest_newview = newview_of (List.map honest_vc [ 0; 2; 3 ])
 
@@ -654,41 +648,71 @@ let forged_vc_newview =
   in
   newview_of [ honest_vc 0; honest_vc 2; vc3 ]
 
-(* The view a fresh compartment of replica 2 is in after one NewView. *)
-let view_after_newview compartment nv =
+type under_test = {
+  view : unit -> int;
+  commits_sent : unit -> int;
+  tallied_views : unit -> int list;
+}
+
+(* A fresh compartment of replica [id] fed one ecall per message, in
+   order; returns its probe. *)
+let drive_compartment ?(id = 2) compartment msgs =
   let engine = Engine.create ~seed:3L () in
-  let platform = Splitbft_tee.Platform.create engine ~id:2 in
-  let cfg = Config.default ~n:4 ~id:2 in
-  let program, view =
+  let platform = Splitbft_tee.Platform.create engine ~id in
+  let cfg = Config.default ~n:4 ~id in
+  let none () = [] and zero () = 0 in
+  let program, probe =
     match compartment with
     | Ids.Preparation ->
-      let program, probe = Preparation.make cfg in
-      (program, probe.Preparation.view)
+      let program, p = Preparation.make cfg in
+      ( program,
+        { view = p.Preparation.view; commits_sent = zero; tallied_views = p.tallied_views } )
     | Ids.Confirmation ->
-      let program, probe = Confirmation.make cfg in
-      (program, probe.Confirmation.view)
+      let program, p = Confirmation.make cfg in
+      ( program,
+        { view = p.Confirmation.view; commits_sent = p.commits_sent; tallied_views = none } )
     | Ids.Execution ->
-      let program, probe = Execution.make cfg ~app:(fun () -> Kvs.create ()) in
-      (program, probe.Execution.view)
+      let program, p = Execution.make cfg ~app:(fun () -> Kvs.create ()) in
+      (program, { view = p.Execution.view; commits_sent = zero; tallied_views = none })
   in
   let enclave =
-    Enclave.create platform ~name:"replica2-under-test"
+    Enclave.create platform
+      ~name:(Printf.sprintf "replica%d-under-test" id)
       ~measurement:(Splitbft_types.Enclave_identity.of_compartment compartment)
       ~cost_model:cfg.Config.cost
-      ~key_seed:(Keys.enclave_signing_seed 2 compartment)
+      ~key_seed:(Keys.enclave_signing_seed id compartment)
       ~program
   in
-  Enclave.ecall enclave
-    ~thread:(Splitbft_sim.Resource.create engine ~name:"ecall")
-    ~payload:(Wire.encode_input (Wire.In_net (Message.Newview nv)))
-    ~on_done:ignore ();
-  Engine.run engine;
-  view ()
+  let thread = Splitbft_sim.Resource.create engine ~name:"ecall" in
+  List.iter
+    (fun msg ->
+      Enclave.ecall enclave ~thread
+        ~payload:(Wire.encode_input (Wire.In_net msg))
+        ~on_done:ignore ();
+      Engine.run engine)
+    msgs;
+  probe
+
+(* The view a fresh compartment of replica 2 is in after one NewView. *)
+let view_after_newview compartment nv =
+  (drive_compartment compartment [ Message.Newview nv ]).view ()
+
+(* Three copies of one ViewChange, and a quorum of ViewChanges for another
+   view: each lets a NewView past a bare count of its ViewChanges. *)
+let duplicate_vc_newview = newview_of [ honest_vc 0; honest_vc 0; honest_vc 0 ]
+
+let wrong_view_vc_newview =
+  newview_of
+    (List.map (fun s -> signed_vc { (honest_vc s) with Message.vc_new_view = 5 }) [ 0; 2; 3 ])
 
 let test_prep_rejects_forged_prepared_proof () =
   checki "honest NewView accepted" 1 (view_after_newview Ids.Preparation honest_newview);
   checki "forged Prepare in a prepared proof rejected" 0
     (view_after_newview Ids.Preparation forged_prepare_newview);
+  checki "three copies of one ViewChange rejected" 0
+    (view_after_newview Ids.Preparation duplicate_vc_newview);
+  checki "ViewChanges for another view rejected" 0
+    (view_after_newview Ids.Preparation wrong_view_vc_newview);
   (* Confirmation does not check embedded Prepares (§4), so it accepts the
      same NewView: the forged Prepare is all that is wrong with it. *)
   checki "confirmation accepts it" 1
@@ -702,6 +726,49 @@ let test_conf_exec_reject_forged_viewchange () =
       checki (name ^ ": forged ViewChange signature rejected") 0
         (view_after_newview compartment forged_vc_newview))
     [ Ids.Confirmation; Ids.Execution ]
+
+(* A replayed NewView must not reopen its view: an honest Confirmation
+   that committed d1 at (view 1, seq 2) must not also commit d2 there after
+   the same NewView arrives again. *)
+let test_replayed_newview_one_commit () =
+  let proposal digest =
+    let pd =
+      { Message.pd_view = 1; pd_seq = 2; pd_digest = digest; pd_sender = 1; pd_sig = "" }
+    in
+    Message.Preprepare_digest
+      { pd with pd_sig = sign_as 1 Ids.Preparation (Message.preprepare_digest_signing_bytes pd) }
+  in
+  let prepare digest sender =
+    let p = { Message.view = 1; seq = 2; digest; sender; p_sig = "" } in
+    Message.Prepare
+      { p with p_sig = sign_as sender Ids.Preparation (Message.prepare_signing_bytes p) }
+  in
+  let slot digest = [ proposal digest; prepare digest 0; prepare digest 3 ] in
+  let batch payload =
+    Message.digest_of_batch [ { Message.client = 0; timestamp = 1L; payload; auth = "" } ]
+  in
+  let d1 = batch "d1" and d2 = batch "d2" in
+  let nv = Message.Newview honest_newview in
+  let once = drive_compartment Ids.Confirmation ((nv :: slot d1) @ (nv :: slot d2)) in
+  checki "view 1" 1 (once.view ());
+  checki "one Commit at (view 1, seq 2)" 1 (once.commits_sent ())
+
+(* Preparation of replica 0 tallies one ViewChange for each of views 1-4,
+   then enters views 1, 2 and 3 through their NewViews. *)
+let test_prep_prunes_viewchange_tallies () =
+  let vc view sender = signed_vc { (honest_vc sender) with Message.vc_new_view = view } in
+  let newview view =
+    let primary = view mod 4 in
+    Message.Newview
+      (newview_of ~view (List.map (vc view) (List.filter (( <> ) primary) [ 0; 1; 2; 3 ])))
+  in
+  let probe =
+    drive_compartment ~id:0 Ids.Preparation
+      (List.map (fun v -> Message.Viewchange (vc v 1)) [ 1; 2; 3; 4 ]
+      @ List.map newview [ 1; 2; 3 ])
+  in
+  checki "view 3" 3 (probe.view ());
+  Alcotest.(check (list int)) "no tally at or below view 3" [ 4 ] (probe.tallied_views ())
 
 (* ----- sealed checkpoint images ----- *)
 
@@ -931,6 +998,9 @@ let suites =
           test_prep_rejects_forged_prepared_proof;
         Alcotest.test_case "newview: conf/exec check viewchange sigs" `Quick
           test_conf_exec_reject_forged_viewchange;
+        Alcotest.test_case "newview: replay commits once" `Quick test_replayed_newview_one_commit;
+        Alcotest.test_case "newview: viewchange tallies pruned" `Quick
+          test_prep_prunes_viewchange_tallies;
         Alcotest.test_case "checkpoint: one snapshot" `Quick test_one_snapshot_per_checkpoint;
         Alcotest.test_case "checkpoint: image is flat" `Quick test_image_is_flat;
         Alcotest.test_case "checkpoint: oracle history survives restore" `Quick

@@ -179,9 +179,9 @@ let test_table2_counts () =
    was last set.  Lower a ceiling when a change shrinks its row; raise one
    only for a change that says why it needs the extra trusted code. *)
 let table2_ceilings =
-  [ ("Preparation Enc.", 2109);
-    ("Confirmation Enc.", 1937);
-    ("Execution Enc.", 2568);
+  [ ("Preparation Enc.", 2116);
+    ("Confirmation Enc.", 1917);
+    ("Execution Enc.", 2558);
     ("Untrusted Env.", 1209);
     ("Trusted Counter", 58) ]
 

@@ -222,6 +222,115 @@ let test_image_golden () =
       Alcotest.(check string) "image sha256" "5e0ee0a99485cea61e772c82a3f7d1114818ab954f8dae93833c6859172e295b"
         (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image)))
 
+(* ----- one replica driven message by message -----
+
+   Replica [id] alone on the network: [feed ~from msg] delivers one
+   message signed by peer [from] and lets it settle (well inside the
+   suspect timeout); [sent ()] is everything the replica sent, newest
+   first. *)
+
+module Message = Splitbft_types.Message
+module Addr = Splitbft_types.Addr
+module View_change = Splitbft_consensus.View_change
+
+let pbft_sign replica =
+  let kp =
+    Splitbft_crypto.Signature.derive
+      ~seed:(Splitbft_types.Keys.replica_signing_seed ~protocol:"pbft" replica)
+  in
+  Splitbft_crypto.Signature.sign kp.Splitbft_crypto.Signature.secret
+
+let lone ~id =
+  let engine = Engine.create ~seed:5L () in
+  let net = Network.create engine Network.default_config in
+  let r = Replica.create engine net (Replica.default_config ~n:4 ~id) ~app:(Kvs.create ()) in
+  let sent = ref [] in
+  Network.add_tap net (fun ~src ~dst:_ payload ->
+      if src = Addr.replica id then
+        match Message.decode payload with Ok m -> sent := m :: !sent | Error _ -> ());
+  let feed ~from msg =
+    Network.send net ~src:(Addr.replica from) ~dst:(Addr.replica id) (Message.encode msg);
+    Engine.run ~until:(Engine.now engine +. 20_000.0) engine
+  in
+  (r, feed, fun () -> !sent)
+
+let vc_for ~view sender =
+  View_change.make ~new_view:view ~last_stable:0 ~proof:[] ~prepared:[] ~sender
+    ~sign:(pbft_sign sender)
+
+(* A NewView from [view]'s primary over ViewChanges from the other three
+   replicas (or [vcs]). *)
+let newview ?vcs view =
+  let primary = view mod 4 in
+  let vcs =
+    match vcs with
+    | Some vcs -> vcs
+    | None -> List.map (vc_for ~view) (List.filter (( <> ) primary) [ 0; 1; 2; 3 ])
+  in
+  let _, _, nv =
+    Splitbft_consensus.Newview.build ~view ~sender:primary ~sign:(pbft_sign primary) vcs
+  in
+  Message.Newview nv
+
+let test_newview_checks_viewchanges () =
+  let r, feed, _ = lone ~id:2 in
+  feed ~from:1 (newview ~vcs:[ vc_for ~view:1 0; vc_for ~view:1 0; vc_for ~view:1 0 ] 1);
+  checki "three copies of one ViewChange rejected" 0 (Replica.view r);
+  feed ~from:1 (newview ~vcs:(List.map (vc_for ~view:5) [ 0; 2; 3 ]) 1);
+  checki "ViewChanges for another view rejected" 0 (Replica.view r);
+  feed ~from:1 (newview 1);
+  checki "honest NewView accepted" 1 (Replica.view r)
+
+(* A backup prepared d_a at (view 1, seq 1); the same NewView replayed must
+   not reopen the slot for a second PrePrepare with d_b. *)
+let test_replayed_newview_keeps_slot () =
+  let r, feed, sent = lone ~id:2 in
+  let preprepare batch =
+    let pp = { Message.view = 1; seq = 1; batch; sender = 1; pp_sig = "" } in
+    Message.Preprepare { pp with pp_sig = pbft_sign 1 (Message.preprepare_signing_bytes pp) }
+  in
+  let prepare digest sender =
+    let p = { Message.view = 1; seq = 1; digest; sender; p_sig = "" } in
+    Message.Prepare { p with p_sig = pbft_sign sender (Message.prepare_signing_bytes p) }
+  in
+  let req =
+    let op = Kvs.encode_op (Kvs.Put ("k", "v")) in
+    let r = { Message.client = 0; timestamp = 1L; payload = op; auth = "" } in
+    { r with
+      auth =
+        Splitbft_types.Keys.make_authenticator ~protocol:"pbft" ~client:0 ~n:4
+          (Message.request_auth_bytes r) }
+  in
+  let d_a = Message.digest_of_batch [ req ] in
+  feed ~from:1 (newview 1);
+  feed ~from:1 (preprepare [ req ]);
+  feed ~from:0 (prepare d_a 0);
+  feed ~from:3 (prepare d_a 3);
+  feed ~from:1 (newview 1);
+  feed ~from:1 (preprepare []);
+  checki "still view 1" 1 (Replica.view r);
+  let voted =
+    List.filter_map
+      (function
+        | Message.Prepare p when p.view = 1 && p.seq = 1 -> Some p.digest
+        | Message.Commit c when c.view = 1 && c.seq = 1 -> Some c.digest
+        | _ -> None)
+      (sent ())
+  in
+  checkb "prepared and committed d_a" true (List.mem d_a voted);
+  Alcotest.(check (list string)) "no vote for a second digest" [ d_a ]
+    (List.sort_uniq String.compare voted)
+
+(* Replica 0 tallies one ViewChange for each of views 1-4, then enters
+   views 1, 2 and 3 through their NewViews. *)
+let test_viewchange_tallies_pruned () =
+  let r, feed, _ = lone ~id:0 in
+  List.iter (fun view -> feed ~from:1 (Message.Viewchange (vc_for ~view 1))) [ 1; 2; 3; 4 ];
+  Alcotest.(check (list int)) "tallied" [ 1; 2; 3; 4 ] (Replica.viewchange_tallies r);
+  List.iter (fun view -> feed ~from:(view mod 4) (newview view)) [ 1; 2; 3 ];
+  checki "view 3" 3 (Replica.view r);
+  Alcotest.(check (list int)) "no tally at or below view 3" [ 4 ] (Replica.viewchange_tallies r)
+
 let suites =
   [ ( "pbft",
       [ Alcotest.test_case "normal operation" `Quick test_normal_operation;
@@ -235,4 +344,9 @@ let suites =
         Alcotest.test_case "lossy network" `Slow test_lossy_network_retransmission;
         Alcotest.test_case "duplicates execute once" `Quick test_duplicate_requests_execute_once;
         Alcotest.test_case "pipelined windows" `Quick test_pipelined_client_windows;
-        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]
+        Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden;
+        Alcotest.test_case "newview: viewchanges checked" `Quick test_newview_checks_viewchanges;
+        Alcotest.test_case "newview: replay keeps the slot" `Quick
+          test_replayed_newview_keeps_slot;
+        Alcotest.test_case "newview: viewchange tallies pruned" `Quick
+          test_viewchange_tallies_pruned ] ) ]

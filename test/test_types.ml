@@ -2,6 +2,7 @@ module M = Splitbft_types.Message
 module Ids = Splitbft_types.Ids
 module Validation = Splitbft_types.Validation
 module Newview_logic = Splitbft_consensus.Newview
+module View_change = Splitbft_consensus.View_change
 module Client_dedup = Splitbft_types.Client_dedup
 module Session = Splitbft_types.Session
 module Keys = Splitbft_types.Keys
@@ -169,9 +170,9 @@ let test_verify_prepared_proof () =
   let p1 = signed_prepare ~view:0 ~seq:1 ~digest ~sender:1 in
   let p2 = signed_prepare ~view:0 ~seq:1 ~digest ~sender:2 in
   let proof = { M.proof_preprepare = pd; proof_prepares = [ p1; p2 ] } in
-  checkb "valid proof" true (Validation.verify_prepared_proof ~f:1 lookup proof);
+  checkb "valid proof" true (View_change.verify_prepared_proof ~f:1 lookup proof);
   let forged = { proof with M.proof_prepares = [ p1; { p2 with M.p_sig = String.make 32 'z' } ] } in
-  checkb "bad signature in proof" false (Validation.verify_prepared_proof ~f:1 lookup forged)
+  checkb "bad signature in proof" false (View_change.verify_prepared_proof ~f:1 lookup forged)
 
 let test_commit_quorum () =
   let commit sender =
@@ -255,6 +256,118 @@ let test_newview_matches () =
   in
   checkb "tampered rejected" false (Newview_logic.matches ~expected:pds ~actual:tampered);
   checkb "length mismatch" false (Newview_logic.matches ~expected:pds ~actual:[])
+
+(* ----- the shared view change: build -> accept -> plan ----- *)
+
+let sign_by i bytes = Signature.sign enclave_keys.(i).Signature.secret bytes
+
+(* A NewView for view 1 (primary 1) over ViewChanges from 0, 2 and 3 that
+   together prove seqs 1 and 2, so the plan holds two PrePrepares. *)
+let newview_round_trip_base () =
+  let d1 = String.make 32 '1' and d2 = String.make 32 '2' in
+  let vc sender prepared =
+    View_change.make ~new_view:1 ~last_stable:0 ~proof:[] ~prepared ~sender ~sign:(sign_by sender)
+  in
+  let vcs =
+    [ vc 0 [ proof ~view:0 ~seq:1 ~digest:d1 ];
+      vc 2 [ proof ~view:0 ~seq:2 ~digest:d2 ];
+      vc 3 [] ]
+  in
+  let min_s, max_s, nv = Newview_logic.build ~view:1 ~sender:1 ~sign:(sign_by 1) vcs in
+  (min_s, max_s, nv)
+
+let newview_passes ?(vc = View_change.create ()) (nv : M.newview) =
+  View_change.acceptable vc ~n:4 ~current:0 nv && Newview_logic.plan nv <> None
+
+let test_newview_round_trip () =
+  let min_s, max_s, nv = newview_round_trip_base () in
+  checki "plan spans (0, 2]" 2 (List.length nv.M.nv_preprepares);
+  checkb "signatures verify" true
+    (View_change.verify_newview ~nv_lookup:lookup ~vc_ok:(Validation.verify_viewchange lookup) nv);
+  checkb "accepted" true (newview_passes nv);
+  Alcotest.(check (option (pair int int))) "plan" (Some (min_s, max_s)) (Newview_logic.plan nv);
+  let vcs = nv.M.nv_viewchanges and pds = nv.M.nv_preprepares in
+  let with_vcs vcs = { nv with M.nv_viewchanges = vcs } in
+  let with_pds pds = { nv with M.nv_preprepares = pds } in
+  let entered = View_change.create () in
+  View_change.enter entered 1;
+  List.iter
+    (fun (name, vc, mutated) -> checkb (name ^ " rejected") false (newview_passes ?vc mutated))
+    [ ("wrong sender", None, { nv with M.nv_sender = 2 });
+      ("duplicate ViewChange", None, with_vcs [ List.hd vcs; List.hd vcs; List.nth vcs 2 ]);
+      ( "wrong-view ViewChange",
+        None,
+        with_vcs (List.map (fun (v : M.viewchange) -> { v with M.vc_new_view = 5 }) vcs) );
+      ("fewer than 2f+1 ViewChanges", None, with_vcs (List.tl vcs));
+      ( "tampered digest",
+        None,
+        with_pds
+          (List.map (fun (pd : M.preprepare_digest) -> { pd with M.pd_digest = digest }) pds) );
+      ("reordered digests", None, with_pds (List.rev pds));
+      ("truncated digests", None, with_pds [ List.hd pds ]);
+      ("view already entered", Some entered, nv) ]
+
+let test_viewchange_tallies_pruned () =
+  let t = View_change.create () in
+  let vc ~view sender =
+    View_change.make ~new_view:view ~last_stable:0 ~proof:[] ~prepared:[] ~sender
+      ~sign:(sign_by sender)
+  in
+  List.iter (fun view -> checkb "tallied" true (View_change.tally t (vc ~view 1))) [ 1; 2; 3; 4 ];
+  checkb "one vote per sender" false (View_change.tally t (vc ~view:4 1));
+  List.iter (View_change.enter t) [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "only the view above remains" [ 4 ] (View_change.tallied_views t);
+  checkb "entered view not tallied again" false (View_change.tally t (vc ~view:3 2))
+
+(* ----- state transfer: serving entries, certifying a snapshot ----- *)
+
+module Catchup = Splitbft_consensus.Catchup
+module Sha256 = Splitbft_crypto.Sha256
+
+let test_catchup_entries () =
+  let body_a = [ { M.client = 1; timestamp = 1L; payload = "a"; auth = "" } ] in
+  let da = M.digest_of_batch body_a in
+  let decided =
+    [ (1, M.empty_batch_digest); (2, da); (3, String.make 32 'u'); (5, da); (7, da) ]
+  in
+  let entries ~from =
+    Catchup.entries ~from ~upto:5
+      ~decided:(fun seq -> List.assoc_opt seq decided)
+      ~body:(fun d -> if String.equal d da then Some body_a else None)
+  in
+  let seqs es = List.map (fun (e : M.state_entry) -> e.M.se_seq) es in
+  Alcotest.(check (list int)) "ascending, known bodies, up to last executed" [ 1; 2; 5 ]
+    (seqs (entries ~from:0));
+  Alcotest.(check (list int)) "from the requested seq" [ 2; 5 ] (seqs (entries ~from:2));
+  let first = List.hd (entries ~from:1) in
+  checki "empty batch served as []" 0 (List.length first.M.se_batch);
+  Alcotest.(check (list int)) "nothing above last executed" [] (seqs (entries ~from:6))
+
+let test_catchup_certified_snapshot () =
+  let snap = "application state at 10" in
+  let ck sender =
+    let c = { M.seq = 10; state_digest = Sha256.digest snap; sender; ck_sig = "" } in
+    { c with M.ck_sig = sign_by sender (M.checkpoint_signing_bytes c) }
+  in
+  let reply =
+    { M.st_replier = 0; st_requester = 3; st_stable = 10; st_proof = [ ck 0; ck 1; ck 2 ];
+      st_snapshot = snap; st_view = 0; st_entries = [] }
+  in
+  let certified ?(above = 5) ?(open_ = Option.some) r =
+    Catchup.certified_snapshot ~quorum:3 ~verify:(Validation.verify_checkpoint lookup) ~above
+      ~open_ r
+  in
+  Alcotest.(check (option string)) "certified" (Some snap) (certified reply);
+  List.iter
+    (fun (name, got) -> Alcotest.(check (option string)) (name ^ " refused") None got)
+    [ ("not ahead", certified ~above:10 reply);
+      ("empty snapshot", certified { reply with M.st_snapshot = "" });
+      ("quorum below st_stable", certified { reply with M.st_stable = 11 });
+      ("two checkpoints", certified { reply with M.st_proof = [ ck 0; ck 1 ] });
+      ( "bad checkpoint signature",
+        certified { reply with M.st_proof = [ ck 0; ck 1; { (ck 2) with M.ck_sig = "x" } ] } );
+      ("digest mismatch", certified { reply with M.st_snapshot = snap ^ "!" });
+      ("snapshot that does not open", certified ~open_:(fun _ -> None) reply) ]
 
 (* ----- client dedup ----- *)
 
@@ -463,6 +576,10 @@ let suites =
         Alcotest.test_case "newview gaps" `Quick test_newview_compute_gaps;
         Alcotest.test_case "newview highest view" `Quick test_newview_highest_view_wins;
         Alcotest.test_case "newview matches" `Quick test_newview_matches;
+        Alcotest.test_case "newview round trip and mutations" `Quick test_newview_round_trip;
+        Alcotest.test_case "viewchange tallies pruned" `Quick test_viewchange_tallies_pruned;
+        Alcotest.test_case "catchup entries" `Quick test_catchup_entries;
+        Alcotest.test_case "catchup certified snapshot" `Quick test_catchup_certified_snapshot;
         Alcotest.test_case "dedup basic" `Quick test_dedup_basic;
         Alcotest.test_case "dedup out of order" `Quick test_dedup_out_of_order;
         Alcotest.test_case "dedup duplicates" `Quick test_dedup_rejects_duplicates;
