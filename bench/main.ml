@@ -9,95 +9,8 @@
                                   # metrics snapshot of an instrumented run *)
 
 module H = Splitbft_harness
-module Experiments = H.Experiments
-module Scenarios = H.Scenarios
 module Json = Splitbft_obs.Json
 module Registry = Splitbft_obs.Registry
-
-let clients_sweep ~full =
-  if full then [ 1; 5; 10; 20; 40; 80; 120; 150 ] else [ 1; 10; 40; 100; 150 ]
-
-(* ----- paper artifacts -----
-
-   Each runner prints its human-readable table and returns the same data
-   as JSON for the machine-readable [--json] trajectory. *)
-
-let run_table1 () =
-  let outcomes = List.map (Scenarios.run ~seed:42L) Scenarios.all in
-  Scenarios.print_table1 outcomes;
-  let mismatches = List.filter (fun o -> not (Scenarios.matches_expectation o)) outcomes in
-  if mismatches <> [] then
-    Printf.printf "!! %d scenario(s) deviate from the paper's fault model\n"
-      (List.length mismatches);
-  Scenarios.json_of_outcomes outcomes
-
-let run_table2 () =
-  let rows = Experiments.table2 () in
-  Experiments.print_table2 rows;
-  Experiments.json_of_table2 rows
-
-let run_fig3 ~batched ~full () =
-  let clients_list =
-    (* Batched points simulate far more operations per second; keep the
-       default sweep affordable. *)
-    if batched && not full then [ 1; 10; 40; 150 ] else clients_sweep ~full
-  in
-  Json.Obj
-    (List.map
-       (fun (app, app_key, app_name) ->
-         let series = Experiments.fig3 ~clients_list ~batched ~app () in
-         Experiments.print_fig3
-           ~title:
-             (Printf.sprintf "Figure 3%s — %s, %s" (if batched then "b" else "a") app_name
-                (if batched then "batched (200, 10ms)" else "unbatched"))
-           series;
-         (app_key, Experiments.json_of_fig3 series))
-       [ (H.Cluster.App_kvs, "kvs", "key-value store");
-         (H.Cluster.App_ledger, "ledger", "blockchain") ])
-
-let run_fig4 () =
-  let unbatched = Experiments.fig4 ~batched:false () in
-  let batched = Experiments.fig4 ~batched:true () in
-  Experiments.print_fig4 ~batched:false unbatched;
-  Experiments.print_fig4 ~batched:true batched;
-  Json.Obj
-    [ ("unbatched", Experiments.json_of_fig4 unbatched);
-      ("batched", Experiments.json_of_fig4 batched) ]
-
-let run_simmode () =
-  let r = Experiments.simmode () in
-  Experiments.print_simmode r;
-  Experiments.json_of_simmode r
-
-let run_ablation () =
-  let points = Experiments.batch_ablation () in
-  Experiments.print_batch_ablation points;
-  Experiments.json_of_batch_ablation points
-
-let run_hotpath () =
-  let points = Experiments.hotpath () in
-  Experiments.print_hotpath points;
-  Experiments.json_of_hotpath points
-
-let run_lanes () =
-  let points = Experiments.lanes () in
-  Experiments.print_lanes points;
-  Experiments.json_of_lanes points
-
-let run_ceilings () =
-  let r = Experiments.ceilings () in
-  Experiments.print_ceilings r;
-  Experiments.json_of_ceilings r
-
-let run_openloop () =
-  let r = Experiments.openloop () in
-  Experiments.print_openloop r;
-  Experiments.json_of_openloop r
-
-let run_storage () =
-  let r = Experiments.storage () in
-  Experiments.print_storage r;
-  Experiments.json_of_storage r
 
 (* ----- bechamel micro-benchmarks of the substrates ----- *)
 
@@ -262,26 +175,14 @@ let probe_metrics ?tracer () =
 
 (* ----- command line ----- *)
 
-let artifacts =
-  [ ("table1", fun ~full:_ () -> run_table1 ());
-    ("table2", fun ~full:_ () -> run_table2 ());
-    ("fig3a", fun ~full () -> run_fig3 ~batched:false ~full ());
-    ("fig3b", fun ~full () -> run_fig3 ~batched:true ~full ());
-    ("fig4", fun ~full:_ () -> run_fig4 ());
-    ("simmode", fun ~full:_ () -> run_simmode ());
-    ("ablation", fun ~full:_ () -> run_ablation ());
-    ("hotpath", fun ~full:_ () -> run_hotpath ());
-    ("lanes", fun ~full:_ () -> run_lanes ());
-    ("ceilings", fun ~full:_ () -> run_ceilings ());
-    ("openloop", fun ~full:_ () -> run_openloop ());
-    ("storage", fun ~full:_ () -> run_storage ());
-    ("micro", fun ~full:_ () -> run_micro ()) ]
+(* The paper artifacts, then the micro-benchmarks. *)
+let artifacts = H.Experiments.artifacts @ [ ("micro", fun ~full:_ -> run_micro ()) ]
 
 let run_artifacts ~full names =
   List.map
     (fun (name, f) ->
       Printf.printf "\n######## %s ########\n%!" name;
-      (name, f ~full ()))
+      (name, f ~full))
     (List.filter (fun (name, _) -> List.mem name names) artifacts)
 
 let write_json ~path ~metrics results =

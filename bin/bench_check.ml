@@ -1,8 +1,8 @@
 (* CI perf-regression gate.
 
    Thin CLI over [Splitbft_harness.Bench_gate]: parses the checked-in
-   BENCH_BASELINE.json and a fresh `bench hotpath lanes openloop storage
-   --json` run, prints the comparison report, and exits non-zero on any
+   BENCH_BASELINE.json and a fresh `bench hotpath lanes openloop fig4
+   ceilings simmode storage --json` run, prints the comparison report, and exits non-zero on any
    regression — including a baselined point or metric the current run no
    longer produces, which is a hard failure, never a silent pass.
    Improvements always pass (the baseline is a floor, not a pin).  The
@@ -15,8 +15,9 @@
                  [--only ARTIFACT]...
 
    [--only] restricts the sweep to the named artifacts, for jobs that
-   deliberately measure a subset (CI's perf job gates hotpath, lanes and
-   openloop; its storage job gates only storage);
+   deliberately measure a subset (CI's perf job gates hotpath, lanes,
+   openloop, fig4, ceilings and simmode; its storage job gates only
+   storage);
    it is an explicit narrowing, not a silent skip. *)
 
 module Json = Splitbft_obs.Json

@@ -27,7 +27,6 @@ type probe = {
   last_stable : unit -> int;
   sessions : unit -> int;
   parked : unit -> int;
-  lane_cursors : unit -> int list;
   tallied_views : unit -> int list;
 }
 
@@ -39,13 +38,6 @@ type state = {
   box : Box.keypair;
   mutable view : Ids.view;
   mutable next_seq : Ids.seqno;
-  (* Per-lane issuance cursors.  Sequence number [s] belongs to lane
-     [(s - 1) mod lanes]; [lane_next.(l)] is the smallest unissued seqno
-     of lane [l].  Issuance always takes the globally smallest cursor, so
-     issued seqnos stay contiguous and [next_seq] remains the minimum over
-     all lanes — which is also what the recovery image stores; the
-     per-lane cursors re-derive from it via [realign_lanes]. *)
-  lane_next : Ids.seqno array;
   (* Batches that arrived while the acceptance window was full, waiting
      for checkpoint stabilization to slide it forward (oldest first). *)
   mutable parked : Message.request list list;
@@ -66,7 +58,6 @@ type state = {
 }
 
 let create_state (cfg : Config.t) =
-  if cfg.lanes < 1 then invalid_arg "Preparation: lanes must be >= 1";
   { cfg;
     prep_lookup = Config.prep_public ~n:cfg.n;
     conf_lookup = Config.conf_public ~n:cfg.n;
@@ -74,7 +65,6 @@ let create_state (cfg : Config.t) =
     box = Box.derive ~seed:(Keys.enclave_box_seed cfg.id Ids.Preparation);
     view = 0;
     next_seq = 1;
-    lane_next = Array.init cfg.lanes (fun l -> l + 1);
     parked = [];
     ahead = [];
     preprepares = Log.create ~window:cfg.watermark_window ();
@@ -89,30 +79,9 @@ let create_state (cfg : Config.t) =
 let is_primary st = Config.primary_of_view st.cfg st.view = st.cfg.id
 let in_window st seq = Log.in_window st.preprepares seq
 
-(* Reset every lane cursor to the smallest lane-congruent seqno above
-   [base] — the per-lane equivalent of [next_seq <- base + 1].  Used
-   wherever the single-lane path resets [next_seq]: checkpoint GC, view
-   entry, and recovery from a sealed checkpoint. *)
-let realign_lanes st base =
-  let k = Array.length st.lane_next in
-  for l = 0 to k - 1 do
-    st.lane_next.(l) <- base + 1 + ((((l - base) mod k) + k) mod k)
-  done
-
-(* Take the globally smallest unissued seqno and advance its lane. *)
-let take_next_seq st =
-  let k = Array.length st.lane_next in
-  let seq = st.next_seq in
-  let lane = (seq - 1) mod k in
-  assert (st.lane_next.(lane) = seq);
-  st.lane_next.(lane) <- seq + k;
-  st.next_seq <- seq + 1;
-  seq
-
-let charge_client_auth env st count =
+let charge_client_auth env count =
   Enclave.charge_crypto env
-    ((Enclave.cost_model env).client_auth_us *. float_of_int count);
-  ignore st
+    ((Enclave.cost_model env).client_auth_us *. float_of_int count)
 
 let request_ok st (r : Message.request) =
   match Sessions.find st.sessions r.client with
@@ -183,7 +152,7 @@ let on_batch env st ~byz ?(elide = true) reqs =
         st.parked <- st.parked @ [ reqs ]
     end
     else begin
-      charge_client_auth env st (List.length reqs);
+      charge_client_auth env (List.length reqs);
       let fresh (r : Message.request) =
         request_ok st r && not (Client_table.already_assigned st.assigned r.client r.timestamp)
       in
@@ -193,7 +162,8 @@ let on_batch env st ~byz ?(elide = true) reqs =
           (fun (r : Message.request) ->
             Client_table.note_assigned st.assigned r.client r.timestamp)
           batch;
-        let seq = take_next_seq st in
+        let seq = st.next_seq in
+        st.next_seq <- seq + 1;
         match byz with
         | Prep_equivocate -> equivocate env st seq batch
         | Prep_corrupt_digest -> corrupt_digest env st seq
@@ -265,7 +235,7 @@ let on_preprepare env st (pp : Message.preprepare) =
   else if preprepare_plausible st pp then begin
     (* Cheap structural checks before any crypto is charged; the batch is
        hashed once and the digest reused for signature check and Prepare. *)
-    charge_client_auth env st (List.length pp.batch);
+    charge_client_auth env (List.length pp.batch);
     let digest = Message.digest_of_batch pp.batch in
     let bytes =
       Message.signing_bytes_of_proposal ~view:pp.view ~seq:pp.seq ~digest ~sender:pp.sender
@@ -301,10 +271,7 @@ let gc st stable =
   Log.advance_low_mark st.preprepares stable;
   Log.prune st.preprepares ~upto:stable;
   Votes.prune st.prepares ~keep:(fun seq -> seq > stable);
-  if st.next_seq <= stable then begin
-    st.next_seq <- stable + 1;
-    realign_lanes st stable
-  end
+  if st.next_seq <= stable then st.next_seq <- stable + 1
 
 (* ----- rollback-protected sealed checkpoints -----
 
@@ -343,10 +310,6 @@ let on_recover env st blob_opt =
   | Restored (view, next_seq, last_stable, sessions) ->
     st.view <- view;
     st.next_seq <- next_seq;
-    (* The image stores only the minimum cursor; each lane's cursor
-       re-derives as the smallest lane-congruent seqno at or above it,
-       exactly as the single-lane path resumes from next_seq. *)
-    realign_lanes st (next_seq - 1);
     List.iter (fun (c, auth) -> Sessions.set st.sessions c (auth, Hmac.prepare auth)) sessions;
     Ckpt.force_stable st.ckpt last_stable;
     Log.advance_low_mark st.preprepares last_stable;
@@ -357,7 +320,6 @@ let enter_view env st ~view ~max_s =
   st.view <- view;
   View_change.enter st.vc view;
   st.next_seq <- max max_s (Ckpt.last_stable st.ckpt) + 1;
-  realign_lanes st (st.next_seq - 1);
   (* Parked batches belong to the dead view's primary; the clients'
      retransmissions re-drive them through the new one. *)
   st.parked <- [];
@@ -426,7 +388,6 @@ let on_newview env st (nv : Message.newview) =
 (* Session establishment: the client attests this enclave and provisions
    its request-authentication key. *)
 let on_session_init env st (si : Message.session_init) =
-  let keypair = Enclave.env_keypair env in
   let sq =
     { Message.sq_replica = st.cfg.id;
       sq_quote = Enclave.quote env;
@@ -435,7 +396,6 @@ let on_session_init env st (si : Message.session_init) =
       sq_sig = "" }
   in
   let sq = { sq with sq_sig = Common.sign_with env (Message.session_quote_signing_bytes sq) } in
-  ignore keypair;
   Enclave.emit env
     (Wire.encode_output (Wire.Out_send (Addr.client si.si_client, Message.Session_quote sq)))
 
@@ -499,7 +459,6 @@ let make ?(byz = Prep_honest) (cfg : Config.t) =
       last_stable = (fun () -> Ckpt.last_stable !current.ckpt);
       sessions = (fun () -> Sessions.count !current.sessions);
       parked = (fun () -> List.length !current.parked);
-      lane_cursors = (fun () -> Array.to_list !current.lane_next);
       tallied_views = (fun () -> View_change.tallied_views !current.vc) }
   in
   (program, probe)

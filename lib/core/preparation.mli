@@ -29,7 +29,6 @@ type probe = {
   last_stable : unit -> int;
   sessions : unit -> int;
   parked : unit -> int;  (** batches waiting for window space *)
-  lane_cursors : unit -> int list;  (** per-lane next unissued seqno *)
   tallied_views : unit -> int list;  (** target views with a ViewChange tally *)
 }
 

@@ -26,7 +26,10 @@ let gated_artifacts =
   [ ("hotpath", None);
     ("lanes", None);
     ("openloop", Some [ "knee-zipf"; "knee-uniform"; "p99-at-half-load" ]);
-    ("storage", None) ]
+    ("storage", None);
+    ("fig4", None);
+    ("ceilings", None);
+    ("simmode", None) ]
 
 (* (metric name, accessor, direction): [`Floor] gates drops below the
    baseline, [`Ceiling] gates rises above it. *)

@@ -404,49 +404,3 @@ let matches_expectation o =
   e.exp_live = v.Safety.live && e.exp_safe = v.Safety.safe
   && e.exp_confidential = v.Safety.confidential
   && o.check_failure = None
-
-let print_table1 outcomes =
-  let rows =
-    List.map
-      (fun o ->
-        let e = o.scenario.expected and v = o.verdict in
-        let cell expected observed =
-          Printf.sprintf "%s/%s" (Table.yes_no expected) (Table.yes_no observed)
-        in
-        [ o.scenario.id;
-          cell e.exp_live v.Safety.live;
-          cell e.exp_safe v.Safety.safe;
-          cell e.exp_confidential v.Safety.confidential;
-          string_of_int o.workload.Workload.completed_total;
-          (if matches_expectation o then "ok" else "MISMATCH") ])
-      outcomes
-  in
-  Table.print ~title:"Table 1 — fault-model comparison (expected/observed)"
-    ~header:[ "scenario"; "live"; "safe"; "confidential"; "ops"; "check" ]
-    ~rows
-
-let json_of_outcomes outcomes =
-  let module Json = Splitbft_obs.Json in
-  Json.List
-    (List.map
-       (fun o ->
-         let e = o.scenario.expected and v = o.verdict in
-         Json.Obj
-           [ ("scenario", Json.Str o.scenario.id);
-             ("expected",
-              Json.Obj
-                [ ("live", Json.Bool e.exp_live);
-                  ("safe", Json.Bool e.exp_safe);
-                  ("confidential", Json.Bool e.exp_confidential) ]);
-             ("observed",
-              Json.Obj
-                [ ("live", Json.Bool v.Safety.live);
-                  ("safe", Json.Bool v.Safety.safe);
-                  ("confidential", Json.Bool v.Safety.confidential) ]);
-             ("ops", Json.Int o.workload.Workload.completed_total);
-             ("check",
-              match o.check_failure with
-              | None -> Json.Str "ok"
-              | Some reason -> Json.Str reason);
-             ("matches", Json.Bool (matches_expectation o)) ])
-       outcomes)

@@ -70,11 +70,3 @@ val dump_flight : dir:string -> outcome -> string option
     schedules. *)
 
 val matches_expectation : outcome -> bool
-
-val print_table1 : outcome list -> unit
-(** Renders the Table 1 reproduction: per protocol/fault row, expected vs
-    observed liveness / integrity / confidentiality. *)
-
-val json_of_outcomes : outcome list -> Splitbft_obs.Json.t
-(** Machine-readable Table 1 rows (expected vs observed per scenario) for
-    the [BENCH_*.json] trajectory. *)

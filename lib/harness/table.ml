@@ -20,16 +20,6 @@ let render ~header ~rows =
 let print ~title ~header ~rows =
   Printf.printf "\n== %s ==\n%s\n" title (render ~header ~rows)
 
-let print_series ~title ~x_label ~columns ~rows =
-  let header = x_label :: columns in
-  let fmt v =
-    if Float.is_nan v then "-"
-    else if Float.abs v >= 1000.0 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.2f" v
-  in
-  let rows = List.map (fun (x, ys) -> fmt x :: List.map fmt ys) rows in
-  print ~title ~header ~rows
-
 let us v =
   if Float.is_nan v then "-"
   else if v >= 10_000.0 then Printf.sprintf "%.1fms" (v /. 1000.0)

@@ -1,15 +1,9 @@
-(** Fixed-width table and series rendering for the experiment output. *)
+(** Fixed-width table rendering for the experiment output. *)
 
 val render : header:string list -> rows:string list list -> string
 (** Aligned columns with a rule under the header. *)
 
 val print : title:string -> header:string list -> rows:string list list -> unit
-
-val print_series :
-  title:string -> x_label:string -> columns:string list ->
-  rows:(float * float list) list -> unit
-(** A figure rendered as a numeric series: one [x] column and one column
-    per curve. *)
 
 val us : float -> string
 (** Microseconds with sensible precision. *)

@@ -83,7 +83,10 @@ type t = {
   mutable executed_upto : int;  (* executed prefix length of (rev order) *)
   mutable last_exec_counter : int64;
   mutable exec_index : int;  (* global execution position, across views *)
-  executed_digests : (int64 * string) list ref;  (* (exec index, digest) *)
+  mutable history : (int64 * string) list;
+      (* the oracle's record of (exec index, digest), newest first: no
+         protocol path reads it, and a restore cuts it at the restored
+         index *)
   checkpoints : (int64, Mmsg.checkpoint) Votes.t;
   mutable clients : Client_table.t;
   mutable pending : Message.request list;
@@ -214,7 +217,7 @@ let rec try_execute t =
         t.executed_upto <- i + 1;
         t.last_exec_counter <- e.e_counter;
         t.exec_index <- t.exec_index + 1;
-        t.executed_digests := (Int64.of_int t.exec_index, e.e_digest) :: !(t.executed_digests);
+        t.history <- (Int64.of_int t.exec_index, e.e_digest) :: t.history;
         Hashtbl.replace t.exec_index_at e.e_counter t.exec_index;
         let exec_cost = t.cfg.cost.exec_op_us *. float_of_int (List.length e.e_batch) in
         let replies = ref [] in
@@ -276,12 +279,7 @@ and maybe_checkpoint t counter =
           W.varint w t.view;
           W.varint w t.exec_index;
           W.u64 w t.last_exec_counter;
-          W.bytes w snapshot;
-          W.list w
-            (fun w (i, d) ->
-              W.u64 w i;
-              W.bytes w d)
-            !(t.executed_digests))
+          W.bytes w snapshot)
         t
     in
     t.persist_log <- ("ckpt:minbft", sealed) :: t.persist_log
@@ -605,7 +603,7 @@ let rec insert_sorted (e : entry) = function
 let install_entry t ~counter ~digest ~(batch : Message.request list) =
   t.last_exec_counter <- counter;
   t.exec_index <- t.exec_index + 1;
-  t.executed_digests := (Int64.of_int t.exec_index, digest) :: !(t.executed_digests);
+  t.history <- (Int64.of_int t.exec_index, digest) :: t.history;
   Hashtbl.replace t.exec_index_at counter t.exec_index;
   List.iter
     (fun (req : Message.request) ->
@@ -859,7 +857,7 @@ let create engine net cfg ~app =
         executed_upto = 0;
         last_exec_counter = 0L;
         exec_index = 0;
-        executed_digests = ref [];
+        history = [];
         checkpoints = Votes.create ();
         clients = Client_table.create ();
         pending = [];
@@ -923,7 +921,7 @@ let id t = t.cfg.id
 let view t = t.view
 let executed_count t = t.executed_total
 let last_executed_counter t = t.last_exec_counter
-let executed_log t = List.rev !(t.executed_digests)
+let executed_log t = List.rev t.history
 let app_digest t = State_machine.digest t.app
 
 (* Crash quiesces: bump the incarnation so deferred pool/core work is
@@ -963,7 +961,8 @@ let restart t =
     t.executed_upto <- 0;
     t.last_exec_counter <- 0L;
     t.exec_index <- 0;
-    t.executed_digests := [];
+    let prior = t.history in
+    t.history <- [];
     Votes.reset t.checkpoints;
     (* A stale reply cache would make re-execution skip operations the
        snapshot does not cover, so the client table starts fresh too. *)
@@ -988,31 +987,25 @@ let restart t =
             let view = R.varint r in
             let exec_index = R.varint r in
             let last_exec_counter = R.u64 r in
-            let snapshot = R.bytes r in
-            let executed =
-              R.list r (fun r ->
-                  let i = R.u64 r in
-                  (i, R.bytes r))
-            in
-            (view, exec_index, last_exec_counter, snapshot, executed))
+            (view, exec_index, last_exec_counter, R.bytes r))
       with
       | Sealed_image.Fresh -> Ok None
       | Refused reason -> Error reason
-      | Restored (view, exec_index, last_exec_counter, snapshot, executed) -> (
+      | Restored (view, exec_index, last_exec_counter, snapshot) -> (
         match t.app.State_machine.restore snapshot with
         | Error e -> Error ("minbft: sealed snapshot rejected by application: " ^ e)
-        | Ok () -> Ok (Some (view, exec_index, last_exec_counter, executed)))
+        | Ok () -> Ok (Some (view, exec_index, last_exec_counter)))
     in
     match verdict with
     | Error reason -> refuse t reason (* refuse loudly and stay down *)
     | Ok restored ->
       (match restored with
       | None -> ()
-      | Some (view, exec_index, last_exec_counter, executed) ->
+      | Some (view, exec_index, last_exec_counter) ->
         t.view <- view;
         t.exec_index <- exec_index;
         t.last_exec_counter <- last_exec_counter;
-        t.executed_digests := executed);
+        t.history <- List.filter (fun (i, _) -> i <= Int64.of_int exec_index) prior);
       t.crashed <- false;
       t.recovering <- true;
       Network.register t.net (Addr.replica t.cfg.id) (fun ~src payload ->

@@ -54,7 +54,9 @@ val view : t -> Ids.view
 val executed_count : t -> int
 val last_executed_counter : t -> int64
 val executed_log : t -> (int64 * string) list
-(** (primary counter, batch digest), oldest first. *)
+(** (execution index, batch digest), oldest first: the test oracle's
+    record, kept outside the protocol state and the sealed image; a restore
+    cuts it at the restored index. *)
 
 val app_digest : t -> string
 

@@ -115,6 +115,10 @@ type t = {
   batches_by_digest : (string, Message.request list) Hashtbl.t;
   fetching : (string, unit) Hashtbl.t;  (* batch digests requested from peers *)
   executed_digests : (Ids.seqno, string) Hashtbl.t;
+      (* executed in this incarnation: what state transfer serves *)
+  mutable history : (Ids.seqno * string) list;
+      (* the oracle's record of executed batches, newest first: no protocol
+         path reads it, and a restore cuts it at the restored seq *)
   ckpt : Ckpt.t;
   mutable clients : Client_table.t;
   mutable pending : Message.request list;  (* batch queue, newest first *)
@@ -379,12 +383,7 @@ let send_checkpoint_if_due t seq =
         (fun w t ->
           W.varint w t.view;
           W.varint w t.last_executed;
-          W.bytes w snapshot;
-          W.list w
-            (fun w (seq, d) ->
-              W.varint w seq;
-              W.bytes w d)
-            (Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.executed_digests []))
+          W.bytes w snapshot)
         t
     in
     t.persist_log <- ("ckpt:pbft", sealed) :: t.persist_log
@@ -424,6 +423,7 @@ let rec try_execute t =
       s.executed <- true;
       t.last_executed <- seq;
       Hashtbl.replace t.executed_digests seq pd.pd_digest;
+      t.history <- (seq, pd.pd_digest) :: t.history;
       let c = t.cfg.cost in
       let replies = ref [] in
       let applied_ops = ref [] in
@@ -970,6 +970,7 @@ let create engine net cfg ~app =
         batches_by_digest = Hashtbl.create 256;
         fetching = Hashtbl.create 8;
         executed_digests = Hashtbl.create 1024;
+        history = [];
         ckpt = Ckpt.create ~quorum:(Ids.quorum ~n:cfg.n);
         clients = Client_table.create ();
         pending = [];
@@ -1044,11 +1045,7 @@ let low_watermark t = Log.low_mark t.slots
 let viewchange_tallies t = View_change.tallied_views t.vc
 let executed_count t = t.executed_total
 
-let committed_digest t seq = Hashtbl.find_opt t.executed_digests seq
-
-let executed_log t =
-  Hashtbl.fold (fun seq digest acc -> (seq, digest) :: acc) t.executed_digests []
-  |> List.sort Log.by_seqno
+let executed_log t = List.rev t.history
 
 let app_digest t = State_machine.digest t.app
 let persisted t = List.rev t.persist_log
@@ -1081,6 +1078,8 @@ let restart t =
     Hashtbl.reset t.batches_by_digest;
     Hashtbl.reset t.fetching;
     Hashtbl.reset t.executed_digests;
+    let prior = t.history in
+    t.history <- [];
     Hashtbl.reset t.snapshots;
     t.in_view_change <- false;
     t.vc_target <- 0;
@@ -1101,17 +1100,11 @@ let restart t =
           (fun r ->
             let view = R.varint r in
             let last_executed = R.varint r in
-            let snapshot = R.bytes r in
-            let executed =
-              R.list r (fun r ->
-                  let seq = R.varint r in
-                  (seq, R.bytes r))
-            in
-            (view, last_executed, snapshot, executed))
+            (view, last_executed, R.bytes r))
       with
       | Sealed_image.Fresh -> None
       | Refused reason -> Some reason
-      | Restored (view, last_executed, snapshot, executed) -> (
+      | Restored (view, last_executed, snapshot) -> (
         match t.app.State_machine.restore snapshot with
         | Error e -> Some ("pbft: sealed snapshot rejected: " ^ e)
         | Ok () ->
@@ -1119,7 +1112,7 @@ let restart t =
           t.view <- view;
           t.next_seq <- last_executed + 1;
           t.last_executed <- last_executed;
-          List.iter (fun (seq, d) -> Hashtbl.replace t.executed_digests seq d) executed;
+          t.history <- List.filter (fun (seq, _) -> seq <= last_executed) prior;
           Hashtbl.replace t.snapshots last_executed snapshot;
           Ckpt.force_stable t.ckpt last_executed;
           Log.advance_low_mark t.slots last_executed;

@@ -56,13 +56,10 @@ val viewchange_tallies : t -> Ids.view list
 
 val executed_count : t -> int
 
-val committed_digest : t -> Ids.seqno -> string option
-(** Digest of the batch this replica committed at the given sequence
-    number, if any — the safety checker compares these across replicas. *)
-
 val executed_log : t -> (Ids.seqno * string) list
-(** (seq, batch digest) for every executed slot, oldest first (bounded by
-    GC). *)
+(** (seq, batch digest) for every executed slot, oldest first: the test
+    oracle's record, kept outside the protocol state and the sealed image;
+    a restore cuts it at the restored seq. *)
 
 val app_digest : t -> string
 val persisted : t -> (string * string) list

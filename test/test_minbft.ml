@@ -152,31 +152,58 @@ let test_faulty_tee_breaks_safety () =
   let honest = [ List.nth c.replicas 1; List.nth c.replicas 2 ] in
   checkb "single compromised USIG diverges the honest backups" false (agreement honest)
 
-(* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
-   run, unsealed with the key the replica derives from its platform. *)
-let test_image_golden () =
-  let c = make ~checkpoint_interval:8 () in
-  let _ = drive c ~ops:10 in
-  let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:0 in
+(* Replica [r]'s sealed checkpoint images, oldest first, unsealed with the
+   key the replica derives from its platform. *)
+let images r =
+  let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:(Replica.id r) in
   let key =
     Splitbft_crypto.Aead.prepare
       (Splitbft_tee.Platform.sealing_key platform
          (Splitbft_tee.Measurement.of_source ~name:"minbft-replica" ~version:"1"
             ~code:"baseline minbft replica checkpoint state"))
   in
-  let images =
-    List.filter_map
-      (fun (tag, blob) -> if String.equal tag "ckpt:minbft" then Some blob else None)
-      (Replica.persisted (List.hd c.replicas))
-  in
-  match images with
+  List.filter_map
+    (fun (tag, blob) ->
+      if String.equal tag "ckpt:minbft" then
+        match Splitbft_tee.Sealing.unseal ~key blob with
+        | Ok image -> Some image
+        | Error e -> Alcotest.fail e
+      else None)
+    (Replica.persisted r)
+
+(* The image holds the view, the exec index, the last executed counter and
+   the snapshot: nothing that grows with the executed history follows the
+   snapshot. *)
+let test_image_is_flat () =
+  let c = make ~checkpoint_interval:8 () in
+  let completed, _ = drive c ~ops:200 in
+  checki "served" 200 completed;
+  List.iter
+    (fun r ->
+      let all = images r in
+      checkb "checkpointed through the run" true (List.length all >= 20);
+      List.iter
+        (fun image ->
+          let r = Splitbft_codec.Reader.of_string image in
+          ignore (Splitbft_codec.Reader.u64 r);
+          ignore (Splitbft_codec.Reader.varint r);
+          ignore (Splitbft_codec.Reader.varint r);
+          ignore (Splitbft_codec.Reader.u64 r);
+          ignore (Splitbft_codec.Reader.bytes r);
+          checki "bytes after the snapshot" 0 (Splitbft_codec.Reader.remaining r))
+        all)
+    c.replicas
+
+(* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
+   run. *)
+let test_image_golden () =
+  let c = make ~checkpoint_interval:8 () in
+  let _ = drive c ~ops:10 in
+  match images (List.hd c.replicas) with
   | [] -> Alcotest.fail "no sealed image"
-  | blob :: _ -> (
-    match Splitbft_tee.Sealing.unseal ~key blob with
-    | Error e -> Alcotest.fail e
-    | Ok image ->
-      Alcotest.(check string) "image sha256" "c1ef8c02f369f0344777ae570884db7b3a19c100d1c4279c2a5545c1fa4c42bd"
-        (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image)))
+  | image :: _ ->
+    Alcotest.(check string) "image sha256" "c8f814ada3267d7bca80ec96932d01aa682a386cac2b2f84c4adb8339c07e281"
+      (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image))
 
 let suites =
   [ ( "minbft",
@@ -189,4 +216,5 @@ let suites =
         Alcotest.test_case "backup crash" `Quick test_backup_crash;
         Alcotest.test_case "byz execution masked" `Quick test_byz_execution_masked;
         Alcotest.test_case "faulty TEE breaks safety" `Quick test_faulty_tee_breaks_safety;
+        Alcotest.test_case "checkpoint: image is flat" `Quick test_image_is_flat;
         Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden ] ) ]

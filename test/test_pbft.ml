@@ -201,26 +201,56 @@ let test_pipelined_client_windows () =
   checki "no wrong" 0 wrong;
   checkb "agreement" true (agreement c.replicas)
 
-(* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
-   run, unsealed with the key the replica derives from its platform. *)
-let test_image_golden () =
-  let c = make ~checkpoint_interval:8 () in
-  let _ = drive c ~ops:10 in
-  let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:0 in
+(* Replica [r]'s sealed checkpoint images, oldest first, unsealed with the
+   key the replica derives from its platform. *)
+let images r =
+  let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:(Replica.id r) in
   let key =
     Splitbft_crypto.Aead.prepare
       (Splitbft_tee.Platform.sealing_key platform
          (Splitbft_tee.Measurement.of_source ~name:"pbft-replica" ~version:"1"
             ~code:"baseline pbft replica checkpoint state"))
   in
-  match List.assoc_opt "ckpt:pbft" (Replica.persisted (List.hd c.replicas)) with
-  | None -> Alcotest.fail "no sealed image"
-  | Some blob -> (
-    match Splitbft_tee.Sealing.unseal ~key blob with
-    | Error e -> Alcotest.fail e
-    | Ok image ->
-      Alcotest.(check string) "image sha256" "5e0ee0a99485cea61e772c82a3f7d1114818ab954f8dae93833c6859172e295b"
-        (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image)))
+  List.filter_map
+    (fun (tag, blob) ->
+      if String.equal tag "ckpt:pbft" then
+        match Splitbft_tee.Sealing.unseal ~key blob with
+        | Ok image -> Some image
+        | Error e -> Alcotest.fail e
+      else None)
+    (Replica.persisted r)
+
+(* The image holds the view, the last executed seq and the snapshot:
+   nothing that grows with the executed history follows the snapshot. *)
+let test_image_is_flat () =
+  let c = make ~checkpoint_interval:8 () in
+  let completed, _ = drive c ~ops:200 in
+  checki "served" 200 completed;
+  List.iter
+    (fun r ->
+      let all = images r in
+      checkb "checkpointed through the run" true (List.length all >= 20);
+      List.iter
+        (fun image ->
+          let r = Splitbft_codec.Reader.of_string image in
+          ignore (Splitbft_codec.Reader.u64 r);
+          ignore (Splitbft_codec.Reader.varint r);
+          ignore (Splitbft_codec.Reader.varint r);
+          ignore (Splitbft_codec.Reader.bytes r);
+          checki "bytes after the snapshot" 0 (Splitbft_codec.Reader.remaining r))
+        all)
+    c.replicas
+
+(* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
+   run. *)
+let test_image_golden () =
+  let c = make ~checkpoint_interval:8 () in
+  let _ = drive c ~ops:10 in
+  match images (List.hd c.replicas) with
+  | [] -> Alcotest.fail "no sealed image"
+  | image :: _ ->
+    Alcotest.(check string) "image sha256" "e618b8b4717c13980fef76787a5377d1266716642afa13db49a7f4f8339afc9f"
+      (Splitbft_util.Hex.encode (Splitbft_crypto.Sha256.digest image))
 
 (* ----- one replica driven message by message -----
 
@@ -344,6 +374,7 @@ let suites =
         Alcotest.test_case "lossy network" `Slow test_lossy_network_retransmission;
         Alcotest.test_case "duplicates execute once" `Quick test_duplicate_requests_execute_once;
         Alcotest.test_case "pipelined windows" `Quick test_pipelined_client_windows;
+        Alcotest.test_case "checkpoint: image is flat" `Quick test_image_is_flat;
         Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden;
         Alcotest.test_case "newview: viewchanges checked" `Quick test_newview_checks_viewchanges;
         Alcotest.test_case "newview: replay keeps the slot" `Quick
