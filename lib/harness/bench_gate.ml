@@ -13,6 +13,8 @@ module Json = Splitbft_obs.Json
 type point = {
   label : string;
   tput : float;
+  split_tput : float;
+  pbft_tput : float;
   ecall_us : float;
   p99_us : float;
   tol : float option;  (* baseline per-point override of the tolerance *)
@@ -29,12 +31,16 @@ let gated_artifacts =
     ("storage", None);
     ("fig4", None);
     ("ceilings", None);
-    ("simmode", None) ]
+    ("simmode", None);
+    ("fig3a", None);
+    ("fig3b", None) ]
 
 (* (metric name, accessor, direction): [`Floor] gates drops below the
    baseline, [`Ceiling] gates rises above it. *)
 let metrics =
   [ ("throughput", (fun p -> p.tput), `Floor);
+    ("splitbft throughput", (fun p -> p.split_tput), `Floor);
+    ("pbft throughput", (fun p -> p.pbft_tput), `Floor);
     ("ecall cost", (fun p -> p.ecall_us), `Ceiling);
     ("p99 latency", (fun p -> p.p99_us), `Ceiling) ]
 
@@ -79,6 +85,8 @@ let point_of_json ~doc_name name j =
   | Some label ->
     { label;
       tput = number (Json.member "throughput_ops" j);
+      split_tput = number (Json.member "splitbft_throughput_ops" j);
+      pbft_tput = number (Json.member "pbft_throughput_ops" j);
       ecall_us = number (Json.member "ecall_us_per_request" j);
       p99_us = number (Json.member "p99_latency_us" j);
       tol =

@@ -3,8 +3,8 @@
     Compares a fresh [bench ... --json] document against the checked-in
     [BENCH_BASELINE.json]: every gated point in the baseline must still
     exist in the current run, and every metric the baseline records for
-    it must stay within the tolerance — throughput is a floor, ecall cost
-    and p99 latency are ceilings.  A metric absent from a baseline point
+    it must stay within the tolerance — throughput (and Figure 3's SplitBFT
+    and PBFT series) is a floor, ecall cost and p99 latency are ceilings.  A metric absent from a baseline point
     is not gated (artifacts report different fields), but a point or
     metric the baseline records that the current run fails to produce is
     a hard failure, never a silent pass.
@@ -18,6 +18,8 @@
 type point = {
   label : string;
   tput : float;  (** [throughput_ops]; [nan] when absent *)
+  split_tput : float;  (** [splitbft_throughput_ops] (Figure 3's SplitBFT series) *)
+  pbft_tput : float;  (** [pbft_throughput_ops] (Figure 3's PBFT series) *)
   ecall_us : float;  (** [ecall_us_per_request] *)
   p99_us : float;  (** [p99_latency_us] *)
   tol : float option;  (** baseline per-point override of the tolerance *)

@@ -1,28 +1,16 @@
-module Engine = Splitbft_sim.Engine
-module Network = Splitbft_sim.Network
-module Resource = Splitbft_sim.Resource
-module Timer = Splitbft_sim.Timer
 module Cost_model = Splitbft_tee.Cost_model
-module Platform = Splitbft_tee.Platform
 module Measurement = Splitbft_tee.Measurement
-module Sealing = Splitbft_tee.Sealing
 module Sha256 = Splitbft_crypto.Sha256
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 module Ids = Splitbft_types.Ids
 module Addr = Splitbft_types.Addr
-module Keys = Splitbft_types.Keys
 module Message = Splitbft_types.Message
-module Hmac = Splitbft_crypto.Hmac
-module Aead = Splitbft_crypto.Aead
 module State_machine = Splitbft_app.State_machine
 module Quorum = Splitbft_consensus.Quorum
 module Votes = Splitbft_consensus.Votes
-module Client_table = Splitbft_consensus.Client_table
-module Sealed_image = Splitbft_consensus.Sealed_image
 module Catchup = Splitbft_consensus.Catchup
-module Tracer = Splitbft_obs.Tracer
-module Trace_ctx = Splitbft_obs.Trace_ctx
+module Host = Splitbft_baseline.Host
 
 let protocol_name = "minbft"
 
@@ -68,10 +56,7 @@ type entry = {
 type t = {
   cfg : config;
   f : int;
-  engine : Engine.t;
-  net : Network.t;
-  pool : Resource.Pool.pool;
-  core : Resource.t;
+  host : Host.t;
   usig : Usig.t;
   app : State_machine.t;
   mutable view : Ids.view;
@@ -88,115 +73,24 @@ type t = {
          protocol path reads it, and a restore cuts it at the restored
          index *)
   checkpoints : (int64, Mmsg.checkpoint) Votes.t;
-  mutable clients : Client_table.t;
-  mutable pending : Message.request list;
-  mutable pending_count : int;
-  batch_timer : Timer.t;
-  awaiting : (Ids.client_id * int64, unit) Hashtbl.t;
-  suspect_timer : Timer.t;
   viewchanges : (Ids.view, unit) Votes.t;
-  mutable crashed : bool;
-  mutable epoch : int;
-      (* incarnation counter: work queued before a crash must not run after
-         a restart, so deferred closures check the epoch they captured *)
   mutable byz : byzantine_mode;
-  mutable executed_total : int;
   (* crash-recovery (sealed checkpoints + state transfer).  The USIG [t.usig]
      itself survives crashes: it is trusted hardware with its own
      persistence, and its counter keeps growing monotonically. *)
-  platform : Platform.t;
-  seal_key : Aead.key;
-  initial_snapshot : string;
-  mutable persist_log : (string * string) list;  (* sealed blobs, newest first *)
   snapshots : (int64, string) Hashtbl.t;  (* own snapshot at own checkpoint counters *)
   exec_index_at : (int64, int) Hashtbl.t;  (* counter -> exec index after executing it *)
   mutable stable_proof : (int64 * string * Mmsg.checkpoint list) option;
   sync : int64 Catchup.t;  (* heights are the primary's USIG counters *)
-  mutable recovering : bool;
-  mutable recovered_count : int;
-  mutable alerts : string list;  (* newest first *)
-  recovery_timer : Timer.t;
-  mutable cur_ctx : Trace_ctx.t option;
-      (* trace context of the message being handled; [broadcast]/[send_reply]
-         default to it, so everything a handler emits joins its trace *)
 }
 
 let primary t = t.view mod t.cfg.n
 let is_primary t = primary t = t.cfg.id
 
-let payload_cost t payload =
-  t.cfg.cost.serialize_per_byte_us *. float_of_int (String.length payload)
-
 (* Creating a UI crosses into the trusted subsystem. *)
 let ui_create_cost t = t.cfg.cost.ecall_transition_us +. t.cfg.cost.sign_us
 let ui_verify_cost t = t.cfg.cost.verify_us
-
-(* Synthetic always-sampled root for replica-initiated causality (primary
-   suspicion, recovery), installed as the current context around the
-   initiating call so the cascade it triggers is traceable. *)
-let forced_ctx t ~name =
-  match Engine.tracer t.engine with
-  | None -> None
-  | Some tr ->
-    let trace = Tracer.fresh_forced_trace tr in
-    let at = Engine.now t.engine in
-    let id =
-      Tracer.open_span tr ~trace ~name ~cat:"replica.forced" ~pid:t.cfg.id
-        ~tid:"core" ~at ()
-    in
-    Tracer.finish tr id ~at;
-    Some { Trace_ctx.trace; span = id; forced = true }
-
-(* MinBFT wire messages carry the same backward-compatible trace trailer
-   the shared [Message] codec uses, with the same exact-parse fallback
-   against magic-tail collisions in legacy payloads. *)
-let decode_mmsg_traced payload =
-  match Trace_ctx.strip payload with
-  | body, (Some _ as ctx) -> (
-    match Mmsg.decode body with
-    | Ok m -> Ok (m, ctx)
-    | Error _ -> (
-      match Mmsg.decode payload with Ok m -> Ok (m, None) | Error e -> Error e))
-  | _, None -> (
-    match Mmsg.decode payload with Ok m -> Ok (m, None) | Error e -> Error e)
-
-let broadcast t ?ctx ~cost msg =
-  let ctx = match ctx with Some _ as c -> c | None -> t.cur_ctx in
-  let payload = Trace_ctx.append ctx (Mmsg.encode msg) in
-  Resource.Pool.submit t.pool
-    ~cost:(cost +. payload_cost t payload)
-    (fun () ->
-      for j = 0 to t.cfg.n - 1 do
-        if j <> t.cfg.id then
-          Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j) payload
-      done)
-
-let send_reply t ?ctx (reply : Message.reply) =
-  let ctx = match ctx with Some _ as c -> c | None -> t.cur_ctx in
-  let payload = Message.encode_traced ?ctx (Message.Reply reply) in
-  Resource.Pool.submit t.pool
-    ~cost:(t.cfg.cost.reply_auth_us +. payload_cost t payload)
-    (fun () -> Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.client reply.client) payload)
-
-(* Re-armed on progress so a loaded-but-progressing replica never
-   suspects its primary. *)
-let refresh_suspect_timer t =
-  if Hashtbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
-  else Timer.restart t.suspect_timer
-
-let make_reply t ~(req : Message.request) ~result : Message.reply =
-  let rp =
-    { Message.view = t.view;
-      timestamp = req.timestamp;
-      client = req.client;
-      sender = t.cfg.id;
-      result;
-      r_auth = "" }
-  in
-  let key =
-    Keys.client_replica_key ~protocol:protocol_name ~client:req.client ~replica:t.cfg.id
-  in
-  { rp with r_auth = Hmac.mac ~key (Message.reply_auth_bytes rp) }
+let broadcast t ~cost msg = Host.broadcast t.host ~cost (Mmsg.encode msg)
 
 (* ----- execution ----- *)
 
@@ -204,7 +98,7 @@ let rec try_execute t =
   (* While recovering, the normal path must not execute: a freshly admitted
      entry could jump ahead of gap entries still being state-transferred,
      misaligning execution indices across replicas. *)
-  if t.recovering then ()
+  if Host.is_recovering t.host then ()
   else
   let entries = List.rev t.order in
   let rec loop i = function
@@ -219,31 +113,15 @@ let rec try_execute t =
         t.exec_index <- t.exec_index + 1;
         t.history <- (Int64.of_int t.exec_index, e.e_digest) :: t.history;
         Hashtbl.replace t.exec_index_at e.e_counter t.exec_index;
-        let exec_cost = t.cfg.cost.exec_op_us *. float_of_int (List.length e.e_batch) in
-        let replies = ref [] in
-        List.iter
-          (fun (req : Message.request) ->
-            Hashtbl.remove t.awaiting (req.client, req.timestamp);
-            if not (Client_table.executed t.clients req.client req.timestamp) then begin
-              let result =
-                match t.byz with
-                | Corrupt_execution -> "CORRUPT"
-                | Honest | Faulty_tee_equivocate | Mute_commits ->
-                  t.app.State_machine.apply req.payload
-              in
-              let reply = make_reply t ~req ~result in
-              Client_table.record t.clients req.client req.timestamp (Some reply);
-              replies := reply :: !replies;
-              t.executed_total <- t.executed_total + 1
-            end)
-          e.e_batch;
-        refresh_suspect_timer t;
-        let outgoing = List.rev !replies in
-        (* The closure runs after the handler returns; pin its trace context
-           now so replies still join the committing message's trace. *)
-        let ctx = t.cur_ctx in
-        Resource.submit t.core ~cost:exec_cost (fun () ->
-            List.iter (send_reply t ?ctx) outgoing);
+        let replies =
+          Host.execute t.host ~view:t.view e.e_batch ~result:(fun req ->
+              match t.byz with
+              | Corrupt_execution -> "CORRUPT"
+              | Honest | Faulty_tee_equivocate | Mute_commits ->
+                t.app.State_machine.apply req.payload)
+        in
+        Host.send_replies t.host replies
+          ~cost:(t.cfg.cost.exec_op_us *. float_of_int (List.length e.e_batch));
         maybe_checkpoint t e.e_counter;
         loop (i + 1) rest
       end
@@ -270,19 +148,14 @@ and maybe_checkpoint t counter =
     ignore (Votes.add t.checkpoints ~key:counter ~sender:t.cfg.id signed);
     broadcast t ~cost:(ui_create_cost t) (Mmsg.Checkpoint signed);
     (* The SplitBFT compartments' rollback defense, for the comparison
-       rows; the blob is on disk before the seal returns. *)
-    let sealed =
-      Sealed_image.seal
-        ~counter:(Platform.counter_increment t.platform "ckpt")
-        ~seal:(Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform))
-        (fun w t ->
-          W.varint w t.view;
-          W.varint w t.exec_index;
-          W.u64 w t.last_exec_counter;
-          W.bytes w snapshot)
-        t
-    in
-    t.persist_log <- ("ckpt:minbft", sealed) :: t.persist_log
+       rows. *)
+    Host.seal_checkpoint t.host
+      (fun w t ->
+        W.varint w t.view;
+        W.varint w t.exec_index;
+        W.u64 w t.last_exec_counter;
+        W.bytes w snapshot)
+      t
   end
 
 (* ----- prepare / commit ----- *)
@@ -301,11 +174,8 @@ let accept_prepare t (p : Mmsg.prepare) =
     ignore (Quorum.add e.e_attesters ~sender:(primary t) ());
     Hashtbl.replace t.by_counter counter e;
     t.order <- e :: t.order;
-    List.iter
-      (fun (req : Message.request) ->
-        Hashtbl.replace t.awaiting (req.client, req.timestamp) ())
-      p.p_batch;
-    refresh_suspect_timer t;
+    List.iter (Host.await t.host) p.p_batch;
+    Host.refresh_suspect_timer t.host;
     (* Fold in commits that raced ahead of the prepare. *)
     let raced = Votes.get t.pending_commits counter in
     Votes.remove t.pending_commits counter;
@@ -373,73 +243,60 @@ let on_checkpoint t (k : Mmsg.checkpoint) =
           (fun (e : entry) ->
             (not e.e_executed) || Int64.compare e.e_counter k.k_counter > 0)
           t.order;
-      let removed = Hashtbl.length t.by_counter in
       Hashtbl.iter
         (fun counter (e : entry) ->
           if e.e_executed && Int64.compare counter k.k_counter <= 0 then
             Hashtbl.remove t.by_counter counter)
         (Hashtbl.copy t.by_counter);
-      ignore removed;
       t.executed_upto <- List.length (List.filter (fun e -> e.e_executed) t.order)
     end
   end
 
 (* ----- batching (primary) ----- *)
 
-let rec flush_batch t =
-  if is_primary t && t.pending_count > 0 then begin
-    let take = min t.cfg.batch_size t.pending_count in
-    let all = List.rev t.pending in
-    let rec split i acc rest =
-      if i = 0 then (List.rev acc, rest)
-      else match rest with [] -> (List.rev acc, []) | x :: tl -> split (i - 1) (x :: acc) tl
-    in
-    let batch, remaining = split take [] all in
-    t.pending <- List.rev remaining;
-    t.pending_count <- t.pending_count - take;
-    let make reqs =
-      let unsigned = { Mmsg.p_view = t.view; p_batch = reqs; p_ui = { Usig.counter = 0L; cert = "" } } in
-      { unsigned with
-        Mmsg.p_ui = Usig.create_ui t.usig (Mmsg.signed_part (Mmsg.Prepare unsigned)) }
-    in
-    (match t.byz with
-    | Faulty_tee_equivocate when List.length batch > 0 ->
-      (* Compromised USIG: assign the same counter to two conflicting
-         Prepares and show each to half the backups. *)
-      let p_a = make batch in
-      let tampered =
-        match batch with
-        | [] -> []
-        | first :: rest -> { first with Message.payload = first.payload ^ "\x00evil" } :: rest
+let flush_batch t =
+  Host.propose_batches t.host ~ready:(fun () -> is_primary t) ~propose:(fun batch ->
+      let make reqs =
+        let unsigned =
+          { Mmsg.p_view = t.view; p_batch = reqs; p_ui = { Usig.counter = 0L; cert = "" } }
+        in
+        { unsigned with
+          Mmsg.p_ui = Usig.create_ui t.usig (Mmsg.signed_part (Mmsg.Prepare unsigned)) }
       in
-      Usig.tamper_set t.usig (Int64.sub p_a.Mmsg.p_ui.Usig.counter 1L);
-      let p_b = make tampered in
-      let pay_a = Mmsg.encode (Mmsg.Prepare p_a) in
-      let pay_b = Mmsg.encode (Mmsg.Prepare p_b) in
-      Resource.Pool.submit t.pool ~cost:(2.0 *. ui_create_cost t) (fun () ->
-          for j = 0 to t.cfg.n - 1 do
-            if j <> t.cfg.id then
-              Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j)
-                (if j mod 2 = 1 then pay_a else pay_b)
-          done)
-    | Honest | Faulty_tee_equivocate | Mute_commits | Corrupt_execution ->
-      let p = make batch in
-      accept_prepare t p;
-      broadcast t ~cost:(ui_create_cost t) (Mmsg.Prepare p));
-    if t.pending_count >= t.cfg.batch_size then flush_batch t
-    else if t.pending_count > 0 then Timer.start t.batch_timer
-    else Timer.stop t.batch_timer
-  end
+      match t.byz with
+      | Faulty_tee_equivocate when List.length batch > 0 ->
+        (* Compromised USIG: assign the same counter to two conflicting
+           Prepares and show each to half the backups. *)
+        let p_a = make batch in
+        let tampered =
+          match batch with
+          | [] -> []
+          | first :: rest -> { first with Message.payload = first.payload ^ "\x00evil" } :: rest
+        in
+        Usig.tamper_set t.usig (Int64.sub p_a.Mmsg.p_ui.Usig.counter 1L);
+        let p_b = make tampered in
+        let pay_a = Mmsg.encode (Mmsg.Prepare p_a) in
+        let pay_b = Mmsg.encode (Mmsg.Prepare p_b) in
+        Host.spray t.host ~cost:(2.0 *. ui_create_cost t) (fun j ->
+            [ (if j mod 2 = 1 then pay_a else pay_b) ])
+      | Honest | Faulty_tee_equivocate | Mute_commits | Corrupt_execution ->
+        let p = make batch in
+        accept_prepare t p;
+        broadcast t ~cost:(ui_create_cost t) (Mmsg.Prepare p))
 
 (* ----- view change (simplified; see DESIGN.md) ----- *)
 
 let enter_view t v =
   if v > t.view then begin
     t.view <- v;
+    (* Requests ordered in the dead view may have been lost with it: let
+       retransmissions be ordered again.  Execution deduplicates by
+       timestamp, so a re-ordered request cannot execute twice. *)
+    Host.reset_assignments t.host;
     t.order <- List.filter (fun (e : entry) -> e.e_executed) t.order;
     Votes.reset t.pending_commits;
     t.executed_upto <- List.length t.order;
-    refresh_suspect_timer t;
+    Host.refresh_suspect_timer t.host;
     if is_primary t then begin
       let nv = { Mmsg.n_view = v; n_sender = t.cfg.id; n_ui = { Usig.counter = 0L; cert = "" } } in
       let nv = { nv with Mmsg.n_ui = Usig.create_ui t.usig (Mmsg.signed_part (Mmsg.Newview nv)) } in
@@ -461,47 +318,6 @@ let start_view_change t =
   ignore (Votes.add t.viewchanges ~key:target ~sender:t.cfg.id ());
   broadcast t ~cost:(ui_create_cost t) (Mmsg.Viewchange vc)
 
-(* ----- requests ----- *)
-
-let resend_cached_reply t (r : Message.request) =
-  match Client_table.cached_reply t.clients r.client r.timestamp with
-  | Some reply -> send_reply t reply
-  | None -> ()
-
-let request_auth_ok (r : Message.request) ~replica =
-  Keys.check_authenticator ~protocol:protocol_name ~client:r.client ~replica
-    ~msg:(Message.request_auth_bytes r) ~auth:r.auth
-
-let on_request t (r : Message.request) =
-  if Client_table.executed t.clients r.client r.timestamp then resend_cached_reply t r
-  else begin
-    Hashtbl.replace t.awaiting (r.client, r.timestamp) ();
-    refresh_suspect_timer t;
-    if is_primary t then begin
-      let queued =
-        List.exists
-          (fun (q : Message.request) -> q.client = r.client && q.timestamp = r.timestamp)
-          t.pending
-      in
-      let ordered =
-        Hashtbl.fold
-          (fun _ (e : entry) acc ->
-            acc
-            || List.exists
-                 (fun (q : Message.request) ->
-                   q.client = r.client && q.timestamp = r.timestamp)
-                 e.e_batch)
-          t.by_counter false
-      in
-      if not (queued || ordered) then begin
-        t.pending <- r :: t.pending;
-        t.pending_count <- t.pending_count + 1;
-        if t.pending_count >= t.cfg.batch_size then flush_batch t
-        else Timer.start t.batch_timer
-      end
-    end
-  end
-
 (* ----- dispatch with per-sender counter windows ----- *)
 
 let sender_of t (msg : Mmsg.t) =
@@ -522,7 +338,7 @@ let handle t (msg : Mmsg.t) =
 
 (* Process each sender's stream strictly in counter order; this is what
    makes the USIG's non-equivocation guarantee effective. *)
-let rec admit t sender (msg : Mmsg.t) =
+let rec admit_in_order t sender (msg : Mmsg.t) =
   let counter = (Mmsg.ui msg).Usig.counter in
   match Usig.Window.admit t.windows.(sender) counter with
   | `Next ->
@@ -536,22 +352,17 @@ and drain_holdback t sender =
   match Hashtbl.find_opt t.holdback (sender, next) with
   | Some msg ->
     Hashtbl.remove t.holdback (sender, next);
-    admit t sender msg
+    admit_in_order t sender msg
   | None -> ()
 
 (* ----- state transfer (crash-recovery) ----- *)
-
-let request_state t =
-  t.cur_ctx <- forced_ctx t ~name:"recovery";
-  broadcast t ~cost:0.0 (Mmsg.Statereq { Mmsg.q_requester = t.cfg.id });
-  t.cur_ctx <- None
 
 (* Serve our checkpoint proof + snapshot + executed suffix to a recovering
    peer.  The snapshot is only offered when its digest matches the stable
    certificate and we know our execution index at that point — otherwise
    the requester recovers from suffix entries alone. *)
 let on_state_request t (q : Mmsg.state_request) =
-  if q.q_requester <> t.cfg.id && (not t.recovering)
+  if q.q_requester <> t.cfg.id && (not (Host.is_recovering t.host))
      && q.q_requester >= 0 && q.q_requester < t.cfg.n
   then begin
     let proof, stable_counter, snapshot, exec_prefix =
@@ -584,9 +395,7 @@ let on_state_request t (q : Mmsg.state_request) =
         s_entries = entries;
         s_windows = windows }
     in
-    let payload = Mmsg.encode (Mmsg.Statereply reply) in
-    Resource.Pool.submit t.pool ~cost:(payload_cost t payload) (fun () ->
-        Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica q.q_requester) payload)
+    Host.send t.host ~cost:0.0 (Addr.replica q.q_requester) (Mmsg.encode (Mmsg.Statereply reply))
   end
 
 (* Keep [order] sorted newest-counter-first when recovery inserts below the
@@ -605,15 +414,7 @@ let install_entry t ~counter ~digest ~(batch : Message.request list) =
   t.exec_index <- t.exec_index + 1;
   t.history <- (Int64.of_int t.exec_index, digest) :: t.history;
   Hashtbl.replace t.exec_index_at counter t.exec_index;
-  List.iter
-    (fun (req : Message.request) ->
-      Hashtbl.remove t.awaiting (req.client, req.timestamp);
-      if not (Client_table.executed t.clients req.client req.timestamp) then begin
-        ignore (t.app.State_machine.apply req.payload);
-        Client_table.record t.clients req.client req.timestamp None;
-        t.executed_total <- t.executed_total + 1
-      end)
-    batch;
+  Host.install t.host batch;
   match Hashtbl.find_opt t.by_counter counter with
   | Some e -> e.e_executed <- true
   | None ->
@@ -629,14 +430,12 @@ let install_entry t ~counter ~digest ~(batch : Message.request list) =
 
 (* Reaching the vouched head means we hold the full executed prefix. *)
 let finish_recovery_if_caught_up t =
-  if t.recovering && Catchup.caught_up t.sync t.last_exec_counter then begin
+  if Host.is_recovering t.host && Catchup.caught_up t.sync t.last_exec_counter then begin
     (match Catchup.vouched_view t.sync with
     | Some v when v > t.view -> t.view <- v
     | _ -> ());
-    t.recovering <- false;
-    t.recovered_count <- t.recovered_count + 1;
     Catchup.reset t.sync;
-    Timer.stop t.recovery_timer;
+    Host.end_recovery t.host;
     (* Re-derive the executed prefix length over the rebuilt order. *)
     let rec prefix n = function
       | (e : entry) :: rest when e.e_executed -> prefix (n + 1) rest
@@ -646,12 +445,12 @@ let finish_recovery_if_caught_up t =
     for s = 0 to t.cfg.n - 1 do
       if s <> t.cfg.id then drain_holdback t s
     done;
-    refresh_suspect_timer t;
+    Host.refresh_suspect_timer t.host;
     try_execute t
   end
 
 let on_state_reply t (s : Mmsg.state_reply) =
-  if t.recovering && s.s_requester = t.cfg.id && s.s_replier <> t.cfg.id
+  if Host.is_recovering t.host && s.s_requester = t.cfg.id && s.s_replier <> t.cfg.id
      && s.s_replier >= 0 && s.s_replier < t.cfg.n
   then begin
     (* 1. Snapshot install, when the f+1 UI-signed certificate checks out
@@ -728,103 +527,36 @@ let mmsg_name = function
   | Mmsg.Statereq _ -> "statereq"
   | Mmsg.Statereply _ -> "statereply"
 
-(* Handling span, opened when the core picks the message up (back-dated to
-   its arrival so verification time is covered) and installed as the
-   current context for whatever the handler emits. *)
-let open_handle_span t ctx ~name ~crypto ~serialize ~at =
-  match (Engine.tracer t.engine, ctx) with
-  | Some tr, Some { Trace_ctx.trace; span; forced } ->
-    let id =
-      Tracer.open_span tr ~parent:span ~trace
-        ~name:(protocol_name ^ ":" ^ name) ~cat:"replica" ~pid:t.cfg.id
-        ~tid:"core" ~at ()
-    in
-    Tracer.add_arg tr id "crypto_us" crypto;
-    Tracer.add_arg tr id "serialize_us" serialize;
-    Tracer.add_arg tr id "core_us" t.cfg.cost.pbft_core_us;
-    t.cur_ctx <- Some { Trace_ctx.trace; span = id; forced };
-    Some (tr, id)
-  | _ ->
-    t.cur_ctx <- ctx;
-    None
-
-let close_handle_span t sp =
-  t.cur_ctx <- None;
-  match sp with
-  | Some (tr, id) -> Tracer.finish tr id ~at:(Engine.now t.engine)
-  | None -> ()
-
-let on_payload t ~src:_ payload =
-  if not t.crashed then begin
-    (* Deferred closures only run if the replica is still in the same
-       incarnation — work queued before a crash must not fire afterwards. *)
-    let epoch = t.epoch in
-    let live () = t.epoch = epoch && not t.crashed in
-    let received = Engine.now t.engine in
-    if Mmsg.is_minbft_payload payload then begin
-      match decode_mmsg_traced payload with
-      | Error _ -> ()
-      | Ok (msg, tctx) ->
-        let sender = sender_of t msg in
-        (match msg with
-        | Mmsg.Statereq _ | Mmsg.Statereply _ ->
-          (* No UI of their own; certificates inside a Statereply are
-             checked by [on_state_reply]. *)
-          if sender >= 0 && sender < t.cfg.n && sender <> t.cfg.id then
-            Resource.Pool.submit t.pool ~cost:(payload_cost t payload) (fun () ->
-                if live () then
-                  Resource.submit t.core ~cost:t.cfg.cost.pbft_core_us (fun () ->
-                      if live () then begin
-                        let sp =
-                          open_handle_span t tctx ~name:(mmsg_name msg)
-                            ~crypto:0.0 ~serialize:(payload_cost t payload)
-                            ~at:received
-                        in
-                        (match msg with
-                        | Mmsg.Statereq q -> on_state_request t q
-                        | Mmsg.Statereply s -> on_state_reply t s
-                        | _ -> ());
-                        close_handle_span t sp
-                      end))
-        | _ ->
-          if sender >= 0 && sender < t.cfg.n && sender <> t.cfg.id then
-            Resource.Pool.submit t.pool
-              ~cost:(ui_verify_cost t +. payload_cost t payload)
-              (fun () ->
-                if
-                  live ()
-                  && Usig.verify_ui ~id:sender ~msg:(Mmsg.signed_part msg) (Mmsg.ui msg)
-                then
-                  Resource.submit t.core ~cost:t.cfg.cost.pbft_core_us (fun () ->
-                      if live () then begin
-                        let sp =
-                          open_handle_span t tctx ~name:(mmsg_name msg)
-                            ~crypto:(ui_verify_cost t)
-                            ~serialize:(payload_cost t payload) ~at:received
-                        in
-                        admit t sender msg;
-                        close_handle_span t sp
-                      end)))
-    end
-    else
-      match Message.decode_traced payload with
-      | Ok (Message.Request r, tctx) ->
-        Resource.Pool.submit t.pool
-          ~cost:(t.cfg.cost.client_auth_us +. payload_cost t payload)
-          (fun () ->
-            if live () && request_auth_ok r ~replica:t.cfg.id then
-              Resource.submit t.core ~cost:t.cfg.cost.pbft_core_us (fun () ->
-                  if live () then begin
-                    let sp =
-                      open_handle_span t tctx ~name:"request"
-                        ~crypto:t.cfg.cost.client_auth_us
-                        ~serialize:(payload_cost t payload) ~at:received
-                    in
-                    on_request t r;
-                    close_handle_span t sp
-                  end))
-      | Ok _ | Error _ -> ()
-  end
+let on_payload t payload =
+  let admit ctx ~name ~crypto ~verify handle =
+    Host.admit t.host payload ~ctx ~name ~crypto ~core:t.cfg.cost.pbft_core_us ~verify handle
+  in
+  if Mmsg.is_minbft_payload payload then
+    match Message.decode_traced_with Mmsg.decode payload with
+    | Error _ -> ()
+    | Ok (msg, ctx) -> (
+      let sender = sender_of t msg in
+      if sender >= 0 && sender < t.cfg.n && sender <> t.cfg.id then
+        let name = mmsg_name msg in
+        match msg with
+        (* No UI of their own; certificates inside a Statereply are checked
+           by [on_state_reply]. *)
+        | Mmsg.Statereq q ->
+          admit ctx ~name ~crypto:0.0 ~verify:(fun () -> true) (fun () -> on_state_request t q)
+        | Mmsg.Statereply s ->
+          admit ctx ~name ~crypto:0.0 ~verify:(fun () -> true) (fun () -> on_state_reply t s)
+        | Mmsg.Prepare _ | Mmsg.Commit _ | Mmsg.Checkpoint _ | Mmsg.Viewchange _
+        | Mmsg.Newview _ ->
+          admit ctx ~name ~crypto:(ui_verify_cost t)
+            ~verify:(fun () -> Usig.verify_ui ~id:sender ~msg:(Mmsg.signed_part msg) (Mmsg.ui msg))
+            (fun () -> admit_in_order t sender msg))
+  else
+    match Message.decode_traced payload with
+    | Ok (Message.Request r, ctx) ->
+      admit ctx ~name:"request" ~crypto:t.cfg.cost.client_auth_us
+        ~verify:(fun () -> Host.request_auth_ok t.host r)
+        (fun () -> Host.on_request t.host ~proposer:(is_primary t) r)
+    | Ok _ | Error _ -> ()
 
 (* ----- construction ----- *)
 
@@ -834,18 +566,22 @@ let measurement =
 
 let create engine net cfg ~app =
   if cfg.n < 3 then invalid_arg "Minbft.Replica.create: need n >= 3";
-  let platform = Platform.create engine ~id:cfg.id in
   let rec t =
     lazy
       { cfg;
         f = Ids.f_of_n_hybrid cfg.n;
-        engine;
-        net;
-        pool =
-          Resource.Pool.create engine
-            ~name:(Printf.sprintf "minbft%d-pool" cfg.id)
-            ~workers:cfg.workers;
-        core = Resource.create engine ~name:(Printf.sprintf "minbft%d-core" cfg.id);
+        host =
+          Host.create engine net ~protocol:protocol_name ~n:cfg.n ~id:cfg.id ~cost:cfg.cost
+            ~workers:cfg.workers ~batch_size:cfg.batch_size
+            ~batch_timeout_us:cfg.batch_timeout_us ~suspect_timeout_us:cfg.suspect_timeout_us
+            ~recovery_retry_us:cfg.recovery_retry_us ~measurement ~app
+            ~receive:(fun payload -> on_payload (Lazy.force t) payload)
+            ~flush:(fun () -> flush_batch (Lazy.force t))
+            ~suspect:(fun () ->
+              let t = Lazy.force t in
+              start_view_change t;
+              Host.refresh_suspect_timer t.host)
+            ~state_request:(fun () -> Mmsg.encode (Mmsg.Statereq { Mmsg.q_requester = cfg.id }));
         usig = Usig.create ~id:cfg.id;
         app;
         view = 0;
@@ -859,163 +595,65 @@ let create engine net cfg ~app =
         exec_index = 0;
         history = [];
         checkpoints = Votes.create ();
-        clients = Client_table.create ();
-        pending = [];
-        pending_count = 0;
-        batch_timer =
-          Timer.create engine
-            ~label:(Printf.sprintf "minbft%d-batch" cfg.id)
-            ~delay:cfg.batch_timeout_us
-            ~callback:(fun () -> flush_batch (Lazy.force t));
-        awaiting = Hashtbl.create 64;
-        suspect_timer =
-          Timer.create engine
-            ~label:(Printf.sprintf "minbft%d-suspect" cfg.id)
-            ~delay:cfg.suspect_timeout_us
-            ~callback:
-              (fun () ->
-              let t = Lazy.force t in
-              if Hashtbl.length t.awaiting > 0 then begin
-                t.cur_ctx <- forced_ctx t ~name:"suspect";
-                start_view_change t;
-                t.cur_ctx <- None;
-                Timer.restart t.suspect_timer
-              end);
         viewchanges = Votes.create ();
-        crashed = false;
-        epoch = 0;
         byz = Honest;
-        executed_total = 0;
-        platform;
-        seal_key = Aead.prepare (Platform.sealing_key platform measurement);
-        initial_snapshot = app.State_machine.snapshot ();
-        persist_log = [];
         snapshots = Hashtbl.create 8;
         exec_index_at = Hashtbl.create 64;
         stable_proof = None;
-        sync = Catchup.create ~f:(Ids.f_of_n_hybrid cfg.n) ~compare:Int64.compare;
-        recovering = false;
-        recovered_count = 0;
-        alerts = [];
-        recovery_timer =
-          Timer.create engine
-            ~label:(Printf.sprintf "minbft%d-recovery" cfg.id)
-            ~delay:cfg.recovery_retry_us
-            ~callback:
-              (fun () ->
-              let t = Lazy.force t in
-              (* Commits in flight during the crash are gone for good, so a
-                 single request round can leave a gap; keep asking until the
-                 vouched head is reached. *)
-              if t.recovering && not t.crashed then begin
-                request_state t;
-                Timer.restart t.recovery_timer
-              end);
-        cur_ctx = None }
+        sync = Catchup.create ~f:(Ids.f_of_n_hybrid cfg.n) ~compare:Int64.compare }
   in
-  let t = Lazy.force t in
-  Network.register net (Addr.replica cfg.id) (fun ~src payload -> on_payload t ~src payload);
-  t
+  Lazy.force t
 
 let id t = t.cfg.id
 let view t = t.view
-let executed_count t = t.executed_total
+let executed_count t = Host.executed_count t.host
 let last_executed_counter t = t.last_exec_counter
 let executed_log t = List.rev t.history
-let app_digest t = State_machine.digest t.app
+let app_digest t = Host.app_digest t.host
 
-(* Crash quiesces: bump the incarnation so deferred pool/core work is
-   dropped, silence every timer, and clear in-flight request state.  Only
-   [persist_log] (disk), the platform (hardware counters, sealing secret)
-   and the USIG (trusted, persistent) survive. *)
-let crash t =
-  t.crashed <- true;
-  t.epoch <- t.epoch + 1;
-  Timer.stop t.batch_timer;
-  Timer.stop t.suspect_timer;
-  Timer.stop t.recovery_timer;
-  t.pending <- [];
-  t.pending_count <- 0;
-  Hashtbl.reset t.awaiting;
-  t.recovering <- false;
-  Network.unregister t.net (Addr.replica t.cfg.id)
-
-let is_crashed t = t.crashed
+(* Only the disk, the platform (hardware counters, sealing secret) and the
+   USIG (trusted, persistent) survive a crash. *)
+let crash t = Host.crash t.host
+let is_crashed t = Host.is_crashed t.host
 let set_byzantine t mode = t.byz <- mode
 
 (* ----- restart with rollback-protected recovery ----- *)
 
-let refuse t reason = t.alerts <- reason :: t.alerts
-
 let restart t =
-  if t.crashed then begin
-    (* The process image is gone: wipe all volatile state back to genesis
-       before consulting the sealed checkpoint. *)
-    t.epoch <- t.epoch + 1;
-    t.view <- 0;
-    Array.iteri (fun i _ -> t.windows.(i) <- Usig.Window.create ()) t.windows;
-    Hashtbl.reset t.holdback;
-    t.order <- [];
-    Hashtbl.reset t.by_counter;
-    Votes.reset t.pending_commits;
-    t.executed_upto <- 0;
-    t.last_exec_counter <- 0L;
-    t.exec_index <- 0;
-    let prior = t.history in
-    t.history <- [];
-    Votes.reset t.checkpoints;
-    (* A stale reply cache would make re-execution skip operations the
-       snapshot does not cover, so the client table starts fresh too. *)
-    t.clients <- Client_table.create ();
-    t.pending <- [];
-    t.pending_count <- 0;
-    Hashtbl.reset t.awaiting;
-    Votes.reset t.viewchanges;
-    Hashtbl.reset t.snapshots;
-    Hashtbl.reset t.exec_index_at;
-    t.stable_proof <- None;
-    Catchup.reset t.sync;
-    t.recovering <- false;
-    ignore (t.app.State_machine.restore t.initial_snapshot);
-    let verdict =
-      match
-        Sealed_image.check ~who:"minbft" ~slack:0
-          ~counter:(Platform.counter_read t.platform "ckpt")
-          ~unseal:(Sealing.unseal ~key:t.seal_key)
-          (List.assoc_opt "ckpt:minbft" t.persist_log)
-          (fun r ->
-            let view = R.varint r in
-            let exec_index = R.varint r in
-            let last_exec_counter = R.u64 r in
-            (view, exec_index, last_exec_counter, R.bytes r))
-      with
-      | Sealed_image.Fresh -> Ok None
-      | Refused reason -> Error reason
-      | Restored (view, exec_index, last_exec_counter, snapshot) -> (
-        match t.app.State_machine.restore snapshot with
-        | Error e -> Error ("minbft: sealed snapshot rejected by application: " ^ e)
-        | Ok () -> Ok (Some (view, exec_index, last_exec_counter)))
-    in
-    match verdict with
-    | Error reason -> refuse t reason (* refuse loudly and stay down *)
-    | Ok restored ->
-      (match restored with
-      | None -> ()
-      | Some (view, exec_index, last_exec_counter) ->
-        t.view <- view;
-        t.exec_index <- exec_index;
-        t.last_exec_counter <- last_exec_counter;
-        t.history <- List.filter (fun (i, _) -> i <= Int64.of_int exec_index) prior);
-      t.crashed <- false;
-      t.recovering <- true;
-      Network.register t.net (Addr.replica t.cfg.id) (fun ~src payload ->
-          on_payload t ~src payload);
-      request_state t;
-      Timer.restart t.recovery_timer
-  end
+  let prior = t.history in
+  Host.restart t.host
+    ~wipe:(fun () ->
+      (* The process image is gone: wipe all volatile state back to
+         genesis before consulting the sealed checkpoint. *)
+      t.view <- 0;
+      Array.iteri (fun i _ -> t.windows.(i) <- Usig.Window.create ()) t.windows;
+      Hashtbl.reset t.holdback;
+      t.order <- [];
+      Hashtbl.reset t.by_counter;
+      Votes.reset t.pending_commits;
+      t.executed_upto <- 0;
+      t.last_exec_counter <- 0L;
+      t.exec_index <- 0;
+      t.history <- [];
+      Votes.reset t.checkpoints;
+      Votes.reset t.viewchanges;
+      Hashtbl.reset t.snapshots;
+      Hashtbl.reset t.exec_index_at;
+      t.stable_proof <- None;
+      Catchup.reset t.sync)
+    ~read:(fun r ->
+      let view = R.varint r in
+      let exec_index = R.varint r in
+      let last_exec_counter = R.u64 r in
+      ((view, exec_index, last_exec_counter), R.bytes r))
+    ~restore:(fun (view, exec_index, last_exec_counter) _ ->
+      t.view <- view;
+      t.exec_index <- exec_index;
+      t.last_exec_counter <- last_exec_counter;
+      t.history <- List.filter (fun (i, _) -> i <= Int64.of_int exec_index) prior)
 
-let is_recovering t = t.recovering
-let recovered t = t.recovered_count > 0 && not t.recovering
-let recovery_alerts t = List.rev t.alerts
-let persisted t = List.rev t.persist_log
-let tamper_counter t name = Platform.counter_tamper_reset t.platform name
+let is_recovering t = Host.is_recovering t.host
+let recovered t = Host.recovered t.host
+let recovery_alerts t = Host.recovery_alerts t.host
+let persisted t = Host.persisted t.host
+let tamper_counter t name = Host.tamper_counter t.host name

@@ -83,7 +83,8 @@ val recovery_alerts : t -> string list
 (** Rollback/unseal refusals, oldest first. *)
 
 val persisted : t -> (string * string) list
-(** Simulated disk (sealed checkpoint blobs), oldest first. *)
+(** Simulated disk: the newest sealed checkpoint blob, tagged
+    ["ckpt:minbft"].  A write replaces the entry under its tag. *)
 
 val tamper_counter : t -> string -> unit
 (** Fault injection: reset the named platform monotonic counter (the

@@ -1,11 +1,6 @@
-module Engine = Splitbft_sim.Engine
-module Network = Splitbft_sim.Network
-module Resource = Splitbft_sim.Resource
 module Timer = Splitbft_sim.Timer
 module Cost_model = Splitbft_tee.Cost_model
-module Platform = Splitbft_tee.Platform
 module Measurement = Splitbft_tee.Measurement
-module Sealing = Splitbft_tee.Sealing
 module Sha256 = Splitbft_crypto.Sha256
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
@@ -15,23 +10,18 @@ module Ids = Splitbft_types.Ids
 module Addr = Splitbft_types.Addr
 module Keys = Splitbft_types.Keys
 module Signature = Splitbft_crypto.Signature
-module Hmac = Splitbft_crypto.Hmac
-module Aead = Splitbft_crypto.Aead
 module State_machine = Splitbft_app.State_machine
 module Log = Splitbft_consensus.Log
 module Quorum = Splitbft_consensus.Quorum
 module Votes = Splitbft_consensus.Votes
 module Ckpt = Splitbft_consensus.Ckpt
-module Client_table = Splitbft_consensus.Client_table
 module Proofs = Splitbft_consensus.Proofs
 module Newview = Splitbft_consensus.Newview
-module Sealed_image = Splitbft_consensus.Sealed_image
 module Catchup = Splitbft_consensus.Catchup
 module View_change = Splitbft_consensus.View_change
-module Tracer = Splitbft_obs.Tracer
-module Trace_ctx = Splitbft_obs.Trace_ctx
 module Ledger_entry = Splitbft_storage.Entry
 module Feed = Splitbft_storage.Feed
+module Host = Splitbft_baseline.Host
 
 let protocol_name = "pbft"
 
@@ -95,10 +85,7 @@ type t = {
   cfg : config;
   f : int;
   quorum : int;
-  engine : Engine.t;
-  net : Network.t;
-  pool : Resource.Pool.pool;
-  core : Resource.t;
+  host : Host.t;
   keypair : Signature.keypair;
   lookup : Validation.key_lookup;
   app : State_machine.t;
@@ -112,47 +99,27 @@ type t = {
          still carry the evidence for unstable decided seqs across cascaded
          view changes — otherwise a later NewView is free to re-propose
          different content at a seq some replica already executed. *)
-  batches_by_digest : (string, Message.request list) Hashtbl.t;
-  fetching : (string, unit) Hashtbl.t;  (* batch digests requested from peers *)
+  batches_by_digest : (string, Ids.seqno * Message.request list) Hashtbl.t;
+      (* request bodies by batch digest, with the seq they were proposed at *)
+  fetching : (string, Ids.seqno) Hashtbl.t;  (* batch digests requested from peers *)
   executed_digests : (Ids.seqno, string) Hashtbl.t;
-      (* executed in this incarnation: what state transfer serves *)
+      (* executed in this incarnation: what state transfer serves.  Both
+         tables forget a seq one checkpoint interval below the stable
+         checkpoint, as Execution's bodies do. *)
   mutable history : (Ids.seqno * string) list;
       (* the oracle's record of executed batches, newest first: no protocol
          path reads it, and a restore cuts it at the restored seq *)
   ckpt : Ckpt.t;
-  mutable clients : Client_table.t;
-  mutable pending : Message.request list;  (* batch queue, newest first *)
-  mutable pending_count : int;
-  batch_timer : Timer.t;
-  awaiting : (Ids.client_id * int64, unit) Hashtbl.t;
-  suspect_timer : Timer.t;
   mutable in_view_change : bool;
   mutable vc_target : Ids.view;
   vc : View_change.t;
   vc_timer : Timer.t;
-  mutable persist_log : (string * string) list;  (* newest first *)
-  mutable crashed : bool;
-  mutable epoch : int;
-      (* incarnation counter: work queued before a crash must not run after
-         a restart, so deferred closures check the epoch they captured *)
   mutable byz : byzantine_mode;
-  mutable executed_total : int;
-  (* crash-recovery (sealed checkpoints + state transfer) *)
-  platform : Platform.t;
-  seal_key : Aead.key;
-  initial_snapshot : string;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshot at checkpoint seqs *)
   sync : Ids.seqno Catchup.t;
-  mutable recovering : bool;
-  mutable recovered_count : int;
-  mutable alerts : string list;  (* newest first *)
-  recovery_timer : Timer.t;
   (* read-only follower feed (plaintext: the baseline is not confidential) *)
-  mutable feed : Feed.t option;
+  feed : Feed.t;
   mutable feed_chain : string;
-  mutable cur_ctx : Trace_ctx.t option;
-      (* trace context of the message being handled; [send_to]/[broadcast]
-         default to it, so everything a handler emits joins its trace *)
 }
 
 (* ----- key management ----- *)
@@ -168,9 +135,6 @@ let make_lookup n =
   fun i -> if i >= 0 && i < n then Some publics.(i) else None
 
 (* ----- cost helpers ----- *)
-
-let payload_cost t payload =
-  t.cfg.cost.serialize_per_byte_us *. float_of_int (String.length payload)
 
 let verify_cost t (msg : Message.t) =
   let c = t.cfg.cost in
@@ -201,19 +165,14 @@ let core_cost t (msg : Message.t) =
 
 (* ----- verification (crypto checks, run on the pool) ----- *)
 
-let request_auth_ok (r : Message.request) ~replica =
-  Keys.check_authenticator ~protocol:protocol_name ~client:r.client ~replica
-    ~msg:(Message.request_auth_bytes r) ~auth:r.auth
-
 let verify_viewchange t =
   View_change.verify_deep ~f:t.f ~vc_lookup:t.lookup ~ckpt_lookup:t.lookup ~proof_lookup:t.lookup
 
 let verify_ok t (msg : Message.t) =
   match msg with
-  | Message.Request r -> request_auth_ok r ~replica:t.cfg.id
+  | Message.Request r -> Host.request_auth_ok t.host r
   | Message.Preprepare pp ->
-    Validation.verify_preprepare t.lookup pp
-    && List.for_all (fun r -> request_auth_ok r ~replica:t.cfg.id) pp.batch
+    Validation.verify_preprepare t.lookup pp && List.for_all (Host.request_auth_ok t.host) pp.batch
   | Message.Prepare p -> Validation.verify_prepare t.lookup p
   | Message.Commit c -> Validation.verify_commit t.lookup c
   | Message.Checkpoint ck -> Validation.verify_checkpoint t.lookup ck
@@ -236,43 +195,10 @@ let verify_ok t (msg : Message.t) =
   | Message.Read_request _ | Message.Read_reply _ ->
     false
 
-(* ----- tracing ----- *)
-
-(* Synthetic always-sampled root for replica-initiated causality (primary
-   suspicion, recovery), installed as the current context around the
-   initiating call so the cascade it triggers is traceable. *)
-let forced_ctx t ~name =
-  match Engine.tracer t.engine with
-  | None -> None
-  | Some tr ->
-    let trace = Tracer.fresh_forced_trace tr in
-    let at = Engine.now t.engine in
-    let id =
-      Tracer.open_span tr ~trace ~name ~cat:"replica.forced" ~pid:t.cfg.id
-        ~tid:"core" ~at ()
-    in
-    Tracer.finish tr id ~at;
-    Some { Trace_ctx.trace; span = id; forced = true }
-
 (* ----- sending ----- *)
 
-let send_to t ?ctx ~sign_cost dst payload =
-  let ctx = match ctx with Some _ as c -> c | None -> t.cur_ctx in
-  let payload = Trace_ctx.append ctx payload in
-  Resource.Pool.submit t.pool
-    ~cost:(sign_cost +. payload_cost t payload)
-    (fun () -> Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst payload)
-
-let broadcast t ?ctx ~sign_cost msg =
-  let ctx = match ctx with Some _ as c -> c | None -> t.cur_ctx in
-  let payload = Message.encode_traced ?ctx msg in
-  Resource.Pool.submit t.pool
-    ~cost:(sign_cost +. payload_cost t payload)
-    (fun () ->
-      for j = 0 to t.cfg.n - 1 do
-        if j <> t.cfg.id then
-          Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j) payload
-      done)
+let send t dst msg = Host.send t.host ~cost:0.0 (Addr.replica dst) (Message.encode msg)
+let broadcast t ~sign_cost msg = Host.broadcast t.host ~cost:sign_cost (Message.encode msg)
 
 (* ----- slots and watermarks ----- *)
 
@@ -302,20 +228,6 @@ let make_checkpoint t ~seq ~state_digest : Message.checkpoint =
   { ck with
     ck_sig = Signature.sign t.keypair.Signature.secret (Message.checkpoint_signing_bytes ck) }
 
-let make_reply t ~(req : Message.request) ~result : Message.reply =
-  let rp =
-    { Message.view = t.view;
-      timestamp = req.timestamp;
-      client = req.client;
-      sender = t.cfg.id;
-      result;
-      r_auth = "" }
-  in
-  let key =
-    Keys.client_replica_key ~protocol:protocol_name ~client:req.client ~replica:t.cfg.id
-  in
-  { rp with r_auth = Hmac.mac ~key (Message.reply_auth_bytes rp) }
-
 (* A coordinated byzantine pair splits the honest replicas over two
    proposals per sequence number: the real batch goes to odd-numbered
    replicas, the empty batch to even-numbered ones, and the attackers send
@@ -328,41 +240,42 @@ let send_targeted_votes t (pp : Message.preprepare) =
   let p = make_prepare t ~view:pp.view ~seq:pp.seq ~digest in
   let c = make_commit t ~view:pp.view ~seq:pp.seq ~digest in
   let odd_side = attack_side pp in
-  let payload_p = Message.encode (Message.Prepare p) in
-  let payload_c = Message.encode (Message.Commit c) in
-  Resource.Pool.submit t.pool ~cost:(2.0 *. t.cfg.cost.sign_us) (fun () ->
-      for j = 0 to t.cfg.n - 1 do
-        if j <> t.cfg.id && (j mod 2 = 1) = odd_side then begin
-          Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j) payload_p;
-          Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j) payload_c
-        end
-      done)
+  let payloads = [ Message.encode (Message.Prepare p); Message.encode (Message.Commit c) ] in
+  Host.spray t.host ~cost:(2.0 *. t.cfg.cost.sign_us) (fun j ->
+      if (j mod 2 = 1) = odd_side then payloads else [])
+
+(* ----- batching (primary) ----- *)
+
+let propose t batch =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let pp = make_preprepare t ~seq batch in
+  let s = slot t seq in
+  s.proposal <- Some (Message.summarize pp);
+  s.batch <- Some batch;
+  Hashtbl.replace t.batches_by_digest (Message.digest_of_batch batch) (seq, batch);
+  match t.byz with
+  | Equivocate { accomplices } ->
+    (* Conflicting proposals: half the backups see a different (valid!)
+       batch — the empty no-op batch, whose vacuous client authenticators
+       honest replicas accept — accomplices see both, and the equivocator
+       votes for both. *)
+    let pp_b = make_preprepare t ~seq [] in
+    let a = Message.encode (Message.Preprepare pp) in
+    let b = Message.encode (Message.Preprepare pp_b) in
+    Host.spray t.host ~cost:(2.0 *. t.cfg.cost.sign_us) (fun j ->
+        if List.mem j accomplices then [ a; b ] else [ (if j mod 2 = 1 then a else b) ]);
+    List.iter (send_targeted_votes t) [ pp; pp_b ]
+  | Honest | Collude | Mute_commits | Corrupt_execution ->
+    broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Preprepare pp)
 
 (* ----- execution ----- *)
 
-(* The request timer tracks the oldest pending request: it is (re)armed on
-   progress, so a loaded-but-progressing replica never suspects its
-   primary. *)
-let refresh_suspect_timer t =
-  if Hashtbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
-  else Timer.restart t.suspect_timer
-
 let finish_recovery t =
-  if t.recovering && Catchup.caught_up t.sync t.last_executed then begin
-    t.recovering <- false;
-    t.recovered_count <- t.recovered_count + 1;
+  if Host.is_recovering t.host && Catchup.caught_up t.sync t.last_executed then begin
     Catchup.reset t.sync;
-    Timer.stop t.recovery_timer
+    Host.end_recovery t.host
   end
-
-(* Enters state transfer, or re-asks in it, from the first slot not yet
-   executed. *)
-let request_state t =
-  t.cur_ctx <- forced_ctx t ~name:"recovery";
-  broadcast t ~sign_cost:0.0
-    (Message.State_request { sr_requester = t.cfg.id; sr_from = t.last_executed + 1 });
-  t.cur_ctx <- None;
-  Timer.restart t.recovery_timer
 
 let send_checkpoint_if_due t seq =
   if seq mod t.cfg.checkpoint_interval = 0 then begin
@@ -375,18 +288,13 @@ let send_checkpoint_if_due t seq =
     broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Checkpoint ck);
     Ckpt.store t.ckpt ck;
     (* The baseline gets the SplitBFT compartments' rollback defense, for
-       comparison rows; its blob is on disk before the seal returns. *)
-    let sealed =
-      Sealed_image.seal
-        ~counter:(Platform.counter_increment t.platform "ckpt")
-        ~seal:(Sealing.seal ~key:t.seal_key ~rng:(Platform.rng t.platform))
-        (fun w t ->
-          W.varint w t.view;
-          W.varint w t.last_executed;
-          W.bytes w snapshot)
-        t
-    in
-    t.persist_log <- ("ckpt:pbft", sealed) :: t.persist_log
+       comparison rows. *)
+    Host.seal_checkpoint t.host
+      (fun w t ->
+        W.varint w t.view;
+        W.varint w t.last_executed;
+        W.bytes w snapshot)
+      t
   end
 
 let drop_prepared_certs t ~upto =
@@ -401,12 +309,12 @@ let resolve_batch t (s : slot) =
       s.batch <- Some []
     | Some pd -> (
       match Hashtbl.find_opt t.batches_by_digest pd.pd_digest with
-      | Some batch -> s.batch <- Some batch
+      | Some (_, batch) -> s.batch <- Some batch
       | None ->
         (* Committed a digest without the request bodies (possible after a
            view change): fetch them, content-addressed, from peers. *)
         if not (Hashtbl.mem t.fetching pd.pd_digest) then begin
-          Hashtbl.replace t.fetching pd.pd_digest ();
+          Hashtbl.replace t.fetching pd.pd_digest pd.pd_seq;
           broadcast t ~sign_cost:0.0
             (Message.Batch_fetch { bf_digest = pd.pd_digest; bf_requester = t.cfg.id })
         end)
@@ -424,61 +332,32 @@ let rec try_execute t =
       t.last_executed <- seq;
       Hashtbl.replace t.executed_digests seq pd.pd_digest;
       t.history <- (seq, pd.pd_digest) :: t.history;
-      let c = t.cfg.cost in
-      let replies = ref [] in
       let applied_ops = ref [] in
+      let replies =
+        Host.execute t.host ~view:t.view batch ~result:(fun req ->
+            match t.byz with
+            | Corrupt_execution -> "CORRUPT"
+            | Honest | Equivocate _ | Collude | Mute_commits ->
+              applied_ops := req.payload :: !applied_ops;
+              t.app.apply req.payload)
+      in
+      let e =
+        { Ledger_entry.seq;
+          digest = pd.pd_digest;
+          ops = Ledger_entry.encode_ops (List.rev !applied_ops) }
+      in
+      t.feed_chain <- Ledger_entry.next_chain ~prev:t.feed_chain e;
+      Feed.publish t.feed (Ledger_entry.encode_record ~chain:t.feed_chain e);
       List.iter
-        (fun (req : Message.request) ->
-          Hashtbl.remove t.awaiting (req.client, req.timestamp);
-          if not (Client_table.executed t.clients req.client req.timestamp) then begin
-            let result =
-              match t.byz with
-              | Corrupt_execution -> "CORRUPT"
-              | Honest | Equivocate _ | Collude | Mute_commits ->
-                applied_ops := req.payload :: !applied_ops;
-                t.app.apply req.payload
-            in
-            let reply = make_reply t ~req ~result in
-            Client_table.record t.clients req.client req.timestamp (Some reply);
-            replies := reply :: !replies;
-            t.executed_total <- t.executed_total + 1
-          end)
-        batch;
-      (match t.feed with
-      | None -> ()
-      | Some fd ->
-        let e =
-          { Ledger_entry.seq;
-            digest = pd.pd_digest;
-            ops = Ledger_entry.encode_ops (List.rev !applied_ops) }
-        in
-        t.feed_chain <- Ledger_entry.next_chain ~prev:t.feed_chain e;
-        Feed.publish fd (Ledger_entry.encode_record ~chain:t.feed_chain e));
-      List.iter
-        (fun (State_machine.Persist { tag; data }) ->
-          t.persist_log <- (tag, data) :: t.persist_log)
+        (fun (State_machine.Persist { tag; data }) -> Host.persist t.host tag data)
         (t.app.drain_effects ());
-      refresh_suspect_timer t;
       (* Execution occupies the serial core; replies go out through the
          pool afterwards (authentication is parallelized). *)
-      let exec_cost =
-        c.exec_op_us *. float_of_int (List.length batch)
-        +.
-        match t.app.app_name with
-        | "ledger" -> c.ledger_block_us *. float_of_int (List.length batch) /. 5.0
-        | _ -> 0.0
-      in
-      let outgoing = List.rev !replies in
-      (* The closure runs after the handler returns; pin its trace context
-         now so replies still join the committing message's trace. *)
-      let ctx = t.cur_ctx in
-      Resource.submit t.core ~cost:exec_cost (fun () ->
-          List.iter
-            (fun (reply : Message.reply) ->
-              send_to t ?ctx ~sign_cost:c.reply_auth_us
-                (Addr.client reply.client)
-                (Message.encode (Message.Reply reply)))
-            outgoing);
+      let c = t.cfg.cost and ops = float_of_int (List.length batch) in
+      Host.send_replies t.host replies
+        ~cost:
+          (c.exec_op_us *. ops
+          +. match t.app.app_name with "ledger" -> c.ledger_block_us *. ops /. 5.0 | _ -> 0.0);
       send_checkpoint_if_due t seq;
       check_checkpoint_stability t seq;
       try_execute t)
@@ -492,68 +371,24 @@ and check_checkpoint_stability t seq =
       Log.advance_low_mark t.slots stable;
       Log.prune t.slots ~upto:stable;
       drop_prepared_certs t ~upto:stable;
-      Hashtbl.iter
-        (fun s _ -> if s < stable then Hashtbl.remove t.snapshots s)
-        (Hashtbl.copy t.snapshots);
+      Hashtbl.filter_map_inplace (fun s snap -> if s < stable then None else Some snap) t.snapshots;
+      (* Bodies and digests outlive their slot by one checkpoint interval,
+         so a laggard's Batch_fetch and a digest-only NewView re-proposal
+         are still served; a replica a whole interval behind catches up
+         from the stable snapshot. *)
+      let cut = stable - t.cfg.checkpoint_interval in
+      Hashtbl.filter_map_inplace
+        (fun _ ((s, _) as body) -> if s <= cut then None else Some body)
+        t.batches_by_digest;
+      Hashtbl.filter_map_inplace (fun s d -> if s <= cut then None else Some d) t.executed_digests;
       flush_batch_if_ready t)
 
 (* ----- batching (primary) ----- *)
 
 and flush_batch_if_ready t =
-  if is_primary t && (not t.in_view_change) && t.pending_count > 0 then begin
-    let seq = t.next_seq in
-    if in_window t seq then begin
-      let take = min t.cfg.batch_size t.pending_count in
-      let all = List.rev t.pending in
-      let rec split i acc rest =
-        if i = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (i - 1) (x :: acc) tl
-      in
-      let batch, remaining = split take [] all in
-      t.pending <- List.rev remaining;
-      t.pending_count <- t.pending_count - take;
-      t.next_seq <- seq + 1;
-      let pp = make_preprepare t ~seq batch in
-      let s = slot t seq in
-      s.proposal <- Some (Message.summarize pp);
-      s.batch <- Some batch;
-      Hashtbl.replace t.batches_by_digest (Message.digest_of_batch batch) batch;
-      (match t.byz with
-      | Equivocate { accomplices } ->
-        (* Conflicting proposals: half the backups see a different (valid!)
-           batch — the empty no-op batch, whose vacuous client authenticators
-           honest replicas accept — accomplices see both, and the
-           equivocator votes for both. *)
-        let pp_b = make_preprepare t ~seq [] in
-        let payload_a = Message.encode (Message.Preprepare pp) in
-        let payload_b = Message.encode (Message.Preprepare pp_b) in
-        Resource.Pool.submit t.pool
-          ~cost:(2.0 *. t.cfg.cost.sign_us)
-          (fun () ->
-            for j = 0 to t.cfg.n - 1 do
-              if j <> t.cfg.id then begin
-                if List.mem j accomplices then begin
-                  Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j)
-                    payload_a;
-                  Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j)
-                    payload_b
-                end
-                else
-                  Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.replica j)
-                    (if j mod 2 = 1 then payload_a else payload_b)
-              end
-            done);
-        List.iter (send_targeted_votes t) [ pp; pp_b ]
-      | Honest | Collude | Mute_commits | Corrupt_execution ->
-        broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Preprepare pp));
-      if t.pending_count >= t.cfg.batch_size then flush_batch_if_ready t
-      else if t.pending_count > 0 then Timer.start t.batch_timer
-      else Timer.stop t.batch_timer
-    end
-  end
+  Host.propose_batches t.host
+    ~ready:(fun () -> is_primary t && (not t.in_view_change) && in_window t t.next_seq)
+    ~propose:(propose t)
 
 (* ----- prepare / commit progress ----- *)
 
@@ -600,30 +435,6 @@ and try_mark_committed t seq =
 
 (* ----- normal-operation handlers ----- *)
 
-let resend_cached_reply t (r : Message.request) =
-  match Client_table.cached_reply t.clients r.client r.timestamp with
-  | Some reply ->
-    send_to t ~sign_cost:t.cfg.cost.reply_auth_us (Addr.client r.client)
-      (Message.encode (Message.Reply reply))
-  | None -> ()
-
-let on_request t (r : Message.request) =
-  if Client_table.executed t.clients r.client r.timestamp then resend_cached_reply t r
-  else begin
-    Hashtbl.replace t.awaiting (r.client, r.timestamp) ();
-    refresh_suspect_timer t;
-    if is_primary t && not t.in_view_change then begin
-      (* Drop duplicates already queued or assigned a sequence number. *)
-      if not (Client_table.already_assigned t.clients r.client r.timestamp) then begin
-        Client_table.note_assigned t.clients r.client r.timestamp;
-        t.pending <- r :: t.pending;
-        t.pending_count <- t.pending_count + 1;
-        if t.pending_count >= t.cfg.batch_size then flush_batch_if_ready t
-        else Timer.start t.batch_timer
-      end
-    end
-  end
-
 let on_preprepare t (pp : Message.preprepare) =
   if t.byz = Collude then
     (* The accomplice votes for everything it sees, each version only to
@@ -646,13 +457,9 @@ let on_preprepare t (pp : Message.preprepare) =
     | None ->
       s.proposal <- Some (Message.summarize pp);
       s.batch <- Some pp.batch;
-      Hashtbl.replace t.batches_by_digest digest pp.batch;
-      List.iter
-        (fun (r : Message.request) ->
-          if not (Client_table.executed t.clients r.client r.timestamp) then
-            Hashtbl.replace t.awaiting (r.client, r.timestamp) ())
-        pp.batch;
-      refresh_suspect_timer t;
+      Hashtbl.replace t.batches_by_digest digest (pp.seq, pp.batch);
+      List.iter (fun r -> if not (Host.executed t.host r) then Host.await t.host r) pp.batch;
+      Host.refresh_suspect_timer t.host;
       if not s.own_prepare_sent then begin
         s.own_prepare_sent <- true;
         let p = make_prepare t ~view:t.view ~seq:pp.seq ~digest in
@@ -706,22 +513,13 @@ let enter_view t ~view ~min_s ~max_s (pps : Message.preprepare_digest list) ~as_
      client retransmissions to be ordered again (execution deduplicates by
      timestamp, so re-ordering cannot double-execute).  Requests still
      queued or re-issued by the NewView stay deduplicated. *)
-  Client_table.reset_assignments t.clients;
-  List.iter
-    (fun (r : Message.request) -> Client_table.note_assigned t.clients r.client r.timestamp)
-    t.pending;
+  Host.reset_assignments t.host;
   List.iter
     (fun (pd : Message.preprepare_digest) ->
       let s = slot t pd.pd_seq in
       s.proposal <- Some pd;
       resolve_batch t s;
-      (match s.batch with
-      | Some batch ->
-        List.iter
-          (fun (r : Message.request) ->
-            Client_table.note_assigned t.clients r.client r.timestamp)
-          batch
-      | None -> ());
+      Option.iter (List.iter (Host.note_assigned t.host)) s.batch;
       if pd.pd_seq <= t.last_executed then begin
         s.executed <- true;
         s.committed <- true
@@ -733,7 +531,7 @@ let enter_view t ~view ~min_s ~max_s (pps : Message.preprepare_digest list) ~as_
         broadcast t ~sign_cost:t.cfg.cost.sign_us (Message.Prepare p)
       end)
     pps;
-  refresh_suspect_timer t;
+  Host.refresh_suspect_timer t.host;
   flush_batch_if_ready t
 
 let rec start_view_change t ~target =
@@ -741,8 +539,7 @@ let rec start_view_change t ~target =
     t.in_view_change <- true;
     t.vc_target <- target;
     t.view <- target;
-    Timer.stop t.batch_timer;
-    Timer.stop t.suspect_timer;
+    Host.pause t.host;
     Timer.restart t.vc_timer;
     let vc =
       View_change.make ~new_view:target ~last_stable:(Log.low_mark t.slots)
@@ -794,36 +591,33 @@ let on_newview t (nv : Message.newview) =
 
 let on_batch_fetch t (bf : Message.batch_fetch) =
   match Hashtbl.find_opt t.batches_by_digest bf.bf_digest with
-  | Some batch when bf.bf_requester <> t.cfg.id ->
-    send_to t ~sign_cost:0.0 (Addr.replica bf.bf_requester)
-      (Message.encode (Message.Batch_data { bd_batch = batch }))
+  | Some (_, batch) when bf.bf_requester <> t.cfg.id ->
+    send t bf.bf_requester (Message.Batch_data { bd_batch = batch })
   | Some _ | None -> ()
 
 let on_batch_data t (bd : Message.batch_data) =
   let digest = Message.digest_of_batch bd.bd_batch in
-  if Hashtbl.mem t.fetching digest then begin
+  match Hashtbl.find_opt t.fetching digest with
+  | Some seq ->
     Hashtbl.remove t.fetching digest;
-    Hashtbl.replace t.batches_by_digest digest bd.bd_batch;
+    Hashtbl.replace t.batches_by_digest digest (seq, bd.bd_batch);
     try_execute t
-  end
+  | None -> ()
 
 (* ----- state transfer ----- *)
 
 let on_state_request t (sr : Message.state_request) =
-  if sr.sr_requester <> t.cfg.id && not t.recovering then
-    send_to t ~sign_cost:0.0
-      (Addr.replica sr.sr_requester)
-      (Message.encode
-         (Message.State_reply
-            (Catchup.serve sr ~replier:t.cfg.id ~view:t.view ~ckpt:t.ckpt
-               ~snapshot:(fun stable ->
-                 Option.value ~default:"" (Hashtbl.find_opt t.snapshots stable))
-               ~upto:t.last_executed
-               ~decided:(Hashtbl.find_opt t.executed_digests)
-               ~body:(Hashtbl.find_opt t.batches_by_digest))))
+  if sr.sr_requester <> t.cfg.id && not (Host.is_recovering t.host) then
+    send t sr.sr_requester
+      (Message.State_reply
+         (Catchup.serve sr ~replier:t.cfg.id ~view:t.view ~ckpt:t.ckpt
+            ~snapshot:(fun stable -> Option.value ~default:"" (Hashtbl.find_opt t.snapshots stable))
+            ~upto:t.last_executed
+            ~decided:(Hashtbl.find_opt t.executed_digests)
+            ~body:(fun d -> Option.map snd (Hashtbl.find_opt t.batches_by_digest d))))
 
 let on_state_reply t (sr : Message.state_reply) =
-  if t.recovering && sr.st_requester = t.cfg.id && sr.st_replier <> t.cfg.id then begin
+  if Host.is_recovering t.host && sr.st_requester = t.cfg.id && sr.st_replier <> t.cfg.id then begin
     (* Certified snapshot: install only if it moves us forward and matches
        its checkpoint-quorum certificate. *)
     (match
@@ -854,7 +648,7 @@ let on_state_reply t (sr : Message.state_reply) =
               pd_sender = Ids.primary_of_view ~n:t.cfg.n sr.st_view;
               pd_sig = "" };
         s.batch <- Some e.se_batch;
-        Hashtbl.replace t.batches_by_digest e.se_digest e.se_batch;
+        Hashtbl.replace t.batches_by_digest e.se_digest (e.se_seq, e.se_batch);
         s.committed <- true);
     (* Adopt the vouched view so current-view traffic is not discarded
        after the catch-up. *)
@@ -870,13 +664,11 @@ let on_state_reply t (sr : Message.state_reply) =
 (* Host-level, off the consensus path: the feed serves already-committed
    entries, so a subscription touches no protocol state. *)
 let on_ledger_subscribe t (ls : Message.ledger_subscribe) =
-  match t.feed with
-  | Some fd -> Feed.subscribe fd ~follower:ls.lsu_follower ~from:ls.lsu_from
-  | None -> ()
+  Feed.subscribe t.feed ~follower:ls.lsu_follower ~from:ls.lsu_from
 
-let handle t ~src:_ (msg : Message.t) =
+let handle t (msg : Message.t) =
   match msg with
-  | Message.Request r -> on_request t r
+  | Message.Request r -> Host.on_request t.host ~proposer:(is_primary t && not t.in_view_change) r
   | Message.Preprepare pp -> on_preprepare t pp
   | Message.Preprepare_digest _ -> ()
   | Message.Prepare p -> on_prepare t p
@@ -894,46 +686,12 @@ let handle t ~src:_ (msg : Message.t) =
   | Message.Read_request _ | Message.Read_reply _ ->
     ()
 
-let on_payload t ~src payload =
-  if not t.crashed then begin
-    match Message.decode_traced payload with
-    | Error _ -> ()
-    | Ok (msg, ctx) ->
-      let epoch = t.epoch in
-      let vcost = verify_cost t msg +. payload_cost t payload in
-      let received = Engine.now t.engine in
-      Resource.Pool.submit t.pool ~cost:vcost (fun () ->
-          if t.epoch = epoch && verify_ok t msg then
-            Resource.submit t.core ~cost:(core_cost t msg) (fun () ->
-                if t.epoch = epoch && not t.crashed then begin
-                  (* The handling span covers verification (started when
-                     the payload arrived) through the handler, with the
-                     monolithic replica's cost split the same way the
-                     enclave spans split theirs. *)
-                  let sp =
-                    match (Engine.tracer t.engine, ctx) with
-                    | Some tr, Some { Trace_ctx.trace; span; forced } ->
-                      let id =
-                        Tracer.open_span tr ~parent:span ~trace
-                          ~name:(protocol_name ^ ":" ^ Message.type_name msg)
-                          ~cat:"replica" ~pid:t.cfg.id ~tid:"core" ~at:received ()
-                      in
-                      Tracer.add_arg tr id "crypto_us" (verify_cost t msg);
-                      Tracer.add_arg tr id "serialize_us" (payload_cost t payload);
-                      Tracer.add_arg tr id "core_us" (core_cost t msg);
-                      t.cur_ctx <- Some { Trace_ctx.trace; span = id; forced };
-                      Some (tr, id)
-                    | _ ->
-                      t.cur_ctx <- ctx;
-                      None
-                  in
-                  handle t ~src msg;
-                  t.cur_ctx <- None;
-                  match sp with
-                  | Some (tr, id) -> Tracer.finish tr id ~at:(Engine.now t.engine)
-                  | None -> ()
-                end))
-  end
+let on_payload t payload =
+  match Message.decode_traced payload with
+  | Error _ -> ()
+  | Ok (msg, ctx) ->
+    Host.admit t.host payload ~ctx ~name:(Message.type_name msg) ~crypto:(verify_cost t msg)
+      ~core:(core_cost t msg) ~verify:(fun () -> verify_ok t msg) (fun () -> handle t msg)
 
 (* ----- construction ----- *)
 
@@ -946,19 +704,26 @@ let create engine net cfg ~app =
   let keypair =
     Signature.derive ~seed:(Keys.replica_signing_seed ~protocol:protocol_name cfg.id)
   in
-  let platform = Platform.create engine ~id:cfg.id in
   let rec t =
     lazy
       { cfg;
         f = Ids.f_of_n cfg.n;
         quorum = Ids.quorum ~n:cfg.n;
-        engine;
-        net;
-        pool =
-          Resource.Pool.create engine
-            ~name:(Printf.sprintf "pbft%d-pool" cfg.id)
-            ~workers:cfg.workers;
-        core = Resource.create engine ~name:(Printf.sprintf "pbft%d-core" cfg.id);
+        host =
+          Host.create engine net ~protocol:protocol_name ~n:cfg.n ~id:cfg.id ~cost:cfg.cost
+            ~workers:cfg.workers ~batch_size:cfg.batch_size
+            ~batch_timeout_us:cfg.batch_timeout_us ~suspect_timeout_us:cfg.suspect_timeout_us
+            ~recovery_retry_us:cfg.recovery_retry_us ~measurement ~app
+            ~receive:(fun payload -> on_payload (Lazy.force t) payload)
+            ~flush:(fun () -> flush_batch_if_ready (Lazy.force t))
+            ~suspect:(fun () ->
+              let t = Lazy.force t in
+              start_view_change t ~target:(t.view + 1))
+            ~state_request:(fun () ->
+              (* from the first slot not yet executed *)
+              let t = Lazy.force t in
+              Message.encode
+                (Message.State_request { sr_requester = cfg.id; sr_from = t.last_executed + 1 }));
         keypair;
         lookup = make_lookup cfg.n;
         app;
@@ -972,25 +737,6 @@ let create engine net cfg ~app =
         executed_digests = Hashtbl.create 1024;
         history = [];
         ckpt = Ckpt.create ~quorum:(Ids.quorum ~n:cfg.n);
-        clients = Client_table.create ();
-        pending = [];
-        pending_count = 0;
-        batch_timer =
-          Timer.create engine
-            ~label:(Printf.sprintf "pbft%d-batch" cfg.id)
-            ~delay:cfg.batch_timeout_us
-            ~callback:(fun () -> flush_batch_if_ready (Lazy.force t));
-        awaiting = Hashtbl.create 64;
-        suspect_timer =
-          Timer.create engine
-            ~label:(Printf.sprintf "pbft%d-suspect" cfg.id)
-            ~delay:cfg.suspect_timeout_us
-            ~callback:
-              (fun () ->
-              let t = Lazy.force t in
-              t.cur_ctx <- forced_ctx t ~name:"suspect";
-              start_view_change t ~target:(t.view + 1);
-              t.cur_ctx <- None);
         in_view_change = false;
         vc_target = 0;
         vc = View_change.create ();
@@ -1001,40 +747,15 @@ let create engine net cfg ~app =
             ~callback:
               (fun () ->
               let t = Lazy.force t in
-              t.cur_ctx <- forced_ctx t ~name:"viewchange-timeout";
-              start_view_change t ~target:(t.vc_target + 1);
-              t.cur_ctx <- None);
-        persist_log = [];
-        crashed = false;
-        epoch = 0;
+              Host.forced t.host ~name:"viewchange-timeout" (fun () ->
+                  start_view_change t ~target:(t.vc_target + 1)));
         byz = Honest;
-        executed_total = 0;
-        platform;
-        seal_key = Aead.prepare (Platform.sealing_key platform measurement);
-        initial_snapshot = app.State_machine.snapshot ();
         snapshots = Hashtbl.create 4;
         sync = Catchup.create ~f:(Ids.f_of_n cfg.n) ~compare:Int.compare;
-        recovering = false;
-        recovered_count = 0;
-        alerts = [];
-        feed = None;
-        feed_chain = "";
-        recovery_timer =
-          Timer.create engine
-            ~label:(Printf.sprintf "pbft%d-recovery" cfg.id)
-            ~delay:cfg.recovery_retry_us
-            ~callback:
-              (fun () ->
-              let t = Lazy.force t in
-              (* Re-request: commits in flight during the crash are gone,
-                 so a single round can leave a gap below the cluster head. *)
-              if t.recovering && not t.crashed then request_state t);
-        cur_ctx = None }
+        feed = Feed.create ~net ~src:(Addr.replica cfg.id) ~replica:cfg.id;
+        feed_chain = "" }
   in
-  let t = Lazy.force t in
-  t.feed <- Some (Feed.create ~net ~src:(Addr.replica cfg.id) ~replica:cfg.id);
-  Network.register net (Addr.replica cfg.id) (fun ~src payload -> on_payload t ~src payload);
-  t
+  Lazy.force t
 
 (* ----- introspection ----- *)
 
@@ -1043,102 +764,59 @@ let view t = t.view
 let last_executed t = t.last_executed
 let low_watermark t = Log.low_mark t.slots
 let viewchange_tallies t = View_change.tallied_views t.vc
-let executed_count t = t.executed_total
-
+let executed_count t = Host.executed_count t.host
 let executed_log t = List.rev t.history
-
-let app_digest t = State_machine.digest t.app
-let persisted t = List.rev t.persist_log
+let app_digest t = Host.app_digest t.host
+let persisted t = Host.persisted t.host
 
 let crash t =
-  t.crashed <- true;
-  (* Quiesce: invalidate in-flight pool/core work and drop queued
-     host-side state so a later restart observes no ghost callbacks.
-     [persist_log] survives — it is the disk recovery reads from. *)
-  t.epoch <- t.epoch + 1;
-  Timer.stop t.batch_timer;
-  Timer.stop t.suspect_timer;
-  Timer.stop t.vc_timer;
-  Timer.stop t.recovery_timer;
-  t.pending <- [];
-  t.pending_count <- 0;
-  Hashtbl.reset t.awaiting;
-  t.recovering <- false;
-  Network.unregister t.net (Addr.replica t.cfg.id)
+  Host.crash t.host;
+  Timer.stop t.vc_timer
 
 let restart t =
-  if t.crashed then begin
-    (* Volatile state did not survive the crash. *)
-    t.view <- 0;
-    t.next_seq <- 1;
-    t.last_executed <- 0;
-    Log.reset t.slots;
-    (* Certificate amnesia after a crash is within the f allowance. *)
-    Hashtbl.reset t.prepared_certs;
-    Hashtbl.reset t.batches_by_digest;
-    Hashtbl.reset t.fetching;
-    Hashtbl.reset t.executed_digests;
-    let prior = t.history in
-    t.history <- [];
-    Hashtbl.reset t.snapshots;
-    t.in_view_change <- false;
-    t.vc_target <- 0;
-    View_change.reset t.vc;
-    Catchup.reset t.sync;
-    (* The reply cache must not survive either: stale "already executed"
-       entries would make re-execution skip operations and diverge. *)
-    t.clients <- Client_table.create ();
-    (match t.app.State_machine.restore t.initial_snapshot with
-    | Ok () -> ignore (t.app.State_machine.drain_effects ())
-    | Error _ -> ());
-    let refused =
-      match
-        Sealed_image.check ~who:"pbft" ~slack:0
-          ~counter:(Platform.counter_read t.platform "ckpt")
-          ~unseal:(Sealing.unseal ~key:t.seal_key)
-          (List.assoc_opt "ckpt:pbft" t.persist_log)
-          (fun r ->
-            let view = R.varint r in
-            let last_executed = R.varint r in
-            (view, last_executed, R.bytes r))
-      with
-      | Sealed_image.Fresh -> None
-      | Refused reason -> Some reason
-      | Restored (view, last_executed, snapshot) -> (
-        match t.app.State_machine.restore snapshot with
-        | Error e -> Some ("pbft: sealed snapshot rejected: " ^ e)
-        | Ok () ->
-          ignore (t.app.State_machine.drain_effects ());
-          t.view <- view;
-          t.next_seq <- last_executed + 1;
-          t.last_executed <- last_executed;
-          t.history <- List.filter (fun (seq, _) -> seq <= last_executed) prior;
-          Hashtbl.replace t.snapshots last_executed snapshot;
-          Ckpt.force_stable t.ckpt last_executed;
-          Log.advance_low_mark t.slots last_executed;
-          None)
-    in
-    match refused with
-    | Some reason -> t.alerts <- reason :: t.alerts  (* stay down, loudly *)
-    | None ->
+  let prior = t.history in
+  Host.restart t.host
+    ~wipe:(fun () ->
+      (* Volatile state did not survive the crash. *)
+      t.view <- 0;
+      t.next_seq <- 1;
+      t.last_executed <- 0;
+      Log.reset t.slots;
+      (* Certificate amnesia after a crash is within the f allowance. *)
+      Hashtbl.reset t.prepared_certs;
+      Hashtbl.reset t.batches_by_digest;
+      Hashtbl.reset t.fetching;
+      Hashtbl.reset t.executed_digests;
+      t.history <- [];
+      Hashtbl.reset t.snapshots;
+      t.in_view_change <- false;
+      t.vc_target <- 0;
+      View_change.reset t.vc;
+      Catchup.reset t.sync;
       (* Feed cache and subscriptions were host memory: gone with the
-         crash.  Followers re-subscribe on their timer; re-executed
-         entries re-populate the cache (content-identical, since
-         execution is deterministic). *)
-      (match t.feed with Some fd -> Feed.reset fd ~records:[] | None -> ());
-      t.feed_chain <- "";
-      t.crashed <- false;
-      t.epoch <- t.epoch + 1;
-      t.recovering <- true;
-      Network.register t.net (Addr.replica t.cfg.id) (fun ~src payload ->
-          on_payload t ~src payload);
-      request_state t
-  end
+         crash.  Followers re-subscribe on their timer; re-executed entries
+         re-populate the cache (content-identical, since execution is
+         deterministic). *)
+      Feed.reset t.feed ~records:[];
+      t.feed_chain <- "")
+    ~read:(fun r ->
+      let view = R.varint r in
+      let last_executed = R.varint r in
+      ((view, last_executed), R.bytes r))
+    ~restore:(fun (view, last_executed) snapshot ->
+      t.view <- view;
+      t.next_seq <- last_executed + 1;
+      t.last_executed <- last_executed;
+      t.history <- List.filter (fun (seq, _) -> seq <= last_executed) prior;
+      Hashtbl.replace t.snapshots last_executed snapshot;
+      Ckpt.force_stable t.ckpt last_executed;
+      Log.advance_low_mark t.slots last_executed)
 
-let is_crashed t = t.crashed
-let is_recovering t = t.recovering
-let recovered t = t.recovered_count > 0 && not t.recovering
-let recovery_alerts t = List.rev t.alerts
-let tamper_counter t name = Platform.counter_tamper_reset t.platform name
+let is_crashed t = Host.is_crashed t.host
+let is_recovering t = Host.is_recovering t.host
+let recovered t = Host.recovered t.host
+let recovery_alerts t = Host.recovery_alerts t.host
+let tamper_counter t name = Host.tamper_counter t.host name
 let set_byzantine t mode = t.byz <- mode
 let byzantine_mode t = t.byz
+let retained t = (Hashtbl.length t.executed_digests, Hashtbl.length t.batches_by_digest)

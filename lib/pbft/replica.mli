@@ -62,9 +62,16 @@ val executed_log : t -> (Ids.seqno * string) list
     a restore cuts it at the restored seq. *)
 
 val app_digest : t -> string
+
 val persisted : t -> (string * string) list
-(** Persist side effects emitted by the application (ledger blocks),
-    oldest first. *)
+(** The disk, oldest write first: the newest sealed checkpoint (tag
+    ["ckpt:pbft"]) and the application's persist side effects (ledger
+    blocks, one tag each).  A write replaces the entry under its tag. *)
+
+val retained : t -> int * int
+(** (executed digests, request bodies) held for state transfer and batch
+    fetches.  Both are cut one checkpoint interval below the stable
+    checkpoint, so neither grows with the run. *)
 
 val crash : t -> unit
 (** Host crash: unregisters from the network, stops all timers, and drops

@@ -152,7 +152,7 @@ let test_faulty_tee_breaks_safety () =
   let honest = [ List.nth c.replicas 1; List.nth c.replicas 2 ] in
   checkb "single compromised USIG diverges the honest backups" false (agreement honest)
 
-(* Replica [r]'s sealed checkpoint images, oldest first, unsealed with the
+(* Replica [r]'s sealed checkpoint images on its disk, unsealed with the
    key the replica derives from its platform. *)
 let images r =
   let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:(Replica.id r) in
@@ -173,15 +173,23 @@ let images r =
 
 (* The image holds the view, the exec index, the last executed counter and
    the snapshot: nothing that grows with the executed history follows the
-   snapshot. *)
+   snapshot.  The disk keeps only the newest image, so each one is taken
+   as it is written: every send samples every replica's disk. *)
 let test_image_is_flat () =
   let c = make ~checkpoint_interval:8 () in
+  let seen = Array.make (List.length c.replicas) [] in
+  Network.add_tap c.net (fun ~src:_ ~dst:_ _ ->
+      List.iteri
+        (fun i r ->
+          List.iter
+            (fun image -> if not (List.mem image seen.(i)) then seen.(i) <- image :: seen.(i))
+            (images r))
+        c.replicas);
   let completed, _ = drive c ~ops:200 in
   checki "served" 200 completed;
-  List.iter
-    (fun r ->
-      let all = images r in
-      checkb "checkpointed through the run" true (List.length all >= 20);
+  List.iteri
+    (fun i r ->
+      checkb "checkpointed through the run" true (List.length seen.(i) >= 20);
       List.iter
         (fun image ->
           let r = Splitbft_codec.Reader.of_string image in
@@ -191,7 +199,11 @@ let test_image_is_flat () =
           ignore (Splitbft_codec.Reader.u64 r);
           ignore (Splitbft_codec.Reader.bytes r);
           checki "bytes after the snapshot" 0 (Splitbft_codec.Reader.remaining r))
-        all)
+        seen.(i);
+      let tags = List.map fst (Replica.persisted r) in
+      checki "one image per tag" (List.length (List.sort_uniq String.compare tags))
+        (List.length tags);
+      checki "one checkpoint image" 1 (List.length (images r)))
     c.replicas
 
 (* Pins the sealed checkpoint bytes: replica 0's first image of a fixed

@@ -160,48 +160,7 @@ let test_lossy_network_retransmission () =
   checki "no wrong" 0 wrong;
   checkb "agreement" true (agreement c.replicas)
 
-let test_duplicate_requests_execute_once () =
-  let c = make () in
-  let completed, _ = drive c ~ops:10 in
-  checki "completed" 10 completed;
-  let before = Replica.executed_count (List.hd c.replicas) in
-  (* Replay the latest request verbatim from the client's address: the
-     replicas must answer from the reply cache without re-executing. *)
-  let replayed =
-    let r =
-      { Splitbft_types.Message.client = 0; timestamp = 10L;
-        payload = Kvs.encode_op (Kvs.Put ("k10", "v")); auth = "" }
-    in
-    { r with
-      Splitbft_types.Message.auth =
-        Splitbft_types.Keys.make_authenticator ~protocol:"pbft" ~client:0 ~n:4
-          (Splitbft_types.Message.request_auth_bytes r) }
-  in
-  let replies = ref 0 in
-  Network.register c.net (Splitbft_types.Addr.client 0) (fun ~src:_ payload ->
-      match Splitbft_types.Message.decode payload with
-      | Ok (Splitbft_types.Message.Reply rp)
-        when Int64.equal rp.Splitbft_types.Message.timestamp 10L ->
-        incr replies
-      | _ -> ());
-  for j = 0 to 3 do
-    Network.send c.net
-      ~src:(Splitbft_types.Addr.client 0)
-      ~dst:(Splitbft_types.Addr.replica j)
-      (Splitbft_types.Message.encode (Splitbft_types.Message.Request replayed))
-  done;
-  Engine.run ~until:8_000_000.0 c.engine;
-  checkb "cached replies resent" true (!replies >= 2);
-  checki "nothing re-executed" before (Replica.executed_count (List.hd c.replicas))
-
-let test_pipelined_client_windows () =
-  let c = make ~batch_size:20 () in
-  let completed, wrong = drive ~window:25 c ~ops:100 in
-  checki "pipelined completes" 100 completed;
-  checki "no wrong" 0 wrong;
-  checkb "agreement" true (agreement c.replicas)
-
-(* Replica [r]'s sealed checkpoint images, oldest first, unsealed with the
+(* Replica [r]'s sealed checkpoint images on its disk, unsealed with the
    key the replica derives from its platform. *)
 let images r =
   let platform = Splitbft_tee.Platform.create (Engine.create ~seed:0L ()) ~id:(Replica.id r) in
@@ -221,15 +180,24 @@ let images r =
     (Replica.persisted r)
 
 (* The image holds the view, the last executed seq and the snapshot:
-   nothing that grows with the executed history follows the snapshot. *)
+   nothing that grows with the executed history follows the snapshot.
+   The disk keeps only the newest image, so each one is taken as it is
+   written: every send samples every replica's disk. *)
 let test_image_is_flat () =
   let c = make ~checkpoint_interval:8 () in
+  let seen = Array.make (List.length c.replicas) [] in
+  Network.add_tap c.net (fun ~src:_ ~dst:_ _ ->
+      List.iteri
+        (fun i r ->
+          List.iter
+            (fun image -> if not (List.mem image seen.(i)) then seen.(i) <- image :: seen.(i))
+            (images r))
+        c.replicas);
   let completed, _ = drive c ~ops:200 in
   checki "served" 200 completed;
-  List.iter
-    (fun r ->
-      let all = images r in
-      checkb "checkpointed through the run" true (List.length all >= 20);
+  List.iteri
+    (fun i r ->
+      checkb "checkpointed through the run" true (List.length seen.(i) >= 20);
       List.iter
         (fun image ->
           let r = Splitbft_codec.Reader.of_string image in
@@ -238,8 +206,29 @@ let test_image_is_flat () =
           ignore (Splitbft_codec.Reader.varint r);
           ignore (Splitbft_codec.Reader.bytes r);
           checki "bytes after the snapshot" 0 (Splitbft_codec.Reader.remaining r))
-        all)
+        seen.(i);
+      let tags = List.map fst (Replica.persisted r) in
+      checki "one image per tag" (List.length (List.sort_uniq String.compare tags))
+        (List.length tags);
+      checki "one checkpoint image" 1 (List.length (images r)))
     c.replicas
+
+(* Executed digests and request bodies are cut one checkpoint interval
+   below the stable checkpoint: four times the ops leave both tables
+   under the same bound. *)
+let test_retained_bounded () =
+  List.iter
+    (fun ops ->
+      let c = make ~checkpoint_interval:8 () in
+      let completed, _ = drive c ~ops in
+      checki "served" ops completed;
+      List.iter
+        (fun r ->
+          let digests, bodies = Replica.retained r in
+          checkb "digests bounded" true (digests <= 32);
+          checkb "bodies bounded" true (bodies <= 32))
+        c.replicas)
+    [ 200; 800 ]
 
 (* Pins the sealed checkpoint bytes: replica 0's first image of a fixed
    run. *)
@@ -372,10 +361,9 @@ let suites =
         Alcotest.test_case "mute commits tolerated" `Quick test_mute_commits_tolerated;
         Alcotest.test_case "f+1 equivocation diverges" `Quick test_equivocation_beyond_f_diverges;
         Alcotest.test_case "lossy network" `Slow test_lossy_network_retransmission;
-        Alcotest.test_case "duplicates execute once" `Quick test_duplicate_requests_execute_once;
-        Alcotest.test_case "pipelined windows" `Quick test_pipelined_client_windows;
         Alcotest.test_case "checkpoint: image is flat" `Quick test_image_is_flat;
         Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden;
+        Alcotest.test_case "checkpoint: retained tables bounded" `Quick test_retained_bounded;
         Alcotest.test_case "newview: viewchanges checked" `Quick test_newview_checks_viewchanges;
         Alcotest.test_case "newview: replay keeps the slot" `Quick
           test_replayed_newview_keeps_slot;
