@@ -9,9 +9,8 @@ module Message = Splitbft_types.Message
 module Registry = Splitbft_obs.Registry
 module Tracer = Splitbft_obs.Tracer
 module Trace_ctx = Splitbft_obs.Trace_ctx
-module Lru = Splitbft_util.Lru
-module Decimal = Splitbft_util.Decimal
 module Req_tbl = Splitbft_util.Htbl.Int_int64
+module Lru = Splitbft_util.Lru.Make (Req_tbl)
 module Feed = Splitbft_storage.Feed
 module Ledger = Splitbft_storage.Ledger
 module Ledger_entry = Splitbft_storage.Entry
@@ -24,6 +23,26 @@ type fault =
   | Env_drop_nth of int
   | Env_duplicate
   | Env_reorder
+
+(* Where an unanswered request stands at this broker. *)
+type req_state =
+  | Waiting  (* held for a backlog only *)
+  | Queued  (* in [pending] *)
+  | Batched of float
+      (* handed to Preparation at this time, no reply yet: a
+         retransmission would only re-order it, so it is dropped while
+         younger than [inflight_ttl_us].  One stuck longer (its batch was
+         lost without a view change, e.g. to a starved enclave) is queued
+         again, so the client's retry is re-driven. *)
+
+type req = {
+  stamp : int;  (* arrival order, fixed by the first copy *)
+  mutable body : Message.request;  (* the latest copy *)
+  mutable ctx : Trace_ctx.t option;
+      (* trace context, so it can ride the In_batch ecall even though
+         batching decouples it from the arrival that carried it *)
+  mutable state : req_state;
+}
 
 type t = {
   cfg : Config.t;
@@ -47,12 +66,12 @@ type t = {
       (* the view Preparation entered, which is the view batches are
          ordered in: Confirmation enters a view when it starts the view
          change, Preparation only once the NewView is out *)
-  pending : Message.request Queue.t;  (* batch queue, FIFO *)
-  queued : unit Req_tbl.t;  (* membership of [pending] *)
+  pending : Message.request Queue.t;
+      (* batch queue, FIFO, of the copy each request was queued with *)
+  reqs : req Req_tbl.t;
+      (* every unanswered request, held on every replica: a backup that
+         becomes primary proposes them at once *)
   batch_timer : Timer.t;
-  awaiting : (int * Message.request) Req_tbl.t;
-      (* every unanswered request with its arrival stamp, held on every
-         replica: a backup that becomes primary proposes them at once *)
   mutable arrivals : int;  (* the next arrival stamp *)
   suspect_timer : Timer.t;
   mutable suspect_delay_us : float;
@@ -84,22 +103,10 @@ type t = {
   mutable recovering : bool;
   mutable recovery_started_at : float;
   mutable recovered_count : int;
-  req_ctx : Trace_ctx.t Req_tbl.t;
-      (* trace context of each queued/awaited request, so the context can
-         ride the In_batch ecall even though batching decouples it from
-         the arrival that carried it *)
   replied : string Lru.t;
-      (* plain reply encodings by client request, so a retransmission of an
-         answered request is served from here — what any untrusted relay
-         could do, since replies are end-to-end authenticated *)
-  inflight : float Req_tbl.t;
-      (* batched but not yet replied, keyed to the batching time: a
-         retransmission of one of these would re-order the request, so it
-         is dropped — but only while the entry is younger than
-         [inflight_ttl_us].  An entry stuck longer than that (its batch
-         was lost without a view change, e.g. to a starved enclave) stops
-         suppressing, so the client's retry can be re-driven.  The set is
-         also wiped on view entry so a new primary can re-batch. *)
+      (* plain reply encodings by (client, timestamp), so a retransmission
+         of an answered request is served from here — what any untrusted
+         relay could do, since replies are end-to-end authenticated *)
   mutable recovery_ctx : Trace_ctx.t option;
   mutable recovery_span : int;  (* open span covering recovery, or -1 *)
   ecall_counter_of : Ids.compartment -> Registry.counter;
@@ -115,16 +122,7 @@ type t = {
   c_retx_replayed : Registry.counter;
 }
 
-(* "client:timestamp" in decimal, built in one scratch buffer (one
-   domain). *)
-let key_buf = Buffer.create 32
-
-let retx_key client ts =
-  Buffer.clear key_buf;
-  Decimal.add_int key_buf client;
-  Buffer.add_char key_buf ':';
-  Decimal.add_int64 key_buf ts;
-  Buffer.contents key_buf
+let unanswered t = Req_tbl.length t.reqs
 
 (* Batch only in a view this replica leads, that Preparation has entered,
    and that no compartment has already left for a view change. *)
@@ -211,14 +209,21 @@ let forced_root t ~name ~cat =
     in
     Some (id, { Trace_ctx.trace; span = id; forced = true })
 
+(* The untrusted disk keeps one entry per tag, as the baselines' does: a
+   write replaces the entry under its tag, since restart reads only the
+   newest.  Ledger entry records all share one tag; they stay until a
+   cut covers them. *)
+let persist t tag data =
+  let kept =
+    if String.equal tag Ledger.entry_tag then t.storage
+    else List.filter (fun (tg, _) -> not (String.equal tg tag)) t.storage
+  in
+  t.storage <- (tag, data) :: kept
+
 (* Host-side ledger garbage collection, driven by the enclave's signed
    [cut] marker: entries and segment headers at or below the cut are
-   covered by the sealed compaction base and can be dropped.  Only the
-   newest base (and newest cut marker) survive — [storage] is newest
-   first, so "first encountered" is "newest". *)
+   covered by the sealed compaction base and can be dropped. *)
 let gc_ledger t cut =
-  let seen_base = ref false in
-  let seen_cut = ref false in
   t.storage <-
     List.filter
       (fun (tag, data) ->
@@ -226,18 +231,6 @@ let gc_ledger t cut =
           match Ledger_entry.seq_of_record data with
           | Some seq -> seq > cut
           | None -> false
-        else if String.equal tag Ledger.base_tag then
-          if !seen_base then false
-          else begin
-            seen_base := true;
-            true
-          end
-        else if String.equal tag Ledger.cut_tag then
-          if !seen_cut then false
-          else begin
-            seen_cut := true;
-            true
-          end
         else
           match Ledger.seal_tag_seq tag with
           | Some last -> last > cut
@@ -324,8 +317,11 @@ and on_outputs t epoch origin ?body outputs =
       (* The pipelined host egress writes a whole completion burst (e.g.
          a batch's replies) in one event-loop dispatch, like writev: one
          dispatch fee, serialization still per byte.  The serial
-         configuration keeps one dispatch per message so lanes = 1 /
-         workers = 1 meters exactly as before. *)
+         configuration keeps one dispatch per message, because each path
+         wins on its own side of this test: vectoring every burst costs
+         the serial pipeline throughput (hotpath batch1 -3.5%, Table 1
+         fault-free ops 5,325 -> 5,297), and one dispatch per message
+         costs the pipelined one (saturated 655,000 -> 643,150 ops/s). *)
       (t.lanes > 1 || t.cfg.exec_workers > 1)
       && match outputs with _ :: _ :: _ -> true | _ -> false
     in
@@ -412,7 +408,7 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
         if compartment <> origin then ecall t ?ctx compartment (Wire.In_net m))
       (route msg)
   | Wire.Out_persist { tag; data } ->
-    t.storage <- (tag, data) :: t.storage;
+    persist t tag data;
     (match t.feed with
     | None -> ()
     | Some fd ->
@@ -428,7 +424,7 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
       t.view <- v;
       flight t ~kind:"view" ~detail:(string_of_int v);
       (* Give the new primary a full timeout before suspecting it too. *)
-      if Req_tbl.length t.awaiting > 0 then Timer.restart t.suspect_timer
+      if unanswered t > 0 then Timer.restart t.suspect_timer
     end;
     if origin = Ids.Preparation && v > t.prep_view then begin
       t.prep_view <- v;
@@ -454,20 +450,18 @@ and apply_output t origin ?ctx ?body (output : Wire.output) =
 (* [sent] is the reply's payload as just sent, when it carries no trace
    trailer and so is exactly [Message.encode (Reply rp)]. *)
 and request_replied t (rp : Message.reply) ~sent =
-  Req_tbl.remove t.awaiting (rp.client, rp.timestamp);
-  Req_tbl.remove t.req_ctx (rp.client, rp.timestamp);
-  Req_tbl.remove t.inflight (rp.client, rp.timestamp);
+  let key = (rp.client, rp.timestamp) in
+  Req_tbl.remove t.reqs key;
   (* Plain encoding, not the traced one: a replay must not carry the
      original request's (long-finished) trace context. *)
-  Lru.add t.replied
-    (retx_key rp.client rp.timestamp)
+  Lru.add t.replied key
     (match sent with Some payload -> payload | None -> Message.encode (Message.Reply rp));
   (* Progress: re-arm the timer for the remaining requests so a loaded but
      progressing system never suspects its primary — and wind any
      suspicion backoff down to the base timeout. *)
   t.suspect_delay_us <- t.cfg.suspect_timeout_us;
   Timer.set_delay t.suspect_timer t.cfg.suspect_timeout_us;
-  if Req_tbl.length t.awaiting = 0 then Timer.stop t.suspect_timer
+  if unanswered t = 0 then Timer.stop t.suspect_timer
   else Timer.restart t.suspect_timer
 
 (* A new primary orders the backlog at once (PBFT §4.4): batches in flight
@@ -476,44 +470,40 @@ and request_replied t (rp : Message.reply) ~sent =
    Requests the NewView re-proposes too execute once: Execution's client
    table drops the second copy. *)
 and propose_backlog t =
-  Req_tbl.reset t.inflight;
   Req_tbl.fold
-    (fun key e acc -> if Req_tbl.mem t.queued key then acc else e :: acc)
-    t.awaiting []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (_, (r : Message.request)) ->
-         Req_tbl.replace t.queued (r.client, r.timestamp) ();
-         Queue.push r t.pending);
+    (fun _ q acc -> match q.state with Queued -> acc | Waiting | Batched _ -> q :: acc)
+    t.reqs []
+  |> List.sort (fun a b -> Int.compare a.stamp b.stamp)
+  |> List.iter (fun q ->
+         q.state <- Queued;
+         Queue.push q.body t.pending);
   flush_batch t
 
 and flush_batch t =
   if batching t && not (Queue.is_empty t.pending) then begin
-    (* O(batch): dequeue the head of the FIFO and retire its membership
-       keys; nothing ever re-walks the whole queue. *)
+    (* O(batch): dequeue the head of the FIFO; nothing ever re-walks the
+       whole queue. *)
     let take = min t.cfg.batch_size (Queue.length t.pending) in
     let rec grab i acc =
-      if i = 0 then List.rev acc
-      else begin
-        let r = Queue.pop t.pending in
-        Req_tbl.remove t.queued (r.Message.client, r.Message.timestamp);
-        grab (i - 1) (r :: acc)
-      end
+      if i = 0 then List.rev acc else grab (i - 1) (Queue.pop t.pending :: acc)
     in
     let batch = grab take [] in
     let now = Engine.now t.engine in
-    List.iter
-      (fun (r : Message.request) -> Req_tbl.replace t.inflight (r.client, r.timestamp) now)
-      batch;
+    (* The batch rides under the first sampled member's trace; the other
+       members' contexts stay on their records for their replies.  A
+       member answered while it was queued has no record left. *)
+    let ctx =
+      List.fold_left
+        (fun ctx (r : Message.request) ->
+          match Req_tbl.find_opt t.reqs (r.client, r.timestamp) with
+          | None -> ctx
+          | Some q ->
+            q.state <- Batched now;
+            if Option.is_some ctx then ctx else q.ctx)
+        None batch
+    in
     Registry.incr t.c_batches;
     Registry.observe t.h_batch_occupancy (float_of_int take);
-    (* The batch rides under the first sampled request's trace; the other
-       members' contexts stay in [req_ctx] for their replies. *)
-    let ctx =
-      List.find_map
-        (fun (r : Message.request) ->
-          Req_tbl.find_opt t.req_ctx (r.client, r.timestamp))
-        batch
-    in
     ecall t ?ctx ~body:batch Ids.Preparation (Wire.In_batch batch);
     if Queue.length t.pending >= t.cfg.batch_size then flush_batch t
     else if not (Queue.is_empty t.pending) then Timer.start t.batch_timer
@@ -522,55 +512,40 @@ and flush_batch t =
 
 let on_request t ?ctx (r : Message.request) =
   let key = (r.client, r.timestamp) in
-  let replayed =
+  match Lru.find t.replied key with
+  | Some payload ->
     (* Early reject before any enclave transition is charged: an
        already-answered request is served from the reply cache. *)
-    match Lru.find t.replied (retx_key r.client r.timestamp) with
-    | Some payload ->
-      Registry.incr t.c_retx_replayed;
-      Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.client r.client) payload;
-      true
-    | None -> false
-  in
-  if not replayed then begin
-    (match ctx with
-    | Some c -> Req_tbl.replace t.req_ctx key c
-    | None -> ());
+    Registry.incr t.c_retx_replayed;
+    Network.send t.net ~src:(Addr.replica t.cfg.id) ~dst:(Addr.client r.client) payload
+  | None ->
     (* A later copy replaces the body, so a junk copy that arrived first
        cannot pin it; the first arrival keeps its place in the backlog. *)
-    (match Req_tbl.find_opt t.awaiting key with
-    | Some (stamp, _) -> Req_tbl.replace t.awaiting key (stamp, r)
-    | None ->
-      Req_tbl.replace t.awaiting key (t.arrivals, r);
-      t.arrivals <- t.arrivals + 1);
+    let q =
+      match Req_tbl.find_opt t.reqs key with
+      | Some q ->
+        q.body <- r;
+        q
+      | None ->
+        let q = { stamp = t.arrivals; body = r; ctx = None; state = Waiting } in
+        Req_tbl.replace t.reqs key q;
+        t.arrivals <- t.arrivals + 1;
+        q
+    in
+    if Option.is_some ctx then q.ctx <- ctx;
     Timer.start t.suspect_timer;
-    if batching t then begin
-      let suppressed =
-        match Req_tbl.find_opt t.inflight key with
-        | None -> false
-        | Some since when Engine.now t.engine -. since < t.cfg.inflight_ttl_us ->
-          true
-        | Some _ ->
-          (* The batch this entry guarded has been in flight longer than
-             the retransmit TTL without producing a reply — it is
-             presumed lost.  Evict so the retry below is re-driven
-             (previously such entries suppressed retransmits forever when
-             no view change wiped the table). *)
-          Req_tbl.remove t.inflight key;
-          false
-      in
-      if suppressed then
-        (* Batched and awaiting a reply: re-queueing would only re-order
-           it.  The suspicion timer above still guards liveness. *)
+    if batching t then
+      match q.state with
+      | Queued -> ()
+      | Batched since when Engine.now t.engine -. since < t.cfg.inflight_ttl_us ->
+        (* Re-queueing would only re-order it.  The suspicion timer above
+           still guards liveness. *)
         Registry.incr t.c_retx_suppressed
-      else if not (Req_tbl.mem t.queued key) then begin
-        Req_tbl.replace t.queued key ();
+      | Waiting | Batched _ ->
+        q.state <- Queued;
         Queue.push r t.pending;
         if Queue.length t.pending >= t.cfg.batch_size then flush_batch t
         else Timer.start t.batch_timer
-      end
-    end
-  end
 
 let on_payload t ~src:_ payload =
   if not t.crashed then begin
@@ -673,14 +648,13 @@ let create engine net (cfg : Config.t) ~enclave_of =
         view = 0;
         prep_view = 0;
         pending = Queue.create ();
-        queued = Req_tbl.create 64;
+        reqs = Req_tbl.create 64;
         batch_timer =
           Timer.create engine
             ~cls:(Engine.Choice { host = Addr.replica cfg.id; lane = -1 })
             ~label:(Printf.sprintf "broker%d-batch" cfg.id)
             ~delay:cfg.batch_timeout_us
             ~callback:(fun () -> flush_batch (Lazy.force t));
-        awaiting = Req_tbl.create 64;
         arrivals = 0;
         suspect_delay_us = cfg.suspect_timeout_us;
         suspect_timer =
@@ -691,7 +665,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
             ~callback:
               (fun () ->
               let t = Lazy.force t in
-              if Req_tbl.length t.awaiting > 0 then begin
+              if unanswered t > 0 then begin
                 Registry.incr t.c_suspect_firings;
                 flight t ~kind:"suspect" ~detail:(string_of_int t.view);
                 (* View changes are always-sampled: give the suspicion a
@@ -741,9 +715,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
         recovering = false;
         recovery_started_at = 0.0;
         recovered_count = 0;
-        req_ctx = Req_tbl.create 64;
         replied = Lru.create ~capacity:4096;
-        inflight = Req_tbl.create 64;
         recovery_ctx = None;
         recovery_span = -1;
         ecall_counter_of = (fun c -> List.assoc c ecall_counters);
@@ -792,10 +764,7 @@ let crash t =
   Timer.set_delay t.suspect_timer t.cfg.suspect_timeout_us;
   Timer.stop t.recovery_timer;
   Queue.clear t.pending;
-  Req_tbl.reset t.queued;
-  Req_tbl.reset t.awaiting;
-  Req_tbl.reset t.req_ctx;
-  Req_tbl.reset t.inflight;
+  Req_tbl.reset t.reqs;
   (* The reply cache does not survive the crash either: replies minted by
      a pre-restart enclave incarnation may be under retired session keys,
      and replaying those forever would mute this replica for the client. *)
@@ -860,4 +829,7 @@ let recovered t = t.recovered_count > 0 && not t.recovering
 let reply_cache_keys t = Lru.fold t.replied ~init:[] ~f:(fun acc k _ -> k :: acc) |> List.rev
 
 let inflight_keys t =
-  Req_tbl.fold (fun k _ acc -> k :: acc) t.inflight [] |> List.sort compare
+  Req_tbl.fold
+    (fun k q acc -> match q.state with Batched _ -> k :: acc | Waiting | Queued -> acc)
+    t.reqs []
+  |> List.sort compare

@@ -63,14 +63,21 @@ val recovered : t -> bool
 val is_crashed : t -> bool
 
 val persisted : t -> (string * string) list
-(** Sealed blobs written by the Execution enclave, oldest first. *)
+(** The untrusted disk, oldest write first.  It keeps one entry per tag
+    (a write replaces the entry under its tag), except ledger entry
+    records, which stay until a ledger cut covers them. *)
 
-val reply_cache_keys : t -> string list
-(** Keys (["client:timestamp"]) of the retransmit reply cache, most
-    recently used first.  A request whose key is here is answered by the
-    broker without an ecall. *)
+val unanswered : t -> int
+(** Requests this broker holds that no reply has answered yet: one record
+    each, with its arrival stamp, its latest copy, its trace context and
+    whether it is waiting, queued for a batch or batched. *)
+
+val reply_cache_keys : t -> (int * int64) list
+(** (client, timestamp) keys of the retransmit reply cache, most recently
+    used first.  A request whose key is here is answered by the broker
+    without an ecall. *)
 
 val inflight_keys : t -> (int * int64) list
-(** (client, timestamp) of the requests this broker batched that have not
-    been replied yet, sorted.  A retransmission of one of these is
-    suppressed while its entry is younger than the inflight TTL. *)
+(** (client, timestamp) of the unanswered requests this broker batched,
+    sorted.  A retransmission of one of these is suppressed while it was
+    batched less than the inflight TTL ago. *)

@@ -4,7 +4,7 @@ module Kvs = Splitbft_app.Kvs
 module Stats = Splitbft_util.Stats
 module Rng = Splitbft_util.Rng
 module Zipf = Splitbft_util.Zipf
-module Lru = Splitbft_util.Lru
+module Lru = Splitbft_util.Lru.Make (Splitbft_util.Htbl.Int)
 
 type spec = {
   clients : int;
@@ -437,8 +437,7 @@ module Open_loop = struct
     Rng.exponential g.arrivals_rng ~mean:(1e6 /. rate_at g.g_spec now)
 
   let identity_state g identity =
-    let key = string_of_int identity in
-    match Lru.find g.idents key with
+    match Lru.find g.idents identity with
     | Some st -> st
     | None ->
       (* Keyed derivation: the identity's op stream depends only on
@@ -450,7 +449,7 @@ module Open_loop = struct
         { id_rng = Rng.of_key g.g_seed ~domain:"identity" ~stream:(Int64.of_int identity);
           id_ops = 0 }
       in
-      Lru.add g.idents key st;
+      Lru.add g.idents identity st;
       if Lru.length g.idents > g.live_identities_peak then
         g.live_identities_peak <- Lru.length g.idents;
       st

@@ -346,6 +346,7 @@ let independent a b =
 let state_text t =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let keys l = String.concat "," (List.map (fun (c, ts) -> Printf.sprintf "%d:%Ld" c ts) l) in
   Array.iteri
     (fun i r ->
       add "R%d:%b:%b;" i t.crashed.(i) (Replica.host_crashed r);
@@ -378,9 +379,8 @@ let state_text t =
          it is cheap to keep exact. *)
       let broker = Replica.broker r in
       add "B%d:rc=%s;in=%s;" i
-        (String.concat "," (Broker.reply_cache_keys broker))
-        (String.concat ","
-           (List.map (fun (c, ts) -> Printf.sprintf "%d:%Ld" c ts) (Broker.inflight_keys broker))))
+        (keys (Broker.reply_cache_keys broker))
+        (keys (Broker.inflight_keys broker)))
     t.replicas;
   add "cl:%b,%d,%d,%d,%d;" (Client.is_ready t.client) t.completed t.wrong
     (Client.outstanding t.client) t.wire_leaks;

@@ -1,5 +1,5 @@
 (** Decimal text of integers without the C format parser, for strings
-    built on every request (AEAD associated data, reply-cache keys).
+    built on every request (AEAD associated data).
 
     The text is byte-identical to [string_of_int] and [Int64.to_string];
     negative values, and int64 values beyond [max_int],

@@ -18,6 +18,7 @@ module Platform = Splitbft_tee.Platform
 module Sealing = Splitbft_tee.Sealing
 module Aead = Splitbft_crypto.Aead
 module Sha256 = Splitbft_crypto.Sha256
+module Registry = Splitbft_obs.Registry
 module W = Splitbft_codec.Writer
 module R = Splitbft_codec.Reader
 
@@ -60,7 +61,7 @@ type cluster = {
   replicas : Replica.t list;
 }
 
-let make ?(n = 4) ?(threading = Config.Per_enclave) ?(checkpoint_interval = 64)
+let make ?(n = 4) ?(threading = Config.Per_enclave) ?(checkpoint_interval = 64) ?(batch_size = 1)
     ?(byz = fun _ -> (Preparation.Prep_honest, Confirmation.Conf_honest, Execution.Exec_honest))
     ?(app = fun _ () -> Kvs.create ()) () =
   let engine = Engine.create ~seed:8L () in
@@ -72,6 +73,7 @@ let make ?(n = 4) ?(threading = Config.Per_enclave) ?(checkpoint_interval = 64)
           { (Config.default ~n ~id:i) with
             Config.threading;
             checkpoint_interval;
+            batch_size;
             suspect_timeout_us = 200_000.0;
             viewchange_timeout_us = 400_000.0 }
           ~app:(app i))
@@ -357,6 +359,48 @@ let test_backlog_keeps_latest_copy () =
   let _, latency = results.(0) in
   checkb "answered before the retry" false (Float.is_nan latency);
   List.iter (fun r -> checki "view" 1 (Replica.view r)) (subset c [ 1; 2; 3 ])
+
+(* A reply removes the broker's record of its request: once every request
+   is answered, no broker holds one, although the view-0 primary crashed
+   and the new primary proposed its backlog in batches.  A later copy of
+   an answered request is then served from the reply cache, without an
+   ecall. *)
+let test_answered_leaves_nothing () =
+  let c = make ~batch_size:4 () in
+  let results =
+    open_loop c ~retry_timeout_us:150_000.0 ~every_us:5_000.0 ~ops:60 ~on_ready:(fun () ->
+        crash_primary_after c 100_000.0)
+  in
+  Engine.run ~until:3_000_000.0 c.engine;
+  Array.iter (fun (_, latency) -> checkb "answered" false (Float.is_nan latency)) results;
+  List.iter (fun r -> checkb "new view" true (Replica.view r >= 1)) (subset c [ 1; 2; 3 ]);
+  List.iteri
+    (fun i r ->
+      let b = Replica.broker r in
+      checki (Printf.sprintf "replica %d: no unanswered request" i) 0 (Broker.unanswered b);
+      checkb (Printf.sprintf "replica %d: nothing inflight" i) true (Broker.inflight_keys b = []))
+    c.replicas;
+  let obs = Engine.obs c.engine in
+  let read ?(labels = []) name =
+    Option.value ~default:0.0 (Registry.read obs ~labels:(("replica", "1") :: labels) name)
+  in
+  let ecalls () =
+    List.fold_left
+      (fun acc comp ->
+        acc +. read ~labels:[ ("compartment", Ids.compartment_name comp) ] "broker.ecalls")
+      0.0 Ids.all_compartments
+  in
+  let replayed = read "broker.retx_replayed" and ecalls_before = ecalls () in
+  let client, timestamp =
+    match Broker.reply_cache_keys (Replica.broker (List.nth c.replicas 1)) with
+    | key :: _ -> key
+    | [] -> Alcotest.fail "empty reply cache"
+  in
+  Network.send c.net ~src:(Addr.client client) ~dst:(Addr.replica 1)
+    (Message.encode (Message.Request { client; timestamp; payload = "op"; auth = "" }));
+  Engine.run ~until:(Engine.now c.engine +. 100_000.0) c.engine;
+  checkb "served from the reply cache" true (read "broker.retx_replayed" = replayed +. 1.0);
+  checkb "no ecall" true (ecalls () = ecalls_before)
 
 (* ----- batch bodies in Execution ----- *)
 
@@ -772,24 +816,47 @@ let test_prep_prunes_viewchange_tallies () =
 
 (* ----- sealed checkpoint images ----- *)
 
-(* One compartment's sealed checkpoint images, oldest first, unsealed. *)
-let images compartment ~tag r =
+(* One compartment's sealed checkpoint images, unsealed. *)
+let unseal compartment r blobs =
   let platform = Enclave.platform (Replica.enclave r compartment) in
   let key =
     Aead.prepare
       (Platform.sealing_key platform
          (Splitbft_types.Enclave_identity.of_compartment compartment))
   in
-  List.filter_map
-    (fun (t, blob) ->
-      if String.equal t tag then
-        match Sealing.unseal ~key blob with
-        | Ok image -> Some image
-        | Error e -> Alcotest.fail e
-      else None)
-    (Replica.persisted r)
+  List.map
+    (fun blob ->
+      match Sealing.unseal ~key blob with Ok image -> image | Error e -> Alcotest.fail e)
+    blobs
+
+(* The images on [r]'s disk under [tag]. *)
+let images compartment ~tag r =
+  unseal compartment r
+    (List.filter_map
+       (fun (t, blob) -> if String.equal t tag then Some blob else None)
+       (Replica.persisted r))
 
 let exec_images = images Ids.Execution ~tag:"ckpt:execution"
+
+(* The disk keeps only the newest image per tag, so each Execution image
+   is taken as it is written: every send samples every replica's disk, and
+   so does each read of the result, replica [i]'s images taken so far,
+   oldest first, unsealed. *)
+let tap_exec_images c =
+  let taken = Array.make (List.length c.replicas) [] in
+  let sample () =
+    List.iteri
+      (fun i r ->
+        match (List.assoc_opt "ckpt:execution" (Replica.persisted r), taken.(i)) with
+        | Some blob, last :: _ when String.equal blob last -> ()
+        | Some blob, _ -> taken.(i) <- blob :: taken.(i)
+        | None, _ -> ())
+      c.replicas
+  in
+  Network.add_tap c.net (fun ~src:_ ~dst:_ _ -> sample ());
+  fun i ->
+    sample ();
+    unseal Ids.Execution (List.nth c.replicas i) (List.rev taken.(i))
 
 type image = {
   counter : int64;
@@ -860,6 +927,7 @@ let counting_app counts i () =
 let test_one_snapshot_per_checkpoint () =
   let counts = Array.make 4 0 in
   let c = make ~checkpoint_interval:8 ~app:(counting_app counts) () in
+  let taken = tap_exec_images c in
   let _, completed, _ = drive c ~ops:40 in
   checki "served" 40 completed;
   List.iteri
@@ -868,8 +936,12 @@ let test_one_snapshot_per_checkpoint () =
       let checkpoints = Replica.last_executed r / 8 in
       checkb (name ^ ": checkpointed") true (checkpoints >= 5);
       checki (name ^ ": one sealed image per checkpoint") checkpoints
-        (List.length (exec_images r));
-      checki (name ^ ": one snapshot per checkpoint") checkpoints counts.(i))
+        (List.length (taken i));
+      checki (name ^ ": one snapshot per checkpoint") checkpoints counts.(i);
+      let tags = List.map fst (Replica.persisted r) in
+      checki (name ^ ": one image per tag")
+        (List.length (List.sort_uniq String.compare tags))
+        (List.length tags))
     c.replicas
 
 (* The bytes an image holds after its application snapshot (which
@@ -885,12 +957,13 @@ let image_tail image =
 
 let test_image_is_flat () =
   let c = make ~checkpoint_interval:8 () in
+  let taken = tap_exec_images c in
   let _, completed, _ = drive c ~ops:200 in
   checki "served" 200 completed;
   List.iteri
-    (fun i r ->
+    (fun i _ ->
       let name = Printf.sprintf "replica %d" i in
-      match List.map image_tail (exec_images r) with
+      match List.map image_tail (taken i) with
       | [] -> Alcotest.fail (name ^ ": no sealed image")
       | first :: rest as all ->
         checkb (name ^ ": checkpointed through the run") true (List.length all >= 20);
@@ -902,13 +975,16 @@ let test_image_is_flat () =
 let test_history_survives_restore () =
   let c = make ~checkpoint_interval:8 () in
   let r3 = List.nth c.replicas 3 in
-  let sealed_before_restart = ref [] and history_before_restart = ref [] in
+  let taken = tap_exec_images c in
+  let on_disk_at_restart = ref [] and taken_before_restart = ref [] in
+  let history_before_restart = ref [] in
   ignore
     (Engine.schedule c.engine ~delay:30_000.0 ~label:"crash-host" (fun () ->
          Replica.crash_host r3));
   ignore
     (Engine.schedule c.engine ~delay:45_000.0 ~label:"restart-host" (fun () ->
-         sealed_before_restart := exec_images r3;
+         on_disk_at_restart := exec_images r3;
+         taken_before_restart := taken 3;
          history_before_restart := Replica.executed_log r3;
          Replica.restart_host r3));
   let _, completed, wrong = drive c ~ops:200 in
@@ -916,13 +992,16 @@ let test_history_survives_restore () =
   checki "no wrong" 0 wrong;
   List.iteri (fun i r -> check_newest_image (Printf.sprintf "replica %d" i) r) c.replicas;
   checkb "replica 3 recovered" true (Replica.recovered r3);
-  let before = List.length !sealed_before_restart in
+  let before = List.length !taken_before_restart in
   checkb "replica 3 sealed before the crash" true (before > 0);
-  checkb "replica 3 sealed after the restore" true (List.length (exec_images r3) > before);
+  let newest_before = List.nth !taken_before_restart (before - 1) in
+  checkb "the disk held the newest pre-crash image" true
+    (!on_disk_at_restart = [ newest_before ]);
+  checkb "replica 3 sealed after the restore" true (List.length (taken 3) > before);
   (* The restore accepted the newest image on disk; the history is the
      pre-crash one cut at its seq, then what the new incarnation executed,
      in order and in agreement with replica 0. *)
-  let restored = (parse_image (List.nth !sealed_before_restart (before - 1))).last in
+  let restored = (parse_image newest_before).last in
   let cut, later = List.partition (fun (seq, _) -> seq <= restored) (Replica.executed_log r3) in
   checkb "replica 3 executed past the crash" true
     (List.exists (fun (seq, _) -> seq > restored) !history_before_restart);
@@ -982,6 +1061,8 @@ let suites =
         Alcotest.test_case "late view change keeps the view" `Quick
           test_late_viewchange_keeps_view;
         Alcotest.test_case "backlog keeps the latest copy" `Quick test_backlog_keeps_latest_copy;
+        Alcotest.test_case "an answered request leaves nothing" `Quick
+          test_answered_leaves_nothing;
         Alcotest.test_case "batch bodies pruned" `Quick test_batch_bodies_pruned;
         Alcotest.test_case "re-proposed digest executes" `Quick test_reproposed_digest_executes;
         Alcotest.test_case "starved confirmation" `Quick test_env_starve_conf_loses_liveness_not_safety;

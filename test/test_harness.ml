@@ -182,7 +182,7 @@ let table2_ceilings =
   [ ("Preparation Enc.", 2091);
     ("Confirmation Enc.", 1917);
     ("Execution Enc.", 2558);
-    ("Untrusted Env.", 1209);
+    ("Untrusted Env.", 1181);
     ("Trusted Counter", 58) ]
 
 let test_table2_ceilings () =

@@ -6,7 +6,7 @@
    client result, progress, and prefix agreement of first executions
    across every pair of replicas. *)
 
-module Lru = Splitbft_util.Lru
+module Lru = Splitbft_util.Lru.Make (Splitbft_util.Htbl.String)
 module Engine = Splitbft_sim.Engine
 module Network = Splitbft_sim.Network
 module S = Splitbft_core.Replica

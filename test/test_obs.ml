@@ -1,6 +1,5 @@
 module Registry = Splitbft_obs.Registry
 module Json = Splitbft_obs.Json
-module Span = Splitbft_obs.Span
 module Engine = Splitbft_sim.Engine
 module H = Splitbft_harness
 
@@ -80,22 +79,6 @@ let test_sum_and_read () =
   | Some v -> checkf "read one" 4.0 v
   | None -> Alcotest.fail "read missed");
   checkb "read miss" true (Registry.read r "nope" = None)
-
-(* ----- spans against the simulated clock ----- *)
-
-let test_span_simulated_clock () =
-  let e = Engine.create () in
-  let h = Registry.histogram (Engine.obs e) "stage_us" in
-  ignore
-    (Engine.schedule e ~delay:10.0 ~label:"open" (fun () ->
-         let span = Span.start h ~at:(Engine.now e) in
-         ignore
-           (Engine.schedule e ~delay:32.5 ~label:"close" (fun () ->
-                checkf "elapsed mid-flight" 32.5 (Span.elapsed span ~at:(Engine.now e));
-                checkf "recorded duration" 32.5 (Span.finish span ~at:(Engine.now e))))));
-  Engine.run e;
-  checki "one observation" 1 (Registry.histogram_count h);
-  checkf "histogram sum is the span" 32.5 (Registry.histogram_sum h)
 
 (* ----- JSON ----- *)
 
@@ -357,7 +340,6 @@ let suites =
         Alcotest.test_case "gauge" `Quick test_gauge_last_write_wins;
         Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
         Alcotest.test_case "sum and read" `Quick test_sum_and_read;
-        Alcotest.test_case "span vs simulated clock" `Quick test_span_simulated_clock;
         Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
         Alcotest.test_case "snapshot roundtrip" `Quick test_registry_snapshot_roundtrip;
