@@ -211,14 +211,19 @@ let forced_root t ~name ~cat =
 
 (* The untrusted disk keeps one entry per tag, as the baselines' does: a
    write replaces the entry under its tag, since restart reads only the
-   newest.  Ledger entry records all share one tag; they stay until a
-   cut covers them. *)
+   newest.  Two kinds of record accumulate under their tag instead:
+   ledger entries, until a cut covers them, and Execution's checkpoint
+   deltas, until the next base of their slot drops them (they chain from
+   the base two generations back). *)
 let persist t tag data =
-  let kept =
-    if String.equal tag Ledger.entry_tag then t.storage
-    else List.filter (fun (tg, _) -> not (String.equal tg tag)) t.storage
+  let is = String.equal tag in
+  let slot = if is (Execution.base_tag 0) then 0 else 1 in
+  let drops tg =
+    is tg || (is (Execution.base_tag slot) && String.equal tg (Execution.delta_tag slot))
   in
-  t.storage <- (tag, data) :: kept
+  if not (is Ledger.entry_tag || is (Execution.delta_tag 0) || is (Execution.delta_tag 1)) then
+    t.storage <- List.filter (fun (tg, _) -> not (drops tg)) t.storage;
+  t.storage <- (tag, data) :: t.storage
 
 (* Host-side ledger garbage collection, driven by the enclave's signed
    [cut] marker: entries and segment headers at or below the cut are
@@ -702,7 +707,7 @@ let create engine net (cfg : Config.t) ~enclave_of =
                  just re-broadcasts its request — the other compartments
                  must not re-unseal) until recovery completes. *)
               if t.recovering && not t.crashed then begin
-                ecall t ?ctx:t.recovery_ctx Ids.Execution (Wire.In_recover None);
+                ecall t ?ctx:t.recovery_ctx Ids.Execution (Wire.In_recover []);
                 Timer.restart t.recovery_timer
               end);
         storage = [];
@@ -796,28 +801,23 @@ let restart t =
     | None -> ());
     Network.register t.net (Addr.replica t.cfg.id) (fun ~src payload ->
         on_payload t ~src payload);
-    (* Recovery handshake: hand each compartment the newest sealed
-       checkpoint blob on disk ([storage] is newest-first), or [None] if
-       there is none.  The compartment decides whether to trust it. *)
+    (* Recovery handshake: hand each compartment the records it persisted,
+       oldest first: its sealed checkpoint records and, for Execution, the
+       ledger, whose chain it verifies, whose torn tail it truncates and
+       whose rolled-back history it refuses.  The compartment decides what
+       to trust.  The feed is rebuilt from the same ledger records;
+       followers re-subscribe on their own timer, so subscription state
+       need not survive the crash. *)
+    let records = List.rev t.storage in
+    let ledger = List.filter (fun (tag, _) -> Ledger.is_ledger_tag tag) records in
     List.iter
       (fun compartment ->
-        let tag = "ckpt:" ^ Ids.compartment_name compartment in
+        let prefix = "ckpt:" ^ Ids.compartment_name compartment in
+        let mine = List.filter (fun (tag, _) -> String.starts_with ~prefix tag) records in
         ecall t ?ctx:t.recovery_ctx compartment
-          (Wire.In_recover (List.assoc_opt tag t.storage)))
+          (Wire.In_recover (if compartment = Ids.Execution then mine @ ledger else mine)))
       Ids.all_compartments;
-    (* Second phase of the Execution handshake: replay the surviving
-       ledger records (oldest first) so Execution can verify the chain,
-       truncate a torn tail, and refuse a rolled-back history.  The feed
-       is rebuilt from the same records; followers re-subscribe on their
-       own timer, so subscription state need not survive the crash. *)
-    (match t.feed with
-    | Some fd ->
-      let records =
-        List.filter (fun (tag, _) -> Ledger.is_ledger_tag tag) (List.rev t.storage)
-      in
-      Feed.reset fd ~records;
-      ecall t ?ctx:t.recovery_ctx Ids.Execution (Wire.In_ledger records)
-    | None -> ());
+    Option.iter (fun fd -> Feed.reset fd ~records:ledger) t.feed;
     Timer.restart t.recovery_timer
   end
 

@@ -39,6 +39,6 @@ let seal_checkpoint env ~tag write body =
   let data = Sealed_image.seal ~counter ~seal:(Enclave.seal env) write body in
   Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag; data }))
 
-let open_checkpoint env ~who blob read =
+let open_checkpoint env ~who ~tag records read =
   Sealed_image.check ~who ~slack:1 ~counter:(Enclave.counter_read env "ckpt")
-    ~unseal:(Enclave.unseal env) blob read
+    ~unseal:(Enclave.unseal env) (List.assoc_opt tag records) read

@@ -57,7 +57,9 @@ val seal_checkpoint :
 val open_checkpoint :
   Enclave.env ->
   who:string ->
-  string option ->
+  tag:string ->
+  (string * string) list ->
   (Splitbft_codec.Reader.t -> 'a) ->
   'a Splitbft_consensus.Sealed_image.verdict
-(** Judges the blob a restarted enclave was offered. *)
+(** Judges the image under [tag] among the records a restarted enclave
+    was offered (none under [tag] counts as no image). *)

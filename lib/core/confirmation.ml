@@ -172,9 +172,9 @@ let write_image w st =
   W.varint w st.view;
   W.varint w (Ckpt.last_stable st.ckpt)
 
-let on_recover env st blob_opt =
+let on_recover env st records =
   match
-    Common.open_checkpoint env ~who:"confirmation" blob_opt (fun r ->
+    Common.open_checkpoint env ~who:"confirmation" ~tag:"ckpt:confirmation" records (fun r ->
         let view = R.varint r in
         (view, R.varint r))
   with
@@ -258,8 +258,8 @@ let handle env st ~byz (input : Wire.input) =
   else
     match input with
     | Wire.In_suspect v -> on_suspect env st ~byz v
-    | Wire.In_batch _ | Wire.In_ledger _ -> ()
-    | Wire.In_recover blob -> on_recover env st blob
+    | Wire.In_batch _ -> ()
+    | Wire.In_recover records -> on_recover env st records
     | Wire.In_net msg -> (
       match msg with
       | Message.Preprepare pp ->

@@ -42,6 +42,15 @@ type probe = {
   sessions : unit -> int;
 }
 
+(* Where the sealed checkpoint log stands (DESIGN.md §6a). *)
+type log = {
+  gen : int;  (* bases sealed so far; its parity names the base's disk slot *)
+  base_seq : Ids.seqno;
+  base_digest : string;
+  head : string;  (* chain over the deltas since the base, from [base_digest] *)
+  since_base : int;  (* delta bytes sealed since the base *)
+}
+
 type state = {
   cfg : Config.t;
   prep_lookup : Validation.key_lookup;
@@ -66,6 +75,9 @@ type state = {
   fetching : (string, Ids.seqno) Hashtbl.t;  (* batch digests requested from peers *)
   mutable executed_total : int;
   snapshots : (Ids.seqno, string) Hashtbl.t;  (* app snapshots at checkpoint seqs *)
+  mutable delta : string list;  (* writing ops applied since the last checkpoint, newest first *)
+  mutable log : log;
+  mutable base_due : bool;  (* the next checkpoint seals a base, not a delta *)
   sync : Ids.seqno Catchup.t;
   quote_offered : (Ids.client_id, unit) Hashtbl.t;
   mutable instance_nonce : string;
@@ -99,6 +111,9 @@ let create_state (cfg : Config.t) ~app ~report =
     fetching = Hashtbl.create 8;
     executed_total = 0;
     snapshots = Hashtbl.create 4;
+    delta = [];
+    log = { gen = 0; base_seq = 0; base_digest = ""; head = ""; since_base = 0 };
+    base_due = true;
     sync = Catchup.create ~f:(Config.f cfg) ~compare:Int.compare;
     quote_offered = Hashtbl.create 8;
     instance_nonce = "";
@@ -112,23 +127,108 @@ let create_state (cfg : Config.t) ~app ~report =
 
 let in_window st seq = Log.in_window st.decided seq
 
-(* ----- rollback-protected sealed checkpoints (§4–5) -----
+(* Tampering, not a crash: the compartment stops and raises an alert. *)
+let refuse env st reason =
+  st.halted <- true;
+  Enclave.emit env (Wire.encode_output (Wire.Out_alert reason))
 
-   Every checkpoint, the compartment seals its recoverable state bound to
-   its "ckpt" counter (Common.seal_checkpoint).  The image body carries no
-   history, so it grows only with the application snapshot (DESIGN.md
-   §6a). *)
+(* ----- rollback-protected sealed checkpoints (§4–5, DESIGN.md §6a) -----
 
-let write_image w (st, seq, snapshot) =
+   Every checkpoint seals what was written since the previous one, not
+   what is stored: the writing operations applied in the interval, as one
+   delta chained from the last base.  Once the deltas sealed since that
+   base would reach the size of the snapshot, the snapshot itself is
+   sealed instead, as the next base.  So the sealed bytes stay within
+   twice the bytes written, and recovery replays less than one base's
+   worth of deltas.  The image, bound to the "ckpt" counter
+   (Common.seal_checkpoint), names the base and the chain head: a base or
+   delta that is dropped, reordered, replayed or stale no longer leads to
+   that head, so no record needs a counter of its own.  Bases alternate
+   between two disk slots, and a base drops the deltas of its slot, so
+   the host keeps two generations: the image on disk may still name the
+   previous one. *)
+
+let image_tag = "ckpt:execution"
+let base_tag gen = if gen land 1 = 0 then "ckpt:execution:base0" else "ckpt:execution:base1"
+let delta_tag gen = if gen land 1 = 0 then "ckpt:execution:delta0" else "ckpt:execution:delta1"
+
+let write_image w (st, seq) =
+  let l = st.log in
   W.varint w st.view;
   W.varint w seq;
-  W.bytes w snapshot;
+  W.varint w l.gen;
+  W.varint w l.base_seq;
+  W.bytes w l.base_digest;
+  W.bytes w l.head;
   W.list w
     (fun w (c, (k : Session.keys)) ->
       W.varint w c;
       W.bytes w k.Session.auth;
       W.bytes w k.Session.enc)
     (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions [])
+
+let persist env tag data = Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag; data }))
+
+let seal_log env st seq ~snapshot ~digest =
+  let ops = Ledger_entry.encode_ops (List.rev st.delta) in
+  st.delta <- [];
+  let l = st.log in
+  if st.base_due || l.since_base + String.length ops >= String.length snapshot then begin
+    let gen = l.gen + 1 in
+    st.base_due <- false;
+    st.log <- { gen; base_seq = seq; base_digest = digest; head = digest; since_base = 0 };
+    persist env (base_tag gen)
+      (Enclave.seal env (W.to_string (fun w () -> W.varint w seq; W.bytes w snapshot) ()))
+  end
+  else begin
+    let e = { Ledger_entry.seq; digest; ops } in
+    let head = Ledger_entry.next_chain ~prev:l.head e in
+    st.log <- { l with head; since_base = l.since_base + String.length ops };
+    persist env (delta_tag l.gen) (Enclave.seal env (Ledger_entry.encode_record ~chain:head e))
+  end
+
+(* Rebuilds the state an image names: the base of its generation, then
+   that slot's deltas in disk order until the chain reaches the image's
+   head, each op replayed through the application.  A delta past the head
+   is a write a crash cut off.  Returns the snapshot of the rebuilt
+   state, whose digest must be the one the last link sealed. *)
+let replay env st (l : log) records =
+  let ( let* ) = Result.bind in
+  let sealed tag =
+    List.filter_map (fun (t, blob) -> if String.equal t tag then Some blob else None) records
+  in
+  let rec walk prev digest = function
+    | _ when String.equal prev l.head -> Ok digest
+    | [] -> Error "the sealed deltas do not reach the image's chain head"
+    | blob :: rest ->
+      let* e, _ = Result.bind (Enclave.unseal env blob) Ledger_entry.decode_record in
+      let* ops = Ledger_entry.decode_ops e.Ledger_entry.ops in
+      List.iter
+        (fun op ->
+          Enclave.charge_exec env (Enclave.cost_model env).exec_op_us;
+          ignore (st.app.State_machine.apply op))
+        ops;
+      walk (Ledger_entry.next_chain ~prev e) e.digest rest
+  in
+  let* seq, snapshot =
+    match sealed (base_tag l.gen) with
+    | [ blob ] ->
+      Result.bind (Enclave.unseal env blob)
+        (R.parse (fun r ->
+             let seq = R.varint r in
+             (seq, R.bytes r)))
+    | _ -> Error "no sealed base in the image's slot"
+  in
+  let* () =
+    if seq = l.base_seq && String.equal (Sha256.digest snapshot) l.base_digest then
+      st.app.State_machine.restore snapshot
+    else Error "the sealed base is not the one the image names"
+  in
+  let* digest = walk l.base_digest l.base_digest (sealed (delta_tag l.gen)) in
+  ignore (st.app.State_machine.drain_effects ());
+  let snapshot = st.app.State_machine.snapshot () in
+  if String.equal (Sha256.digest snapshot) digest then Ok snapshot
+  else Error "the replayed state does not match its sealed digest"
 
 (* Handler (8): originate a Checkpoint every interval.  An
    [Exec_lie_checkpoint] adversary signs checkpoints over a fabricated
@@ -145,16 +245,19 @@ let send_checkpoint_if_due env st ~byz seq =
        otherwise every checkpoint serializes on the lane thread whose
        residue class happens to contain the checkpoint seqnos (with
        [checkpoint_interval] divisible by [lanes] that is always the same
-       lane). *)
-    Enclave.pool_run env (fun () ->
+       lane).  Pool tasks finish out of order (a delta sealed after a
+       large base can finish first), but the chain must reach the disk in
+       order: checkpoint tasks hand over their outputs in issue order. *)
+    Enclave.pool_run ~in_order:true env (fun () ->
         let snapshot = st.app.State_machine.snapshot () in
         (* Kept so a later [State_request] can be served with the snapshot
            matching this (eventually stable) certified state digest. *)
         Hashtbl.replace st.snapshots seq snapshot;
+        let digest = Sha256.digest snapshot in
         let state_digest =
           match byz with
           | Exec_lie_checkpoint -> Message.digest_of_batch []
-          | Exec_honest | Exec_leak | Exec_corrupt -> Sha256.digest snapshot
+          | Exec_honest | Exec_leak | Exec_corrupt -> digest
         in
         let ck = { Message.seq; state_digest; sender = st.cfg.id; ck_sig = "" } in
         let ck =
@@ -164,7 +267,8 @@ let send_checkpoint_if_due env st ~byz seq =
            when peer checkpoints arrive through [Common.on_checkpoint]. *)
         Ckpt.store st.ckpt ck;
         Enclave.emit env (Wire.encode_output (Wire.Out_broadcast (Message.Checkpoint ck)));
-        Common.seal_checkpoint env ~tag:"ckpt:execution" write_image (st, seq, snapshot);
+        seal_log env st seq ~snapshot ~digest;
+        Common.seal_checkpoint env ~tag:image_tag write_image (st, seq);
         ([], []))
 
 (* Stores [digest]'s body if it is new, and raises the seq it is kept for. *)
@@ -290,11 +394,7 @@ let execute_request env st ~byz (req : Message.request) =
    "ledger" monotonic counter — the same rollback protection the "ckpt"
    counter gives sealed checkpoints. *)
 
-let ledger_persist env recs =
-  List.iter
-    (fun (tag, data) ->
-      Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag; data })))
-    recs
+let ledger_persist env recs = List.iter (fun (tag, data) -> persist env tag data) recs
 
 let ledger_append env st ~seq ~digest ops =
   match st.ledger with
@@ -331,15 +431,13 @@ let compact_ledger env st stable =
            ~counter:(fun () -> Enclave.counter_increment env "ledger"))
 
 let persist_effects env st =
-  let c = Enclave.cost_model env in
   List.iter
     (fun (State_machine.Persist { tag; data }) ->
       (* One ocall per block, written sealed (sgx_tprotected_fs in the
          paper): block formation/write cost plus sealing (charged inside
          [Enclave.seal]) plus the ocall transition. *)
-      Enclave.charge_io env c.ledger_block_us;
-      let sealed = Enclave.seal env data in
-      Enclave.ocall env (Wire.encode_output (Wire.Out_persist { tag; data = sealed })))
+      Enclave.charge_io env (Enclave.cost_model env).ledger_block_us;
+      persist env tag (Enclave.seal env data))
     (st.app.State_machine.drain_effects ())
 
 let rec try_execute env st ~byz =
@@ -376,6 +474,9 @@ let rec try_execute env st ~byz =
             List.fold_left
               (fun (rs, ws, ops) req ->
                 let rw, applied = execute_request env st ~byz req in
+                (* What the next checkpoint's delta replays. *)
+                if rw.State_machine.writes <> [] then
+                  Option.iter (fun op -> st.delta <- op :: st.delta) applied;
                 ( List.rev_append rw.State_machine.reads rs,
                   List.rev_append rw.State_machine.writes ws,
                   match applied with Some op -> op :: ops | None -> ops ))
@@ -411,7 +512,7 @@ let transfer_nonce ~replier ~stable =
   String.sub (Sha256.digest (Printf.sprintf "st-nonce:%d:%d" replier stable)) 0 Aead.nonce_size
 
 let on_state_request env st (sr : Message.state_request) =
-  Enclave.charge_exec env 2.0;
+  Enclave.charge_exec env (Enclave.cost_model env).state_request_us;
   if sr.sr_requester <> st.cfg.id then begin
     let snapshot stable =
       match Hashtbl.find_opt st.snapshots stable with
@@ -450,7 +551,9 @@ let finish_recovery_if_caught_up env st =
   end
 
 let on_state_reply env st ~byz (sr : Message.state_reply) =
-  Enclave.charge_exec env (1.0 +. float_of_int (List.length sr.st_entries));
+  let c = Enclave.cost_model env in
+  Enclave.charge_exec env
+    (c.state_reply_us +. (c.state_entry_us *. float_of_int (List.length sr.st_entries)));
   if st.recovering && sr.st_requester = st.cfg.id && sr.st_replier <> st.cfg.id
   then begin
     (* Certified snapshot: install only if it moves us forward and its
@@ -471,6 +574,9 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
       | Error _ -> ()
       | Ok () ->
         ignore (st.app.State_machine.drain_effects ());
+        (* The installed state descends from no base of ours. *)
+        st.delta <- [];
+        st.base_due <- true;
         st.last_executed <- sr.st_stable;
         Hashtbl.replace st.snapshots sr.st_stable snap;
         Ckpt.force_stable st.ckpt sr.st_stable;
@@ -493,9 +599,31 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
     finish_recovery_if_caught_up env st
   end
 
-(* ----- restart handshake ----- *)
+(* ----- restart handshake -----
 
-let on_recover env st blob_opt =
+   The broker hands a restarted Execution every record it persisted: the
+   image, the bases and deltas it names, and the ledger.  Chain
+   verification, torn-tail truncation and the counter binding of the
+   ledger all live in [Ledger.recover]; a failure there is tampering (not
+   a crash) and takes the same halt+alert path as a rolled-back
+   checkpoint. *)
+
+let on_ledger_recover env st records =
+  match st.ledger with
+  | None -> ()
+  | Some _ -> (
+    let records = List.filter (fun (tag, _) -> Ledger.is_ledger_tag tag) records in
+    let c = Enclave.cost_model env in
+    Enclave.charge_io env (c.ledger_block_us *. float_of_int (List.length records));
+    let counter = Enclave.counter_read env "ledger" in
+    match
+      Ledger.recover ~segment_entries:st.cfg.segment_entries ~counter
+        ~unseal:(Enclave.unseal env) records
+    with
+    | Error reason -> refuse env st ("execution: " ^ reason)
+    | Ok r -> st.ledger <- Some r.Ledger.ledger)
+
+let on_recover env st records =
   if st.recovering then
     (* Retry round from the broker: commits in flight during the crash are
        lost, so one request can leave a gap.  Re-ask from where we are —
@@ -504,30 +632,31 @@ let on_recover env st blob_opt =
   else if st.recovered_once then ()
     (* stale retry prompt delivered after recovery completed *)
   else begin
-  let refuse reason =
-    st.halted <- true;
-    Enclave.emit env (Wire.encode_output (Wire.Out_alert reason))
-  in
   (match
-     Common.open_checkpoint env ~who:"execution" blob_opt (fun r ->
+     Common.open_checkpoint env ~who:"execution" ~tag:image_tag records (fun r ->
          let view = R.varint r in
          let last = R.varint r in
-         let snapshot = R.bytes r in
+         let gen = R.varint r in
+         let base_seq = R.varint r in
+         let base_digest = R.bytes r in
+         let head = R.bytes r in
          let sessions =
            R.list r (fun r ->
                let c = R.varint r in
                let auth = R.bytes r in
                (c, Session.make ~auth ~enc:(R.bytes r)))
          in
-         (view, last, snapshot, sessions))
+         (view, last, { gen; base_seq; base_digest; head; since_base = 0 }, sessions))
    with
   | Fresh -> ()
-  | Refused reason -> refuse reason
-  | Restored (view, last, snapshot, sessions) -> (
-    match st.app.State_machine.restore snapshot with
-    | Error e -> refuse ("execution: sealed snapshot rejected by application: " ^ e)
-    | Ok () ->
-      ignore (st.app.State_machine.drain_effects ());
+  | Refused reason -> refuse env st reason
+  | Restored (view, last, log, sessions) -> (
+    match replay env st log records with
+    | Error e -> refuse env st ("execution: " ^ e)
+    | Ok snapshot ->
+      (* [base_due] stays set: a delta appended now could follow deltas
+         a crash left past the head, where no later walk reaches it. *)
+      st.log <- log;
       st.view <- view;
       st.last_executed <- last;
       st.report (Restored last);
@@ -535,29 +664,9 @@ let on_recover env st blob_opt =
       Hashtbl.replace st.snapshots last snapshot;
       Ckpt.force_stable st.ckpt last;
       Log.advance_low_mark st.decided last));
+  if not st.halted then on_ledger_recover env st records;
   if not st.halted then request_state env st
   end
-
-(* Second phase of the restart handshake: the broker replays the
-   persisted ledger records.  Chain verification, torn-tail truncation
-   and the counter binding all live in [Ledger.recover]; a failure there
-   is tampering (not a crash) and takes the same halt+alert path as a
-   rolled-back checkpoint. *)
-let on_ledger_recover env st records =
-  match st.ledger with
-  | None -> ()
-  | Some _ ->
-    let c = Enclave.cost_model env in
-    Enclave.charge_io env (c.ledger_block_us *. float_of_int (List.length records));
-    let counter = Enclave.counter_read env "ledger" in
-    (match
-       Ledger.recover ~segment_entries:st.cfg.segment_entries ~counter
-         ~unseal:(Enclave.unseal env) records
-     with
-    | Error reason ->
-      st.halted <- true;
-      Enclave.emit env (Wire.encode_output (Wire.Out_alert ("execution: " ^ reason)))
-    | Ok r -> st.ledger <- Some r.Ledger.ledger)
 
 (* Full-request PrePrepares are duplicated into this compartment's log so
    Commits (which carry only digests) can be executed. *)
@@ -646,7 +755,7 @@ let on_session_key env st (sk : Message.session_key) =
   end
 
 let on_batch_fetch env st (bf : Message.batch_fetch) =
-  Enclave.charge_exec env 1.0;
+  Enclave.charge_exec env (Enclave.cost_model env).batch_fetch_us;
   match find_batch st bf.bf_digest with
   | Some batch when bf.bf_requester <> st.cfg.id ->
     Enclave.emit env
@@ -656,7 +765,7 @@ let on_batch_fetch env st (bf : Message.batch_fetch) =
   | Some _ | None -> ()
 
 let on_batch_data env st ~byz (bd : Message.batch_data) =
-  Enclave.charge_exec env 1.0;
+  Enclave.charge_exec env (Enclave.cost_model env).batch_data_us;
   let digest = Message.digest_of_batch bd.bd_batch in
   match Hashtbl.find_opt st.fetching digest with
   | None -> ()
@@ -670,8 +779,7 @@ let handle env st ~byz (input : Wire.input) =
   else
     match input with
     | Wire.In_batch _ | Wire.In_suspect _ -> ()
-    | Wire.In_recover blob -> on_recover env st blob
-    | Wire.In_ledger records -> on_ledger_recover env st records
+    | Wire.In_recover records -> on_recover env st records
     | Wire.In_net msg -> (
       match msg with
       | Message.Preprepare pp -> on_preprepare env st ~byz pp

@@ -52,3 +52,12 @@ val make :
   Enclave.program * probe
 (** [app] is a factory so an enclave restart gets a fresh instance (state
     recovery goes through checkpoints/sealing, not process memory). *)
+
+(** {2 Sealed checkpoint records}
+
+    The disk tags of the sealed checkpoint log (DESIGN.md §6a): the image
+    under ["ckpt:execution"], and the base and the deltas of generation
+    [gen] under a slot of their own, one of two by [gen]'s parity. *)
+
+val base_tag : int -> string
+val delta_tag : int -> string

@@ -290,9 +290,9 @@ let write_image w st =
       W.bytes w auth)
     (Sessions.fold (fun c k acc -> (c, k) :: acc) st.sessions [])
 
-let on_recover env st blob_opt =
+let on_recover env st records =
   match
-    Common.open_checkpoint env ~who:"preparation" blob_opt (fun r ->
+    Common.open_checkpoint env ~who:"preparation" ~tag:"ckpt:preparation" records (fun r ->
         let view = R.varint r in
         let next_seq = R.varint r in
         let last_stable = R.varint r in
@@ -416,8 +416,7 @@ let handle env st ~byz (input : Wire.input) =
     match input with
     | Wire.In_batch reqs -> on_batch env st ~byz reqs
     | Wire.In_suspect _ -> ()  (* suspicion is the Confirmation compartment's trigger *)
-    | Wire.In_ledger _ -> ()  (* the ledger belongs to Execution *)
-    | Wire.In_recover blob -> on_recover env st blob
+    | Wire.In_recover records -> on_recover env st records
     | Wire.In_net msg -> (
       match msg with
       | Message.Preprepare pp -> on_preprepare env st pp

@@ -8,8 +8,7 @@ type input =
   | In_net of Message.t
   | In_batch of Message.request list
   | In_suspect of Ids.view
-  | In_recover of string option
-  | In_ledger of (string * string) list
+  | In_recover of (string * string) list
 
 type output =
   | Out_send of int * Message.t
@@ -30,15 +29,8 @@ let input_into w input =
   | In_suspect view ->
     W.u8 w 3;
     W.varint w view
-  | In_recover blob ->
+  | In_recover records ->
     W.u8 w 4;
-    (match blob with
-    | None -> W.u8 w 0
-    | Some b ->
-      W.u8 w 1;
-      W.bytes w b)
-  | In_ledger records ->
-    W.u8 w 5;
     W.list w
       (fun w (tag, data) ->
         W.bytes w tag;
@@ -63,12 +55,7 @@ let decode_input_exact s =
       | 2 -> In_batch (R.list r decode_nested_request)
       | 3 -> In_suspect (R.varint r)
       | 4 ->
-        (match R.u8 r with
-        | 0 -> In_recover None
-        | 1 -> In_recover (Some (R.bytes r))
-        | p -> raise (R.Error (Printf.sprintf "bad recover presence byte %d" p)))
-      | 5 ->
-        In_ledger
+        In_recover
           (R.list r (fun r ->
                let tag = R.bytes r in
                let data = R.bytes r in

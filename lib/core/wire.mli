@@ -15,16 +15,14 @@ type input =
   | In_net of Message.t  (** protocol message from the network or a local compartment *)
   | In_batch of Message.request list  (** environment hands a batch to the primary's Preparation *)
   | In_suspect of Ids.view  (** environment suspects the primary of the given view *)
-  | In_recover of string option
-      (** restart handshake: the broker hands back the newest sealed
-          checkpoint blob it holds for this compartment ([None] if storage
-          has none).  The compartment unseals it, checks the bound
-          monotonic counter, and either resumes or refuses (rollback). *)
-  | In_ledger of (string * string) list
-      (** second phase of the Execution restart handshake: the persisted
-          ledger records (oldest first).  The compartment replays them
-          through {!Splitbft_storage.Ledger.recover}, verifying the hash
-          chain and counter binding — refusing loudly on rollback. *)
+  | In_recover of (string * string) list
+      (** restart handshake: the broker hands back the (tag, data) records
+          this compartment persisted, oldest first: its sealed checkpoint
+          records and, for Execution, the ledger.  The compartment unseals
+          its image, checks the bound monotonic counter, rebuilds what the
+          image names, and either resumes or refuses (rollback).  While
+          Execution's state transfer is pending, the broker's recovery
+          timer re-sends it an empty list as a retry prompt. *)
 
 type output =
   | Out_send of int * Message.t  (** unicast to a network address *)

@@ -208,6 +208,32 @@ let storage_scale_rows ~current_name ~current =
           r_current = nan;
           r_verdict = Missing_metric "read-scale-f4-vs-f0 ratio" } ])
 
+(* Paper claim (§6, Figure 3a): unbatched SplitBFT-KVS throughput does
+   not fall as clients are added — at 150 clients it is at least
+   [fig3a_hold_floor] times its 10-client throughput.  Measured on the
+   CURRENT run, like the gates above. *)
+let fig3a_hold_floor = 0.95
+
+let fig3a_claim_rows ~current_name ~current =
+  match artifact_points ~doc_name:current_name "fig3a" current with
+  | None -> []
+  | Some raw ->
+    let points = List.map (point_of_json ~doc_name:current_name "fig3a") raw in
+    let tput l =
+      match List.find_opt (fun p -> p.label = l) points with
+      | Some p -> p.split_tput
+      | None -> nan
+    in
+    let ratio = tput "kvs-c150" /. tput "kvs-c10" in
+    [ { r_point = "fig3a/kvs-c150-vs-c10";
+        r_metric = "splitbft";
+        r_baseline = fig3a_hold_floor;
+        r_current = ratio;
+        r_verdict =
+          (if not (Float.is_finite ratio) then Missing_metric "kvs-c10 and kvs-c150 throughput"
+           else if ratio < fig3a_hold_floor then Regression " (KVS falls as clients grow)"
+           else Pass) } ]
+
 let check ?(tolerance = 0.10) ?only ~baseline_name ~current_name ~baseline ~current () =
   (* [only] restricts the sweep to the named artifacts — an EXPLICIT
      narrowing for jobs that measure a subset (the storage job gates
@@ -219,6 +245,7 @@ let check ?(tolerance = 0.10) ?only ~baseline_name ~current_name ~baseline ~curr
     baseline_rows ~gated ~tolerance ~baseline_name ~current_name ~baseline ~current
     @ (if keep "hotpath" then detect_overhead_rows ~current_name ~current else [])
     @ (if keep "storage" then storage_scale_rows ~current_name ~current else [])
+    @ (if keep "fig3a" then fig3a_claim_rows ~current_name ~current else [])
   with
   | exception Malformed msg -> Error msg
   | rows ->

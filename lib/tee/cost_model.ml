@@ -16,6 +16,11 @@ type t = {
   pbft_core_per_req_us : float;
   pbft_request_us : float;
   broker_dispatch_us : float;
+  state_request_us : float;
+  state_reply_us : float;
+  state_entry_us : float;
+  batch_fetch_us : float;
+  batch_data_us : float;
 }
 
 let default =
@@ -35,7 +40,12 @@ let default =
     pbft_core_us = 28.0;
     pbft_core_per_req_us = 0.15;
     pbft_request_us = 2.5;
-    broker_dispatch_us = 0.5 }
+    broker_dispatch_us = 0.5;
+    state_request_us = 2.0;
+    state_reply_us = 1.0;
+    state_entry_us = 1.0;
+    batch_fetch_us = 1.0;
+    batch_data_us = 1.0 }
 
 (* SGX simulation mode runs enclave code as a normal process: no hardware
    transitions and no EPC encryption premium on boundary copies. *)
@@ -59,4 +69,9 @@ let free =
     pbft_core_us = 0.0;
     pbft_core_per_req_us = 0.0;
     pbft_request_us = 0.0;
-    broker_dispatch_us = 0.0 }
+    broker_dispatch_us = 0.0;
+    state_request_us = 0.0;
+    state_reply_us = 0.0;
+    state_entry_us = 0.0;
+    batch_fetch_us = 0.0;
+    batch_data_us = 0.0 }

@@ -40,6 +40,14 @@ type t = {
           off the protocol core) *)
   broker_dispatch_us : float;
       (** SplitBFT untrusted broker: event-loop handling of one message *)
+  state_request_us : float;
+      (** Execution: handling one peer's [State_request] (looking up the
+          certificate, the snapshot and the log suffix to serve) *)
+  state_reply_us : float;  (** Execution: handling one [State_reply] *)
+  state_entry_us : float;
+      (** Execution: tallying one log-suffix entry of a [State_reply] *)
+  batch_fetch_us : float;  (** Execution: handling one peer's [Batch_fetch] *)
+  batch_data_us : float;  (** Execution: handling one [Batch_data] *)
 }
 
 val default : t

@@ -46,6 +46,7 @@ and pool = {
   c_tasks : Registry.counter;
   c_conflict_waits : Registry.counter;
   g_backlog_us : Registry.gauge;
+  mutable in_order_at : float;  (* when the last in-order task's outputs leave *)
 }
 
 and t = {
@@ -95,7 +96,8 @@ let create ?(workers = 1) platform ~name ~measurement
           read_free = Key_tbl.create 64;
           c_tasks = Registry.counter obs ~labels "tee.pool_tasks";
           c_conflict_waits = Registry.counter obs ~labels "tee.pool_conflict_waits";
-          g_backlog_us = Registry.gauge obs ~labels "tee.pool_backlog_us" }
+          g_backlog_us = Registry.gauge obs ~labels "tee.pool_backlog_us";
+          in_order_at = 0.0 }
   in
   let t =
     { name;
@@ -282,6 +284,7 @@ let restart t ~program =
   | Some p ->
     Key_tbl.reset p.write_free;
     Key_tbl.reset p.read_free;
+    p.in_order_at <- 0.0;
     (* The backlog gauge would otherwise hold the dead incarnation's last
        queue depth until the first post-restart pool task overwrites it. *)
     Registry.set p.g_backlog_us 0.0;
@@ -357,7 +360,7 @@ let pool_prune_horizons p ~now =
   prune p.write_free;
   prune p.read_free
 
-let pool_run env f =
+let pool_run ?(in_order = false) env f =
   match env.enclave.pool with
   | None -> ignore (f ())
   | Some p ->
@@ -431,7 +434,16 @@ let pool_run env f =
       let sink =
         match env.deferred_sink with Some s -> s | None -> fun _ -> ()
       in
-      Resource.submit_after !best ~earliest:!dep ~cost (fun () -> sink stamped)
+      (* An in-order task's outputs leave no earlier than those of the
+         in-order task issued before it; the worker does not wait. *)
+      let leave = if in_order then Float.max finish p.in_order_at else finish in
+      if in_order then p.in_order_at <- leave;
+      Resource.submit_after !best ~earliest:!dep ~cost (fun () ->
+          if leave > finish then
+            ignore
+              (Splitbft_sim.Engine.schedule (Platform.engine env.enclave.platform)
+                 ~delay:(leave -. finish) ~label:"pool-in-order" (fun () -> sink stamped))
+          else sink stamped)
     end
 
 let charge_seal env us =

@@ -146,10 +146,13 @@ val ocall : env -> ?cost:float -> string -> unit
 val pool_size : t -> int
 (** Number of workers (1 when the enclave has no pool). *)
 
-val pool_run : env -> (unit -> string list * string list) -> unit
+val pool_run : ?in_order:bool -> env -> (unit -> string list * string list) -> unit
 (** [pool_run env task] runs [task] now; [task] returns its [(reads,
     writes)] key footprint.  Only callable from inside an ecall handler.
-    Without a pool: equivalent to [ignore (task ())]. *)
+    Without a pool: equivalent to [ignore (task ())].  With [~in_order:true]
+    the task's outputs leave no earlier than those of the previous
+    in-order task, so such tasks hand over their outputs in issue order;
+    the worker itself does not wait. *)
 
 val env_keypair : env -> Splitbft_crypto.Signature.keypair
 val env_platform_id : env -> int

@@ -30,7 +30,11 @@ let checki = Alcotest.(check int)
 let test_wire_roundtrips () =
   let req = { Message.client = 1; timestamp = 2L; payload = "p"; auth = "a" } in
   let inputs =
-    [ Wire.In_net (Message.Request req); Wire.In_batch [ req; req ]; Wire.In_suspect 3 ]
+    [ Wire.In_net (Message.Request req);
+      Wire.In_batch [ req; req ];
+      Wire.In_suspect 3;
+      Wire.In_recover [];
+      Wire.In_recover [ ("ckpt:execution", "image"); ("ledger:entry", "") ] ]
   in
   List.iter
     (fun i ->
@@ -80,7 +84,12 @@ let make ?(n = 4) ?(threading = Config.Per_enclave) ?(checkpoint_interval = 64) 
   in
   { engine; net; replicas }
 
-let drive ?(until = 6_000_000.0) ?(ready_quorum = 4) ?(window = 1) c ~ops =
+let put_fresh i = Kvs.encode_op (Kvs.Put (Printf.sprintf "k%d" i, "v"))
+
+(* Submits [ops] operations ([op i] is the i-th, 1-based); [after k] runs
+   once the k-th result arrives. *)
+let drive ?(until = 6_000_000.0) ?(ready_quorum = 4) ?(window = 1) ?(op = put_fresh)
+    ?(after = ignore) c ~ops =
   let cl =
     Client.create c.engine c.net
       { (Client.default_config
@@ -93,10 +102,9 @@ let drive ?(until = 6_000_000.0) ?(ready_quorum = 4) ?(window = 1) c ~ops =
   let completed = ref 0 and wrong = ref 0 in
   Client.start cl ~on_ready:(fun () ->
       for i = 1 to ops do
-        Client.submit cl
-          ~op:(Kvs.encode_op (Kvs.Put (Printf.sprintf "k%d" i, "v")))
-          ~on_result:(fun ~latency_us:_ ~result ->
+        Client.submit cl ~op:(op i) ~on_result:(fun ~latency_us:_ ~result ->
             incr completed;
+            after !completed;
             if not (String.equal result Kvs.ok) then incr wrong)
       done);
   Engine.run ~until c.engine;
@@ -862,7 +870,10 @@ type image = {
   counter : int64;
   view : int;
   last : int;
-  snapshot : string;
+  gen : int;
+  base_seq : int;
+  base_digest : string;
+  head : string;
   sessions : (int * string * string) list;
 }
 
@@ -873,7 +884,10 @@ let parse_image s =
         let counter = R.u64 r in
         let view = R.varint r in
         let last = R.varint r in
-        let snapshot = R.bytes r in
+        let gen = R.varint r in
+        let base_seq = R.varint r in
+        let base_digest = R.bytes r in
+        let head = R.bytes r in
         let sessions =
           R.list r (fun r ->
               let c = R.varint r in
@@ -881,7 +895,7 @@ let parse_image s =
               let enc = R.bytes r in
               (c, auth, enc))
         in
-        { counter; view; last; snapshot; sessions })
+        { counter; view; last; gen; base_seq; base_digest; head; sessions })
       s
   with
   | Ok i -> i
@@ -894,7 +908,10 @@ let reference_image i =
       W.u64 w i.counter;
       W.varint w i.view;
       W.varint w i.last;
-      W.bytes w i.snapshot;
+      W.varint w i.gen;
+      W.varint w i.base_seq;
+      W.bytes w i.base_digest;
+      W.bytes w i.head;
       W.list w
         (fun w (c, auth, enc) ->
           W.varint w c;
@@ -903,8 +920,8 @@ let reference_image i =
         i.sessions)
     ()
 
-(* The newest image of [r] is the reference encoding of its header,
-   snapshot and sessions, sealed at a seq the replica executed. *)
+(* The newest image of [r] is the reference encoding of its header, log
+   position and sessions, sealed at a seq the replica executed. *)
 let check_newest_image name r =
   match List.rev (exec_images r) with
   | [] -> Alcotest.fail (name ^ ": no sealed image")
@@ -938,20 +955,28 @@ let test_one_snapshot_per_checkpoint () =
       checki (name ^ ": one sealed image per checkpoint") checkpoints
         (List.length (taken i));
       checki (name ^ ": one snapshot per checkpoint") checkpoints counts.(i);
-      let tags = List.map fst (Replica.persisted r) in
+      (* Checkpoint deltas accumulate under their slot's tag; every other
+         tag holds one record. *)
+      let deltas = [ Execution.delta_tag 0; Execution.delta_tag 1 ] in
+      let tags =
+        List.filter (fun t -> not (List.mem t deltas)) (List.map fst (Replica.persisted r))
+      in
       checki (name ^ ": one image per tag")
         (List.length (List.sort_uniq String.compare tags))
         (List.length tags))
     c.replicas
 
-(* The bytes an image holds after its application snapshot (which
-   follows the counter, the view and the sealed seq), read without
-   parsing them, so a growing tail shows as a growing number. *)
+(* The bytes an image holds after its log position (which follows the
+   counter, the view and the sealed seq), read without parsing them, so a
+   growing tail shows as a growing number. *)
 let image_tail image =
   let r = R.of_string image in
   ignore (R.u64 r);
   ignore (R.varint r);
   ignore (R.varint r);
+  ignore (R.varint r);
+  ignore (R.varint r);
+  ignore (R.bytes r);
   ignore (R.bytes r);
   R.remaining r
 
@@ -1025,7 +1050,7 @@ let test_image_golden () =
   | first :: _ ->
     checki "sealed at seq 8" 8 (parse_image first).last;
     Alcotest.(check string) "image sha256"
-      "a861f191a875d9bbd0befc104a455452fd166ebb472914950a02ad4e37836e4c"
+      "021f4d5e62a0196a88dc27cf6d9ade8e758f81e4516585469741e747af8a0044"
       (Splitbft_util.Hex.encode (Sha256.digest first))
 
 (* The same pin for the ordering compartments' images (view, cursors,
@@ -1046,6 +1071,229 @@ let test_ordering_images_golden () =
       ( Ids.Confirmation,
         "ckpt:confirmation",
         "713614b660f2127331514997412b727cc9b9231ebe86ac41b67c84dd0d3aa2f7" ) ]
+
+(* ----- the sealed checkpoint log: recovery verdicts ----- *)
+
+let exec_records r =
+  List.filter
+    (fun (tag, _) -> String.starts_with ~prefix:"ckpt:execution" tag)
+    (Replica.persisted r)
+
+(* A fresh Execution enclave on [r]'s platform (its sealing key and its
+   counters) offered [records]: the seq and digest of the state it
+   restored, or the alert it raised. *)
+let recover_from r records =
+  let platform = Enclave.platform (Replica.enclave r Ids.Execution) in
+  let engine = Platform.engine platform in
+  let id = Replica.id r in
+  let cfg = Config.default ~n:4 ~id in
+  let program, probe = Execution.make cfg ~app:(fun () -> Kvs.create ()) in
+  let enclave =
+    Enclave.create platform ~name:"execution-under-test"
+      ~measurement:(Splitbft_types.Enclave_identity.of_compartment Ids.Execution)
+      ~cost_model:cfg.Config.cost
+      ~key_seed:(Keys.enclave_signing_seed id Ids.Execution)
+      ~program
+  in
+  let outputs = ref [] in
+  Enclave.ecall enclave
+    ~thread:(Splitbft_sim.Resource.create engine ~name:"recover-under-test")
+    ~payload:(Wire.encode_input (Wire.In_recover records))
+    ~on_done:(fun o -> outputs := o)
+    ();
+  Engine.run ~until:(Engine.now engine +. 10_000.0) engine;
+  match
+    List.filter_map
+      (fun o -> match Wire.decode_output o with Ok (Wire.Out_alert a) -> Some a | _ -> None)
+      !outputs
+  with
+  | alert :: _ -> Error alert
+  | [] -> Ok (probe.Execution.last_executed (), probe.Execution.app_digest ())
+
+(* Replica 3 of a cluster at checkpoint interval 4 after 48 puts, its
+   host crashed so its disk and counters hold still; its last image names
+   a generation with deltas.  Returns the replica, its Execution records
+   (oldest first), the generation, and the seq and digest it had. *)
+let log_fixture () =
+  let c = make ~checkpoint_interval:4 () in
+  let _, completed, _ = drive c ~ops:48 in
+  checki "served" 48 completed;
+  let r3 = List.nth c.replicas 3 in
+  let live = (Replica.last_executed r3, Replica.app_digest r3) in
+  Replica.crash_host r3;
+  let records = exec_records r3 in
+  let image = parse_image (List.hd (exec_images r3)) in
+  checki "the image is at the last executed seq" (fst live) image.last;
+  (r3, records, image.gen, live)
+
+let under tag records = List.filter (fun (t, _) -> String.equal t tag) records
+let without tag records = List.filter (fun (t, _) -> not (String.equal t tag)) records
+
+(* [records] with the records under [tag] replaced by [f] of them. *)
+let rework tag f records = without tag records @ f (under tag records)
+
+let test_log_recovery_verdicts () =
+  let r3, records, gen, live = log_fixture () in
+  let deltas = Execution.delta_tag gen and base = Execution.base_tag gen in
+  let older_deltas = under (Execution.delta_tag (gen - 1)) records in
+  checkb "the image's generation has three deltas" true (List.length (under deltas records) >= 3);
+  checkb "the older generation has a delta" true (older_deltas <> []);
+  let older_base = List.hd (under (Execution.base_tag (gen - 1)) records) in
+  let torn (tag, blob) = (tag, String.sub blob 0 (String.length blob / 2)) in
+  let cases =
+    [ ("as persisted", records, true);
+      ( "a delta dropped",
+        rework deltas (function d0 :: _ :: rest -> d0 :: rest | l -> l) records,
+        false );
+      ( "two deltas swapped",
+        rework deltas (function d0 :: d1 :: rest -> d1 :: d0 :: rest | l -> l) records,
+        false );
+      ( "a delta replayed",
+        rework deltas (function d0 :: rest -> d0 :: d0 :: rest | l -> l) records,
+        false );
+      ( "a delta from an older base generation",
+        rework deltas
+          (function d0 :: _ :: rest -> d0 :: (deltas, snd (List.hd older_deltas)) :: rest | l -> l)
+          records,
+        false );
+      ( "an older base substituted",
+        rework base (fun _ -> [ (base, snd older_base) ]) records,
+        false );
+      ( "a torn final delta",
+        records @ [ torn (List.hd (List.rev (under deltas records))) ],
+        true );
+      ( "a crash after the next base, before its image",
+        (* The host's rule: the next generation's base replaces the older
+           base of its slot and drops that slot's deltas. *)
+        (let next = Execution.base_tag (gen + 1) in
+         without (Execution.delta_tag (gen + 1)) (without next records)
+         @ [ (next, snd (List.hd (under base records))) ]),
+        true ) ]
+  in
+  List.iter
+    (fun (name, records, recovers) ->
+      match (recover_from r3 records, recovers) with
+      | Ok restored, true -> checkb (name ^ ": restores the live state") true (restored = live)
+      | Error alert, false ->
+        checkb (name ^ ": refused by execution") true
+          (String.starts_with ~prefix:"execution:" alert)
+      | Ok _, false -> Alcotest.failf "%s: restored" name
+      | Error alert, true -> Alcotest.failf "%s: refused (%s)" name alert)
+    cases
+
+(* Base + deltas restore the state the live replica had at its image's
+   seq, for random op streams and checkpoint intervals.  Replica 3 crashes
+   after the 8th result and restarts after the 20th, behind a stable
+   checkpoint, so state transfer installs a snapshot and its next
+   checkpoint seals a base; after the last result it crashes again, and a
+   fresh enclave recovers from its disk.  The live digests are the ones
+   replica 3 broadcast in its Checkpoint messages. *)
+let kvs_op =
+  let open QCheck.Gen in
+  let key = map (Printf.sprintf "key%d") (int_bound 5) in
+  oneof
+    [ map2 (fun k v -> Kvs.Put (k, v)) key (string_size ~gen:printable (int_range 0 12));
+      map (fun k -> Kvs.Get k) key;
+      map (fun k -> Kvs.Delete k) key ]
+
+let prop_log_restores_live_state =
+  QCheck.Test.make ~name:"checkpoint log restores the live state" ~count:6
+    QCheck.(
+      make
+        ~print:(fun (interval, ops) ->
+          Printf.sprintf "interval %d, %d ops" interval (List.length ops))
+        Gen.(pair (int_range 2 6) (list_size (int_range 30 45) kvs_op)))
+    (fun (interval, ops) ->
+      let c = make ~checkpoint_interval:interval () in
+      let r3 = List.nth c.replicas 3 in
+      let live = Hashtbl.create 16 in
+      Network.add_tap c.net (fun ~src:_ ~dst:_ payload ->
+          match Message.decode_traced payload with
+          | Ok (Message.Checkpoint ck, _) when ck.Message.sender = 3 ->
+            Hashtbl.replace live ck.Message.seq ck.Message.state_digest
+          | _ -> ());
+      let ops = Array.of_list (List.map Kvs.encode_op ops) in
+      let after k =
+        if k = 8 || k = 20 then
+          ignore
+            (Engine.schedule c.engine ~delay:0.0 ~label:"test" (fun () ->
+                 if k = 8 then Replica.crash_host r3 else Replica.restart_host r3))
+      in
+      let _, completed, _ = drive c ~ops:(Array.length ops) ~op:(fun i -> ops.(i - 1)) ~after in
+      Replica.crash_host r3;
+      let image = parse_image (List.hd (List.rev (exec_images r3))) in
+      completed = Array.length ops
+      && Replica.recovery_alerts r3 = []
+      && image.gen >= 2
+      && recover_from r3 (exec_records r3) = Ok (image.last, Hashtbl.find live image.last))
+
+(* Every delta replica 0 seals, as (seq, sealed length) in seq order:
+   sampled from its disk at every send and at each read of the result. *)
+let tap_deltas c =
+  let r0 = List.hd c.replicas in
+  let sealed = Hashtbl.create 16 in
+  let sample () =
+      List.iter
+        (fun (tag, blob) ->
+          if String.equal tag (Execution.delta_tag 0) || String.equal tag (Execution.delta_tag 1)
+          then
+            let image = List.hd (unseal Ids.Execution r0 [ blob ]) in
+            match Splitbft_storage.Entry.decode_record image with
+            | Ok (e, _) -> Hashtbl.replace sealed e.Splitbft_storage.Entry.seq (String.length blob)
+            | Error e -> Alcotest.fail e)
+        (Replica.persisted r0)
+  in
+  Network.add_tap c.net (fun ~src:_ ~dst:_ _ -> sample ());
+  fun () ->
+    sample ();
+    List.sort compare (Hashtbl.fold (fun seq n acc -> (seq, n) :: acc) sealed [])
+
+(* The same writes over a store ten times larger seal the same deltas:
+   a checkpoint's cost follows what was written, not what is stored. *)
+let test_delta_bytes_independent_of_store () =
+  let run preload =
+    let app _ () =
+      let a = Kvs.create () in
+      for i = 1 to preload do
+        let op = Kvs.Put (Printf.sprintf "pre%05d" i, "0123456789") in
+        ignore (a.State_machine.apply (Kvs.encode_op op))
+      done;
+      a
+    in
+    let c = make ~checkpoint_interval:8 ~app () in
+    let deltas = tap_deltas c in
+    let images = tap_exec_images c in
+    let _, completed, _ = drive c ~ops:64 in
+    checki "served" 64 completed;
+    (deltas (), List.map String.length (images 0))
+  in
+  let small, small_images = run 100 and large, large_images = run 1000 in
+  checki "a delta at every checkpoint after the first" 7 (List.length small);
+  checkb "the same delta bytes at every checkpoint" true (small = large);
+  checkb "the same image bytes at every checkpoint" true (small_images = large_images)
+
+(* Persisted bytes per replica do not grow with the run: the peak over
+   400 writes to 16 keys is the peak over 100. *)
+let test_disk_is_flat () =
+  let peak ops =
+    let c = make ~checkpoint_interval:8 () in
+    let peak = Array.make 4 0 in
+    let bytes r = List.fold_left (fun n (_, d) -> n + String.length d) 0 (Replica.persisted r) in
+    Network.add_tap c.net (fun ~src:_ ~dst:_ _ ->
+        List.iteri (fun i r -> peak.(i) <- max peak.(i) (bytes r)) c.replicas);
+    let op i = Kvs.encode_op (Kvs.Put (Printf.sprintf "k%d" (i mod 16), string_of_int i)) in
+    let _, completed, _ = drive c ~ops ~op in
+    checki "served" ops completed;
+    peak
+  in
+  let short = peak 100 and long = peak 400 in
+  Array.iteri
+    (fun i p ->
+      checkb
+        (Printf.sprintf "replica %d: peak %d B over 400 writes <= 1.1 x %d B over 100" i long.(i) p)
+        true
+        (float_of_int long.(i) <= 1.1 *. float_of_int p))
+    short
 
 let suites =
   [ ( "splitbft",
@@ -1088,4 +1336,9 @@ let suites =
           test_history_survives_restore;
         Alcotest.test_case "checkpoint: image golden" `Quick test_image_golden;
         Alcotest.test_case "checkpoint: ordering images golden" `Quick
-          test_ordering_images_golden ] ) ]
+          test_ordering_images_golden;
+        Alcotest.test_case "checkpoint log: recovery verdicts" `Quick test_log_recovery_verdicts;
+        QCheck_alcotest.to_alcotest prop_log_restores_live_state;
+        Alcotest.test_case "checkpoint log: delta bytes independent of the store" `Quick
+          test_delta_bytes_independent_of_store;
+        Alcotest.test_case "checkpoint log: disk is flat" `Quick test_disk_is_flat ] ) ]

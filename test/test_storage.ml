@@ -678,6 +678,24 @@ let test_gate_storage_scale () =
   let r = gate ~baseline:(doc_of []) ~current:no_ratio in
   checkb "missing ratio row fails" true (r.Bench_gate.failures >= 1)
 
+let test_gate_fig3a_claim () =
+  let current c10 c150 =
+    doc_of
+      [ ("fig3a",
+         Json.List
+           (List.map
+              (fun (label, tput) ->
+                Json.Obj
+                  [ ("label", Json.Str label); ("splitbft_throughput_ops", Json.Float tput) ])
+              [ ("kvs-c10", c10); ("kvs-c150", c150) ])) ]
+  in
+  let r = gate ~baseline:(doc_of []) ~current:(current 4000.0 3900.0) in
+  checki "150 clients at 97.5% of 10 passes" 0 r.Bench_gate.failures;
+  let r = gate ~baseline:(doc_of []) ~current:(current 4000.0 3700.0) in
+  checki "150 clients at 92.5% of 10 fails" 1 r.Bench_gate.failures;
+  let r = gate ~baseline:(doc_of []) ~current:(doc_of [ ("fig3a", Json.List []) ]) in
+  checki "missing points fail" 1 r.Bench_gate.failures
+
 let suites =
   [ ( "storage",
       [ Alcotest.test_case "ledger roundtrip" `Quick test_ledger_append_seal_recover;
@@ -702,4 +720,5 @@ let suites =
         Alcotest.test_case "gate missing point" `Quick test_gate_missing_point_fails;
         Alcotest.test_case "gate missing metric" `Quick test_gate_missing_metric_fails;
         Alcotest.test_case "gate missing detect twin" `Quick test_gate_detect_twin_missing_fails;
-        Alcotest.test_case "gate storage scale" `Quick test_gate_storage_scale ] ) ]
+        Alcotest.test_case "gate storage scale" `Quick test_gate_storage_scale;
+        Alcotest.test_case "gate fig3a claim" `Quick test_gate_fig3a_claim ] ) ]

@@ -261,6 +261,38 @@ let test_cost_model_modes () =
   checkf "sim zeroes ocall transitions" 0.0 sim.Cost_model.ocall_transition_us;
   checkb "sim keeps crypto costs" true (sim.Cost_model.verify_us = d.Cost_model.verify_us)
 
+(* Two pool tasks on two workers, the first ten times as long: plain
+   tasks hand over their outputs as they finish, in-order ones in issue
+   order, and neither makes a worker wait. *)
+let test_pool_in_order () =
+  let delivered ~in_order =
+    let engine, platform = setup () in
+    let program env payload =
+      Enclave.pool_run ~in_order env (fun () ->
+          Enclave.charge env (if payload = "long" then 100.0 else 10.0);
+          Enclave.emit env payload;
+          ([], []))
+    in
+    let enclave =
+      Enclave.create ~workers:2 platform ~name:"e" ~measurement:(meas "test-enclave")
+        ~cost_model:Cost_model.free ~key_seed:"enclave-key" ~program
+    in
+    let thread = Resource.create engine ~name:"t" in
+    let got = ref [] in
+    List.iter
+      (fun payload ->
+        Enclave.ecall enclave ~thread ~payload
+          ~on_done:(fun outs -> got := !got @ List.map (fun o -> (o, Engine.now engine)) outs)
+          ())
+      [ "long"; "short" ];
+    Engine.run engine;
+    !got
+  in
+  Alcotest.(check (list (pair string (float 1e-9)))) "plain: as they finish"
+    [ ("short", 10.0); ("long", 100.0) ] (delivered ~in_order:false);
+  Alcotest.(check (list (pair string (float 1e-9)))) "in order: issue order"
+    [ ("long", 100.0); ("short", 100.0) ] (delivered ~in_order:true)
+
 let suites =
   [ ( "tee",
       [ Alcotest.test_case "measurement identity" `Quick test_measurement_identity;
@@ -280,4 +312,5 @@ let suites =
         Alcotest.test_case "seal from env" `Quick test_enclave_seal_env;
         Alcotest.test_case "scoped counter" `Quick test_enclave_counter_scoped;
         Alcotest.test_case "quote verifies" `Quick test_enclave_quote_verifies;
-        Alcotest.test_case "cost model modes" `Quick test_cost_model_modes ] ) ]
+        Alcotest.test_case "cost model modes" `Quick test_cost_model_modes;
+        Alcotest.test_case "pool hands over in order" `Quick test_pool_in_order ] ) ]
