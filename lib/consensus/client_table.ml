@@ -6,7 +6,7 @@ module Ts_tbl = Splitbft_util.Htbl.Int64
 
 type t = {
   entries : Client_dedup.t Client_tbl.t;
-  assigned : unit Ts_tbl.t Client_tbl.t;
+  assigned : Ids.seqno Ts_tbl.t Client_tbl.t;  (* timestamp -> the seq it was assigned at *)
 }
 
 let create () = { entries = Client_tbl.create 64; assigned = Client_tbl.create 64 }
@@ -33,7 +33,7 @@ let cached_reply t client ts =
   | Some d -> Client_dedup.cached_reply d ts
   | None -> None
 
-let note_assigned t client ts =
+let note_assigned ?(seq = max_int) t client ts =
   let set =
     match Client_tbl.find_opt t.assigned client with
     | Some s -> s
@@ -42,7 +42,7 @@ let note_assigned t client ts =
       Client_tbl.replace t.assigned client s;
       s
   in
-  Ts_tbl.replace set ts ()
+  Ts_tbl.replace set ts seq
 
 let already_assigned t client ts =
   executed t client ts
@@ -52,4 +52,11 @@ let already_assigned t client ts =
   | None -> false
 
 let reset_assignments t = Client_tbl.reset t.assigned
+
+let prune_assignments t ~upto =
+  Client_tbl.iter
+    (fun _ set -> Ts_tbl.filter_map_inplace (fun _ s -> if s <= upto then None else Some s) set)
+    t.assigned
+
+let assignments t = Client_tbl.fold (fun _ set n -> n + Ts_tbl.length set) t.assigned 0
 let clients t = Client_tbl.length t.entries

@@ -4,9 +4,10 @@
     re-proposing a timestamp.
 
     The two sides deliberately differ in durability: executed state is
-    permanent, while assignments are discarded on view entry — a request
-    assigned in a dead view may have been lost with it, and re-ordering is
-    safe because execution deduplicates by exact timestamp. *)
+    permanent, while an assignment lasts until the checkpoint covering its
+    seq stabilises, or until view entry — a request assigned in a dead view
+    may have been lost with it.  Re-ordering either is safe because
+    execution deduplicates by exact timestamp. *)
 
 module Ids = Splitbft_types.Ids
 module Message = Splitbft_types.Message
@@ -31,8 +32,10 @@ val cached_reply : t -> Ids.client_id -> int64 -> Message.reply option
 
 (** {2 Ordering side} *)
 
-val note_assigned : t -> Ids.client_id -> int64 -> unit
-(** Marks a timestamp as assigned to a sequence number. *)
+val note_assigned : ?seq:Ids.seqno -> t -> Ids.client_id -> int64 -> unit
+(** Marks a timestamp as assigned to sequence number [seq].  Without
+    [seq] (a host that notes a request when it queues it, before it is
+    numbered) the assignment outlives every {!prune_assignments}. *)
 
 val already_assigned : t -> Ids.client_id -> int64 -> bool
 (** Assigned in the current view {e or} already executed. *)
@@ -40,6 +43,12 @@ val already_assigned : t -> Ids.client_id -> int64 -> bool
 val reset_assignments : t -> unit
 (** View entry: allow retransmissions of possibly-lost requests to be
     ordered again. *)
+
+val prune_assignments : t -> upto:Ids.seqno -> unit
+(** Checkpoint GC: drops every assignment at or below [upto]. *)
+
+val assignments : t -> int
+(** Assignments held (probe/metric). *)
 
 val clients : t -> int
 (** Number of clients with executed state (probe/metric). *)

@@ -40,7 +40,14 @@ type probe = {
   app_digest : unit -> string;
   last_stable : unit -> Ids.seqno;
   sessions : unit -> int;
+  body_bytes : unit -> int;
+  decoded_executed : unit -> int;
 }
+
+(* A batch body held by digest.  Decoded while a slot waits to execute it;
+   once executed, only the encoding its digest was computed over, decoded
+   again only to serve a fetch or a state transfer, or to re-execute. *)
+type body = Pending of Message.request list * string | Executed of string
 
 (* Where the sealed checkpoint log stands (DESIGN.md §6a). *)
 type log = {
@@ -60,7 +67,7 @@ type state = {
   app : State_machine.t;
   mutable view : Ids.view;
   vc : View_change.t;  (* the views entered through a NewView *)
-  batches : (string, Ids.seqno * Message.request list) Hashtbl.t;
+  batches : (string, Ids.seqno * body) Hashtbl.t;
       (* by digest: the body and the highest seq it was pre-prepared or
          decided at, which decides when [gc] drops it *)
   commits : (Ids.seqno, Message.commit) Votes.t;  (* current view *)
@@ -271,14 +278,30 @@ let send_checkpoint_if_due env st ~byz seq =
         Common.seal_checkpoint env ~tag:image_tag write_image (st, seq);
         ([], []))
 
-(* Stores [digest]'s body if it is new, and raises the seq it is kept for. *)
+let encoding (Pending (_, enc) | Executed enc) = enc
+
+(* Stores [digest]'s body, given as the batch and its encoding, if it is
+   new, and raises the seq it is kept for. *)
 let keep_batch st digest seq body =
   match (Hashtbl.find_opt st.batches digest, body) with
   | Some (s, b), _ -> if seq > s then Hashtbl.replace st.batches digest (seq, b)
-  | None, Some b -> Hashtbl.replace st.batches digest (seq, b)
+  | None, Some (batch, enc) ->
+    Hashtbl.replace st.batches digest
+      (seq, if seq > st.last_executed then Pending (batch, enc) else Executed enc)
   | None, None -> ()
 
-let find_batch st digest = Option.map snd (Hashtbl.find_opt st.batches digest)
+let find_batch st digest =
+  match Hashtbl.find_opt st.batches digest with
+  | Some (_, Pending (batch, _)) -> Some batch
+  | Some (_, Executed enc) -> Result.to_option (Message.decode_batch enc)
+  | None -> None
+
+(* After [digest] executed at [seq]: keep only its encoding, unless a
+   higher slot still waits to execute it. *)
+let settle st digest seq =
+  match Hashtbl.find_opt st.batches digest with
+  | Some (s, Pending (_, enc)) when s <= seq -> Hashtbl.replace st.batches digest (s, Executed enc)
+  | Some _ | None -> ()
 
 let gc st stable =
   Votes.prune st.commits ~keep:(fun seq -> seq > stable);
@@ -290,7 +313,10 @@ let gc st stable =
      a replica a whole interval behind catches up by state transfer. *)
   let cut = stable - st.cfg.checkpoint_interval in
   Hashtbl.filter_map_inplace
-    (fun _ (seq, b) -> if seq <= cut then None else Some (seq, b))
+    (fun _ (seq, b) ->
+      if seq <= cut then None
+      else if seq <= st.last_executed then Some (seq, Executed (encoding b))
+      else Some (seq, b))
     st.batches
 
 let send_session_quote env st client =
@@ -462,6 +488,7 @@ let rec try_execute env st ~byz =
       end
     | Some batch ->
       st.last_executed <- seq;
+      settle st digest seq;
       st.report (Executed (seq, digest));
       (* The batch executes as one pool task: state transitions happen
          here, in sequence order (so the execution order and replies are
@@ -585,7 +612,7 @@ let on_state_reply env st ~byz (sr : Message.state_reply) =
     Catchup.absorb st.sync sr
       ~admit:(fun seq -> seq > st.last_executed && not (Log.mem st.decided seq))
       ~install:(fun (e : Message.state_entry) ->
-        keep_batch st e.se_digest e.se_seq (Some e.se_batch);
+        keep_batch st e.se_digest e.se_seq (Some (e.se_batch, Message.encode_batch e.se_batch));
         Log.set st.decided e.se_seq e.se_digest);
     (* Adopt the vouched view so commits flowing in the cluster's current
        view are not discarded. *)
@@ -677,8 +704,8 @@ let on_preprepare env st ~byz (pp : Message.preprepare) =
      the argument that lets Batch_data bodies arrive unsigned.  The
      signature is still verified where it gates protocol steps
      (Preparation/Confirmation). *)
-  let digest = Message.digest_of_batch pp.batch in
-  keep_batch st digest pp.seq (Some pp.batch);
+  let enc = Message.encode_batch pp.batch in
+  keep_batch st (Message.digest_of_encoded_batch enc) pp.seq (Some (pp.batch, enc));
   try_execute env st ~byz
 
 (* Handler (4): a commit certificate decides a sequence number. *)
@@ -766,12 +793,13 @@ let on_batch_fetch env st (bf : Message.batch_fetch) =
 
 let on_batch_data env st ~byz (bd : Message.batch_data) =
   Enclave.charge_exec env (Enclave.cost_model env).batch_data_us;
-  let digest = Message.digest_of_batch bd.bd_batch in
+  let enc = Message.encode_batch bd.bd_batch in
+  let digest = Message.digest_of_encoded_batch enc in
   match Hashtbl.find_opt st.fetching digest with
   | None -> ()
   | Some seq ->
     Hashtbl.remove st.fetching digest;
-    keep_batch st digest seq (Some bd.bd_batch);
+    keep_batch st digest seq (Some (bd.bd_batch, enc));
     try_execute env st ~byz
 
 let handle env st ~byz (input : Wire.input) =
@@ -835,6 +863,16 @@ let make ?(byz = Exec_honest) ?(report = ignore) (cfg : Config.t) ~app =
       executed_total = (fun () -> !current.executed_total);
       app_digest = (fun () -> State_machine.digest !current.app);
       last_stable = (fun () -> Ckpt.last_stable !current.ckpt);
-      sessions = (fun () -> Sessions.count !current.sessions) }
+      sessions = (fun () -> Sessions.count !current.sessions);
+      body_bytes =
+        (fun () ->
+          Hashtbl.fold (fun _ (_, b) n -> n + String.length (encoding b)) !current.batches 0);
+      decoded_executed =
+        (fun () ->
+          let st = !current in
+          Hashtbl.fold
+            (fun _ (seq, b) n ->
+              match b with Pending _ when seq <= st.last_executed -> n + 1 | _ -> n)
+            st.batches 0) }
   in
   (program, probe)

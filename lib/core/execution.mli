@@ -34,6 +34,10 @@ type probe = {
   app_digest : unit -> string;
   last_stable : unit -> Ids.seqno;
   sessions : unit -> int;
+  body_bytes : unit -> int;  (** encoded bytes of every batch body held *)
+  decoded_executed : unit -> int;
+      (** bodies held decoded at or below [last_executed] (none once they
+          settle into their encoding) *)
 }
 
 (** What the test oracle sees of execution, reported as it happens so the

@@ -28,6 +28,9 @@ type probe = {
   sessions : unit -> int;
   parked : unit -> int;
   tallied_views : unit -> int list;
+  logged : unit -> int;
+  held_requests : unit -> int;
+  assignments : unit -> int;
 }
 
 type state = {
@@ -46,10 +49,11 @@ type state = {
      our own window slides — dropping them would strand the seqno until a
      view change (the receiver-side half of the window-edge stall). *)
   mutable ahead : Message.t list;
-  (* in_prep: own and accepted proposals plus the duplicated prepare log *)
-  preprepares : Message.preprepare Log.t;
+  (* in_prep: own and accepted proposals, in their signed digest form (no
+     handler reads a body back), plus the duplicated prepare log *)
+  preprepares : Message.preprepare_digest Log.t;
   prepares : (Ids.seqno, Message.prepare) Votes.t;
-  assigned : Client_table.t;  (* client timestamps already given a seqno *)
+  assigned : Client_table.t;  (* client timestamps given a seqno above the stable checkpoint *)
   sessions : (string * Hmac.key) Sessions.t;  (* client auth keys, raw and prepared *)
   vc : View_change.t;
   ckpt : Ckpt.t;
@@ -93,18 +97,27 @@ let request_ok st (r : Message.request) =
    at once. *)
 let sign env = Signature.sign (Enclave.env_keypair env).Signature.secret
 
-let sign_pp env pp =
-  { pp with Message.pp_sig = Common.sign_with env (Message.preprepare_signing_bytes pp) }
+(* A signed proposal of [batch] at [seq]: its digest form, which the log
+   keeps, and the full PrePrepare sharing its signature.  The batch is
+   hashed once. *)
+let propose env st seq batch =
+  let digest = Message.digest_of_batch batch in
+  let pp_sig =
+    Common.sign_with env
+      (Message.signing_bytes_of_proposal ~view:st.view ~seq ~digest ~sender:st.cfg.id)
+  in
+  let pp = { Message.view = st.view; seq; batch; sender = st.cfg.id; pp_sig } in
+  (Message.summarize ~digest pp, pp)
 
 (* A byzantine primary enclave equivocates: two conflicting proposals for
    one sequence number, each unicast to half the replicas (including this
    replica itself, so its own sibling compartments see one version too). *)
 let equivocate env st seq batch =
-  let pp_a = sign_pp env { Message.view = st.view; seq; batch; sender = st.cfg.id; pp_sig = "" } in
+  let pd_a, pp_a = propose env st seq batch in
   (* The conflicting proposal is the (valid) empty batch, so honest
      receivers cannot reject it on client-authentication grounds. *)
-  let pp_b = sign_pp env { Message.view = st.view; seq; batch = []; sender = st.cfg.id; pp_sig = "" } in
-  Log.set st.preprepares seq pp_a;
+  let _, pp_b = propose env st seq [] in
+  Log.set st.preprepares seq pd_a;
   for j = 0 to st.cfg.n - 1 do
     let pp = if j mod 2 = 1 then pp_a else pp_b in
     Enclave.emit env
@@ -123,17 +136,7 @@ let corrupt_digest env st seq =
   let phantom =
     [ { Message.client = 0; timestamp = 0L; payload = "corrupt-digest"; auth = "" } ]
   in
-  let pd =
-    { Message.pd_view = st.view;
-      pd_seq = seq;
-      pd_digest = Message.digest_of_batch phantom;
-      pd_sender = st.cfg.id;
-      pd_sig = "" }
-  in
-  let pd =
-    { pd with
-      Message.pd_sig = Common.sign_with env (Message.preprepare_digest_signing_bytes pd) }
-  in
+  let pd, _ = propose env st seq phantom in
   for j = 0 to st.cfg.n - 1 do
     Enclave.emit env
       (Wire.encode_output (Wire.Out_send (Addr.replica j, Message.Preprepare_digest pd)))
@@ -158,20 +161,18 @@ let on_batch env st ~byz ?(elide = true) reqs =
       in
       let batch = List.filter fresh reqs in
       if batch <> [] then begin
-        List.iter
-          (fun (r : Message.request) ->
-            Client_table.note_assigned st.assigned r.client r.timestamp)
-          batch;
         let seq = st.next_seq in
         st.next_seq <- seq + 1;
+        List.iter
+          (fun (r : Message.request) ->
+            Client_table.note_assigned ~seq st.assigned r.client r.timestamp)
+          batch;
         match byz with
         | Prep_equivocate -> equivocate env st seq batch
         | Prep_corrupt_digest -> corrupt_digest env st seq
         | Prep_honest ->
-          let pp =
-            sign_pp env { Message.view = st.view; seq; batch; sender = st.cfg.id; pp_sig = "" }
-          in
-          Log.set st.preprepares seq pp;
+          let pd, pp = propose env st seq batch in
+          Log.set st.preprepares seq pd;
           let wire =
             (* Body elision: the signature covers the digest form (see
                [Message.signing_bytes_of_proposal]), so when freshness
@@ -182,7 +183,7 @@ let on_batch env st ~byz ?(elide = true) reqs =
                body, so a confused or malicious broker can only make the
                proposal fail verification, never change what is ordered. *)
             if elide && List.length batch = List.length reqs
-            then Message.Preprepare_digest (Message.summarize pp)
+            then Message.Preprepare_digest pd
             else Message.Preprepare pp
           in
           Enclave.emit env (Wire.encode_output (Wire.Out_broadcast wire))
@@ -215,7 +216,7 @@ let send_prepare env st ~sign ~seq ~digest =
    individual corrupted operation is still ordered and later no-oped by
    Execution (§4), so it does not invalidate the proposal. *)
 let accept_preprepare env st (pp : Message.preprepare) ~digest =
-  Log.set st.preprepares pp.seq pp;
+  Log.set st.preprepares pp.seq (Message.summarize ~digest pp);
   send_prepare env st ~sign:(Common.sign_with env) ~seq:pp.seq ~digest
 
 let preprepare_plausible st (pp : Message.preprepare) =
@@ -271,6 +272,9 @@ let gc st stable =
   Log.advance_low_mark st.preprepares stable;
   Log.prune st.preprepares ~upto:stable;
   Votes.prune st.prepares ~keep:(fun seq -> seq > stable);
+  (* A quorum executed every slot up to [stable]; a retransmission of one
+     of their requests that is ordered again only replays its reply. *)
+  Client_table.prune_assignments st.assigned ~upto:stable;
   if st.next_seq <= stable then st.next_seq <- stable + 1
 
 (* ----- rollback-protected sealed checkpoints -----
@@ -458,6 +462,15 @@ let make ?(byz = Prep_honest) (cfg : Config.t) =
       last_stable = (fun () -> Ckpt.last_stable !current.ckpt);
       sessions = (fun () -> Sessions.count !current.sessions);
       parked = (fun () -> List.length !current.parked);
-      tallied_views = (fun () -> View_change.tallied_views !current.vc) }
+      tallied_views = (fun () -> View_change.tallied_views !current.vc);
+      logged = (fun () -> Log.cardinal !current.preprepares);
+      held_requests =
+        (fun () ->
+          let st = !current in
+          List.fold_left (fun n reqs -> n + List.length reqs) 0 st.parked
+          + List.fold_left
+              (fun n -> function Message.Preprepare pp -> n + List.length pp.batch | _ -> n)
+              0 st.ahead);
+      assignments = (fun () -> Client_table.assignments !current.assigned) }
   in
   (program, probe)

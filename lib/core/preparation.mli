@@ -30,6 +30,11 @@ type probe = {
   sessions : unit -> int;
   parked : unit -> int;  (** batches waiting for window space *)
   tallied_views : unit -> int list;  (** target views with a ViewChange tally *)
+  logged : unit -> int;  (** proposals in the log, each in its digest form *)
+  held_requests : unit -> int;
+      (** request bodies held: in parked batches and in PrePrepares parked
+          ahead of the window (the log holds none) *)
+  assignments : unit -> int;  (** client timestamps holding a seqno *)
 }
 
 val make : ?byz:byz -> Config.t -> Enclave.program * probe

@@ -216,15 +216,21 @@ let table2 ?root () =
   (* The shared view change runs in every compartment; the NewView plan
      is built and recomputed only in Preparation. *)
   let view_change = file "lib/consensus/view_change.ml" in
+  (* Preparation's assignments and Execution's execute-once records. *)
+  let client_table = file "lib/consensus/client_table.ml" in
   let prep =
-    code_loc [ file "lib/core/preparation.ml"; file "lib/consensus/newview.ml"; view_change ]
+    code_loc
+      [ file "lib/core/preparation.ml"; file "lib/consensus/newview.ml"; view_change; client_table ]
   in
   let conf = code_loc [ file "lib/core/confirmation.ml"; view_change ] in
   let app_loc = code_loc (ml_files_under root [ "lib/app" ]) in
-  (* State transfer (the f+1 rule, serving, the snapshot certificate) runs
-     only in Execution. *)
+  (* State transfer (the f+1 rule, serving, the snapshot certificate), the
+     ledger and the sealed checkpoint chain's records run only in
+     Execution. *)
   let exec =
-    code_loc [ file "lib/core/execution.ml"; file "lib/consensus/catchup.ml"; view_change ]
+    code_loc
+      [ file "lib/core/execution.ml"; file "lib/consensus/catchup.ml"; view_change; client_table;
+        file "lib/storage/entry.ml"; file "lib/storage/ledger.ml" ]
     + app_loc
   in
   let untrusted =

@@ -237,11 +237,27 @@ let request_auth_bytes (r : request) =
     ()
 
 
-let digest_of_batch batch =
+(* A batch's digest is the SHA-256 of this encoding, so a replica that
+   keeps the encoding keeps exactly what it hashed. *)
+let batch_magic = "batch"
+
+let encode_batch batch =
   let w = W.create () in
-  W.raw w "batch";
+  W.raw w batch_magic;
   List.iter (write_request w) batch;
-  Sha256.digest (W.contents w)
+  W.contents w
+
+let decode_batch s =
+  R.parse
+    (fun r ->
+      if not (String.equal (R.raw r (String.length batch_magic)) batch_magic) then
+        raise (R.Error "not a batch encoding");
+      let rec go acc = if R.at_end r then List.rev acc else go (read_request r :: acc) in
+      go [])
+    s
+
+let digest_of_encoded_batch = Sha256.digest
+let digest_of_batch batch = digest_of_encoded_batch (encode_batch batch)
 
 (* ----- preprepare ----- *)
 
@@ -282,10 +298,10 @@ let preprepare_digest_signing_bytes (pd : preprepare_digest) =
   signing_bytes_of_proposal ~view:pd.pd_view ~seq:pd.pd_seq ~digest:pd.pd_digest
     ~sender:pd.pd_sender
 
-let summarize (pp : preprepare) : preprepare_digest =
+let summarize ?digest (pp : preprepare) : preprepare_digest =
   { pd_view = pp.view;
     pd_seq = pp.seq;
-    pd_digest = digest_of_batch pp.batch;
+    pd_digest = (match digest with Some d -> d | None -> digest_of_batch pp.batch);
     pd_sender = pp.sender;
     pd_sig = pp.pp_sig }
 

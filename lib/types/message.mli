@@ -211,14 +211,25 @@ val type_name : t -> string
 
 (** {2 Digests} *)
 
+val encode_batch : request list -> string
+(** The bytes a batch's digest is computed over: a replica that keeps a
+    batch in this form keeps what it hashed. *)
+
+val decode_batch : string -> (request list, string) result
+(** Inverse of {!encode_batch}; an [Error] on any other string. *)
+
+val digest_of_encoded_batch : string -> string
+(** [digest_of_encoded_batch (encode_batch b) = digest_of_batch b]. *)
+
 val digest_of_batch : request list -> string
 
 val empty_batch_digest : string
 (** [digest_of_batch []], the digest of the no-op filler batch used to plug
     sequence-number gaps in a NewView. *)
 
-val summarize : preprepare -> preprepare_digest
-(** Digest form of a full PrePrepare (shares its signature). *)
+val summarize : ?digest:string -> preprepare -> preprepare_digest
+(** Digest form of a full PrePrepare (shares its signature).  [digest],
+    when the caller already hashed the batch, is taken as its digest. *)
 
 (** {2 Codec} *)
 

@@ -481,6 +481,134 @@ let test_reproposed_digest_executes () =
     c.replicas;
   checkb "agreement" true (agreement c.replicas)
 
+(* ----- what each replica retains ----- *)
+
+(* A batch-200 deployment: [clients] closed-loop clients, each keeping
+   [window] writes over 64 keys outstanding. *)
+let make_saturated ?(clients = 8) ?(window = 50) () =
+  let c = make ~batch_size:200 ~checkpoint_interval:16 () in
+  List.iter
+    (fun id ->
+      let cl =
+        Client.create c.engine c.net
+          { (Client.default_config (Client.Splitbft { ready_quorum = 4 }) ~n:4 ~id) with
+            Client.window;
+            retry_timeout_us = 300_000.0 }
+      in
+      let rec submit i =
+        Client.submit cl ~op:(put_fresh (i mod 64)) ~on_result:(fun ~latency_us:_ ~result:_ ->
+            submit (i + window))
+      in
+      Client.start cl ~on_ready:(fun () ->
+          for i = 1 to window do
+            submit i
+          done))
+    (List.init clients Fun.id);
+  c
+
+let test_retention_digests_and_encodings () =
+  let c = make_saturated () in
+  Engine.run ~until:100_000.0 c.engine;
+  List.iteri
+    (fun i r ->
+      let prep = Replica.prep_probe r and exec = Replica.exec_probe r in
+      checkb (Printf.sprintf "replica %d: batches of more than one request" i) true
+        (exec.Execution.executed_total () > 2 * exec.Execution.last_executed ());
+      checki (Printf.sprintf "replica %d: Preparation holds no request body" i) 0
+        (prep.Preparation.held_requests ());
+      checkb (Printf.sprintf "replica %d: Preparation logs its proposals" i) true
+        (prep.Preparation.logged () > 0);
+      checki (Printf.sprintf "replica %d: no decoded batch at or below last_executed" i) 0
+        (exec.Execution.decoded_executed ()))
+    c.replicas
+
+(* An executed batch is held encoded; a peer's Batch_fetch and a state
+   transfer still get its body back, and it hashes to the digest it was
+   decided under. *)
+let test_executed_bodies_served () =
+  let c = make_saturated () in
+  Engine.run ~until:100_000.0 c.engine;
+  let r0 = List.hd c.replicas in
+  let exec = Replica.exec_probe r0 in
+  let last = exec.Execution.last_executed () in
+  let executed = List.filter (fun (seq, _) -> seq <= last) (Replica.executed_log r0) in
+  let newest = List.filteri (fun i _ -> i >= List.length executed - 4) executed in
+  let fetched = Hashtbl.create 8 and entries = ref [] in
+  Network.add_tap c.net (fun ~src ~dst payload ->
+      if src = Addr.replica 0 && dst = Addr.replica 3 then
+        match Message.decode_traced payload with
+        | Ok (Message.Batch_data bd, _) ->
+          Hashtbl.replace fetched (Message.digest_of_batch bd.bd_batch) ()
+        | Ok (Message.State_reply sr, _) when sr.st_requester = 3 ->
+          entries := sr.st_entries @ !entries
+        | _ -> ());
+  List.iter
+    (fun (_, d) ->
+      Network.send c.net ~src:(Addr.replica 3) ~dst:(Addr.replica 0)
+        (Message.encode (Message.Batch_fetch { bf_digest = d; bf_requester = 3 })))
+    newest;
+  Network.send c.net ~src:(Addr.replica 3) ~dst:(Addr.replica 0)
+    (Message.encode
+       (Message.State_request
+          { sr_requester = 3; sr_from = (exec.Execution.last_stable ()) + 1 }));
+  Engine.run ~until:(Engine.now c.engine +. 20_000.0) c.engine;
+  List.iter
+    (fun (seq, d) ->
+      checkb (Printf.sprintf "seq %d: fetched body matches its digest" seq) true
+        (Hashtbl.mem fetched d))
+    newest;
+  checkb "state transfer sent entries" true (!entries <> []);
+  List.iter
+    (fun (e : Message.state_entry) ->
+      checkb (Printf.sprintf "seq %d: transferred body matches its digest" e.se_seq) true
+        (String.equal (Message.digest_of_batch e.se_batch) e.se_digest
+        && List.assoc_opt e.se_seq executed = Some e.se_digest))
+    !entries
+
+(* Soak: what a replica holds per slot and per request is bounded by the
+   checkpoint window, not by the run.  Each table's high-water mark over
+   (T, 4T] stays within 1.25x of its mark over [0, T] plus one batch of
+   requests. *)
+let test_soak_retention_flat () =
+  let c = make_saturated () in
+  let counts r =
+    let prep = Replica.prep_probe r and exec = Replica.exec_probe r in
+    [ ("assignments", prep.Preparation.assignments ());
+      ("Preparation log entries", prep.Preparation.logged ());
+      ("Execution body bytes", exec.Execution.body_bytes ());
+      ("Broker.unanswered", Broker.unanswered (Replica.broker r)) ]
+  in
+  let marks until =
+    let hw = Array.make (List.length c.replicas) [] in
+    let step = 5_000.0 in
+    while Engine.now c.engine < until do
+      Engine.run ~until:(Float.min until (Engine.now c.engine +. step)) c.engine;
+      List.iteri
+        (fun i r ->
+          hw.(i) <-
+            (match hw.(i) with
+            | [] -> counts r
+            | prev -> List.map2 (fun (k, a) (_, b) -> (k, max a b)) prev (counts r)))
+        c.replicas
+    done;
+    hw
+  in
+  let t = 75_000.0 in
+  let first = marks t in
+  let later = marks (4.0 *. t) in
+  let executed = (Replica.exec_probe (List.hd c.replicas)).Execution.executed_total () in
+  checkb "the run kept going" true (executed > 20 * 8 * 50);
+  Array.iteri
+    (fun i at_t ->
+      List.iter2
+        (fun (k, a) (_, b) ->
+          checkb
+            (Printf.sprintf "replica %d: %s %d over (T, 4T] <= 1.25 x %d + 200" i k b a)
+            true
+            (float_of_int b <= (1.25 *. float_of_int a) +. 200.0))
+        at_t later.(i))
+    first
+
 let test_env_starve_conf_loses_liveness_not_safety () =
   let c = make () in
   List.iter
@@ -1313,6 +1441,10 @@ let suites =
           test_answered_leaves_nothing;
         Alcotest.test_case "batch bodies pruned" `Quick test_batch_bodies_pruned;
         Alcotest.test_case "re-proposed digest executes" `Quick test_reproposed_digest_executes;
+        Alcotest.test_case "retention: digests and encodings" `Quick
+          test_retention_digests_and_encodings;
+        Alcotest.test_case "retention: executed bodies served" `Quick test_executed_bodies_served;
+        Alcotest.test_case "soak: retention flat" `Quick test_soak_retention_flat;
         Alcotest.test_case "starved confirmation" `Quick test_env_starve_conf_loses_liveness_not_safety;
         Alcotest.test_case "delaying environments" `Quick test_env_delay_degrades_only;
         Alcotest.test_case "mute environment" `Quick test_env_mute_is_a_crash;

@@ -117,6 +117,17 @@ let prop_decode_total =
   QCheck.Test.make ~name:"message decode total on junk" ~count:300 QCheck.string
     (fun junk -> match M.decode junk with Ok _ | Error _ -> true)
 
+(* Execution keeps an executed batch as this encoding: it must give the
+   batch back, and be exactly the bytes the batch's digest hashes. *)
+let prop_batch_encoding =
+  QCheck.Test.make ~name:"batch encoding round-trips and is what the digest hashes" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (0 -- 40) gen_request))
+    (fun batch ->
+      let enc = M.encode_batch batch in
+      M.decode_batch enc = Ok batch
+      && String.equal (M.digest_of_batch batch) (Splitbft_crypto.Sha256.digest enc)
+      && Result.is_error (M.decode_batch (String.sub enc 1 (String.length enc - 1))))
+
 let test_peek_tag () =
   let msg = M.Request { M.client = 1; timestamp = 2L; payload = "p"; auth = "a" } in
   Alcotest.(check (option int)) "peek" (Some 1) (M.peek_tag (M.encode msg));
@@ -562,6 +573,7 @@ let suites =
   [ ( "types",
       [ QCheck_alcotest.to_alcotest prop_message_roundtrip;
         QCheck_alcotest.to_alcotest prop_decode_total;
+        QCheck_alcotest.to_alcotest prop_batch_encoding;
         QCheck_alcotest.to_alcotest prop_viewchange_roundtrip;
         QCheck_alcotest.to_alcotest prop_newview_roundtrip;
         QCheck_alcotest.to_alcotest prop_signing_bytes_ignore_signature;
